@@ -14,7 +14,7 @@ All public value types (InertGate, GroupElement, CyclicPerm, GateExpr)
 are immutable and safe to share between threads.
 """
 
-from .bitcore import BitWord, Gf2Poly, diff_set, gf2_divides, int_to_word, word_to_int
+from .bitcore import Gf2Poly, diff_set, gf2_divides, int_to_word, word_to_int
 from .gates import (
     GateExpr,
     GroupElement,

@@ -22,8 +22,6 @@ from dataclasses import dataclass
 # every object handled by the library fits in windows of width <= 24.
 MAX_WORD_LEN = 64
 
-BitWord = str
-
 
 def check_word(w: str) -> str:
     """Validate a binary word and return it unchanged."""
@@ -108,16 +106,6 @@ def _poly_mod(a: int, b: int) -> int:
     while a.bit_length() >= db:
         a ^= b << (a.bit_length() - db)
     return a
-
-
-def _poly_mul(a: int, b: int) -> int:
-    c = 0
-    while b:
-        if b & 1:
-            c ^= a
-        a <<= 1
-        b >>= 1
-    return c
 
 
 def gf2_divides(divisor: Gf2Poly | str, dividend: Gf2Poly | str) -> bool:

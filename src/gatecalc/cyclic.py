@@ -24,7 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .gates import GroupElement, InertGate
+from .gates import GroupElement, InertGate, compose_many
 
 # Rings above this need >1M-entry permutations; raise deliberately.
 RING_CAP = 20
@@ -334,10 +334,7 @@ def check_locality_homomorphism(
         centre = g.offset
         if not (h <= centre - t - radius and centre + t + radius <= h + n - 1):
             return LocalityOutcome.HYPOTHESIS_NOT_MET
-    product = fs[0]
-    for f in fs[1:]:
-        product = product.compose(f)
-    lhs = _project_tight(product, n)
+    lhs = _project_tight(compose_many(fs), n)
     rhs = CyclicPerm.identity(n)
     for f in reversed(fs):
         rhs = _project_tight(f, n).compose(rhs)

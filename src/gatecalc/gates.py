@@ -143,19 +143,7 @@ class InertGate:
 
     def compose(self, other: "InertGate") -> "InertGate":
         """self after other (other is applied first)."""
-        if self.is_identity:
-            return other
-        if other.is_identity:
-            return self
-        lo = min(self.lo, other.lo)
-        hi = max(self.hi, other.hi)
-        width = hi - lo + 1
-        if width > WINDOW_CAP:
-            raise WindowCapError(width, WINDOW_CAP)
-        words = np.arange(1 << width, dtype=np.int64)
-        words = _substitute(words, other, hi)
-        words = _substitute(words, self, hi)
-        return canonicalize(lo, hi, words)
+        return _compose_inert([other, self])
 
     def inverse(self) -> "InertGate":
         if self.is_identity:
@@ -226,13 +214,59 @@ def identity_gate() -> InertGate:
     return _IDENTITY_GATE
 
 
-def _substitute(words: np.ndarray, g: InertGate, hi: int) -> np.ndarray:
-    # rewrite the g-window bits of every word; window of g must sit
-    # inside the ambient window whose rightmost cell is hi
+def _embed(g: InertGate, lo: int, hi: int) -> np.ndarray:
+    """Table of g on the window [lo, hi], which must contain its own."""
+    words = np.arange(1 << (hi - lo + 1), dtype=np.int64)
+    if g.is_identity:
+        return words
     s = hi - g.hi
     mask = (1 << g.width) - 1
-    sub = (words >> s) & mask
-    return (words & ~(mask << s)) | (g.table[sub] << s)
+    return (words & ~(mask << s)) | (g.table[(words >> s) & mask] << s)
+
+
+def _evaluate_hull(parts: list[InertGate], lo: int, hi: int) -> InertGate:
+    # gather the hull words through each gate in turn, canonicalize once
+    if len(parts) == 1:
+        return parts[0]
+    embedded: dict[InertGate, np.ndarray] = {}
+    words = None
+    for g in parts:
+        table = embedded.get(g)
+        if table is None:
+            table = embedded[g] = _embed(g, lo, hi)
+        words = table if words is None else table[words]
+    return canonicalize(lo, hi, words)
+
+
+def _compose_inert(parts: Iterable[InertGate]) -> InertGate:
+    # canonical product of gates in application order, with the hull and
+    # cap rule of compose_many; a canonicalized prefix can only shrink
+    segment: list[InertGate] = []
+    lo = hi = 0
+    for g in parts:
+        if g.is_identity:
+            continue
+        if segment and max(hi, g.hi) - min(lo, g.lo) + 1 > WINDOW_CAP:
+            prefix = _evaluate_hull(segment, lo, hi)
+            segment = [] if prefix.is_identity else [prefix]
+            width = max(prefix.hi, g.hi) - min(prefix.lo, g.lo) + 1
+            if segment and width > WINDOW_CAP:
+                raise WindowCapError(width, WINDOW_CAP)
+            lo, hi = prefix.lo, prefix.hi
+        lo, hi = (min(lo, g.lo), max(hi, g.hi)) if segment else (g.lo, g.hi)
+        segment.append(g)
+    return _evaluate_hull(segment, lo, hi) if segment else _IDENTITY_GATE
+
+
+def _compose_chain(elements: Iterable["GroupElement"]) -> "GroupElement":
+    # group elements in application order; each inert part is translated
+    # by the shift applied before it, as in GroupElement.compose
+    shift = 0
+    parts = []
+    for a in elements:
+        parts.append(a.inert.shift_by(shift))
+        shift += a.shift
+    return GroupElement(shift, _compose_inert(parts))
 
 
 def canonicalize(lo: int, hi: int, table: Iterable[int] | np.ndarray) -> InertGate:
@@ -347,11 +381,16 @@ def compose(f: GroupElement, g: GroupElement) -> GroupElement:
 
 
 def compose_many(gates: Iterable[GroupElement]) -> GroupElement:
-    """Compose a sequence, first element applied last (function order)."""
-    acc = IDENTITY
-    for gate in reversed(list(gates)):
-        acc = gate.compose(acc)
-    return acc
+    """Compose a sequence, first element applied last (function order).
+
+    The product is evaluated in one pass over the hull of all windows and
+    canonicalized once.  Before a gate that would widen the hull past
+    WINDOW_CAP, the product so far is canonicalized and the hull restarts
+    from it; WindowCapError is raised only if that is still too wide.
+    Canonical forms are unique, so this raises exactly when composing
+    two gates at a time would.
+    """
+    return _compose_chain(reversed(list(gates)))
 
 
 def inverse(f: GroupElement) -> GroupElement:
@@ -552,7 +591,10 @@ def evaluate_expr(
     generators: Mapping[str, GroupElement],
     leftmost_first: bool = False,
 ) -> GroupElement:
-    """Compose the atoms of expr; by default the first atom acts last."""
+    """Compose the atoms of expr; by default the first atom acts last.
+
+    Evaluated like compose_many: one pass over the hull, same cap rule.
+    """
     cache: dict[tuple[str, int], GroupElement] = {}
 
     def resolve(atom):
@@ -565,8 +607,5 @@ def evaluate_expr(
             cache[atom] = gate
         return gate
 
-    acc = IDENTITY
     order = expr.atoms if leftmost_first else reversed(expr.atoms)
-    for atom in order:
-        acc = resolve(atom).compose(acc)
-    return acc
+    return _compose_chain(resolve(atom) for atom in order)

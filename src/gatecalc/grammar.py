@@ -200,8 +200,9 @@ def verify_on_ring(start: str, target: GroupElement, n: int, anchor: int | None 
     """Does the program still implement the target on a ring of n cells?
 
     Terminals become ring permutations of the rule-57 update at their
-    cells; the composition is compared with the projected target at the
-    anchor (measured on the tape when not supplied).
+    cells, chained as raw arrays and validated once; the composition is
+    compared with the projected target at the anchor (measured on the
+    tape when not supplied).
     """
     if n < 4:
         raise ValueError("ring verification needs n >= 4")
@@ -209,15 +210,15 @@ def verify_on_ring(start: str, target: GroupElement, n: int, anchor: int | None 
         anchor = measure_anchor()
     string = expand(start)
     e57 = make_eca(57)
-    perms: dict[int, CyclicPerm] = {}
-    acc = CyclicPerm.identity(n)
+    perms = {}                  # cell -> raw permutation array
+    acc = CyclicPerm.identity(n).perm
     for ch in string:           # chronological: leftmost acts first
         cell = int(ch)
         if cell not in perms:
-            perms[cell] = project_formula(shift_conjugate(e57, cell), n)
-        acc = perms[cell].compose(acc)
+            perms[cell] = project_formula(shift_conjugate(e57, cell), n).perm
+        acc = perms[cell][acc]
     expected = project_formula(shift_conjugate(target, anchor), n)
-    return acc == expected
+    return CyclicPerm(n, acc) == expected
 
 
 def adjacent_repeat_report(start: str) -> dict:

@@ -25,7 +25,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .gates import GroupElement, compose_many, identity_gate
+from . import gates
+from .gates import GroupElement, WindowCapError, _embed, compose_many, identity_gate
 
 _FNV_OFFSET = np.uint64(0xCBF29CE484222325)
 _FNV_PRIME = np.uint64(0x100000001B3)
@@ -128,17 +129,6 @@ def _dedup_rows(rows: np.ndarray) -> np.ndarray:
     return np.unique(rows, axis=0)
 
 
-def _embed(g: GroupElement, lo: int, hi: int, dtype) -> np.ndarray:
-    width = hi - lo + 1
-    words = np.arange(1 << width, dtype=np.int64)
-    inert = g.inert
-    if not inert.is_identity:
-        s = hi - inert.hi
-        mask = (1 << inert.width) - 1
-        words = (words & ~(mask << s)) | (inert.table[(words >> s) & mask] << s)
-    return words.astype(dtype)
-
-
 class _Searcher:
     def __init__(self, cfg: SearchConfig):
         self.cfg = cfg
@@ -150,15 +140,15 @@ class _Searcher:
         self.lo = min(w[0] for w in windows)
         self.hi = max(w[1] for w in windows)
         width = self.hi - self.lo + 1
-        if width > 24:
-            raise ValueError(f"common window too wide ({width} cells)")
+        if width > gates.WINDOW_CAP:
+            raise WindowCapError(width, gates.WINDOW_CAP)
         self.size = 1 << width
         self.dtype = np.uint8 if self.size <= 256 else np.uint32
         self.gen_tables = [
-            _embed(g, self.lo, self.hi, self.dtype) for g in cfg.generators
+            _embed(g.inert, self.lo, self.hi).astype(self.dtype) for g in cfg.generators
         ]
         self.gen_inverses = [np.argsort(t).astype(self.dtype) for t in self.gen_tables]
-        self.target_table = _embed(cfg.target, self.lo, self.hi, self.dtype)
+        self.target_table = _embed(cfg.target.inert, self.lo, self.hi).astype(self.dtype)
         self.target_reachable = self._target_in_hull()
         self.ball = _Ball(self.size, self.dtype)
 
@@ -221,12 +211,6 @@ class _Searcher:
             else:
                 raise AssertionError("ball levels are inconsistent")
         return tuple(word)
-
-    def find_in_ball(self, table: np.ndarray) -> tuple[int, ...] | None:
-        for depth in range(len(self.ball.levels)):
-            if self.ball.contains_one(depth, table):
-                return self.reconstruct(table, depth)
-        return None
 
     # -- strategies ---------------------------------------------------------
 

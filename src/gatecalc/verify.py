@@ -201,22 +201,20 @@ def criterion_10_locality_identities():
 
 
 def criterion_11_search_certification():
-    """Split search over the three shifted rule-57 gates reaches the flip."""
+    """Split search over the shifted rule-57 gates: the flip is at distance exactly 50."""
     e57 = make_eca(57)
     gens = tuple(e57.shift_conjugate(k) for k in (-1, 0, 1))
-    cfg = search.SearchConfig(
-        gens, make_named("c0"), 25, memory_budget=512 * 1024 * 1024, strategy="mitm"
-    )
-    result = search.search(cfg)
-    if result.status == "budget-exceeded":
-        return True, f"budget exceeded honestly: {result.stats}"
-    if result.status != "found" or len(result.word) > 50:
-        return False, f"unexpected outcome {result.status}"
-    value = search.evaluate_word(result.word, gens)
-    ok = value == make_named("c0")
+    flip = make_named("c0")
+    result = search.search(search.SearchConfig(
+        gens, flip, 25, memory_budget=512 * 1024 * 1024, strategy="mitm", certify_minimum=True
+    ))
+    if result.status != "found":
+        return False, f"unexpected outcome {result.status}: {result.stats}"
+    minimal = result.stats["minimal_length"]
+    ok = minimal == 50 and search.evaluate_word(result.word, gens) == flip
     return ok, (
-        f"found length {len(result.word)}, re-evaluates to flip: {ok}; "
-        f"ball states {result.stats['states']}"
+        f"found length {len(result.word)}, certified minimum {minimal}, "
+        f"re-evaluates to flip: {ok}; ball states {result.stats['states']}"
     )
 
 
@@ -233,15 +231,6 @@ CRITERIA = [
     (10, "locality identities", criterion_10_locality_identities),
     (11, "search certification", criterion_11_search_certification),
 ]
-
-
-def run_criterion(index: int) -> CriterionResult:
-    for i, name, fn in CRITERIA:
-        if i == index:
-            start = time.perf_counter()
-            passed, detail = fn()
-            return CriterionResult(i, name, passed, time.perf_counter() - start, detail)
-    raise ValueError(f"no criterion {index}")
 
 
 def run_all(indices=None) -> list[CriterionResult]:

@@ -1,7 +1,10 @@
+import contextlib
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gatecalc import gates as G
 from gatecalc.bitcore import int_to_word
@@ -347,3 +350,108 @@ def test_expr_unknown_generator():
 def test_record_roundtrip():
     for f in sample_elements():
         assert G.GroupElement.from_record(f.to_record()) == f
+
+
+# -- one-pass evaluation against the pairwise chain ---------------------------
+
+
+@contextlib.contextmanager
+def window_cap(cap):
+    old = G.WINDOW_CAP
+    G.WINDOW_CAP = cap
+    try:
+        yield
+    finally:
+        G.WINDOW_CAP = old
+
+
+def pairwise_compose(f, g):
+    # reference: f after g, two gates at a time in the hull of both windows
+    a, b = f.inert.shift_by(g.shift), g.inert
+    if a.is_identity or b.is_identity:
+        inert = b if a.is_identity else a
+    else:
+        lo, hi = min(a.lo, b.lo), max(a.hi, b.hi)
+        if hi - lo + 1 > G.WINDOW_CAP:
+            raise G.WindowCapError(hi - lo + 1, G.WINDOW_CAP)
+        words = np.arange(1 << (hi - lo + 1), dtype=np.int64)
+        for gate in (b, a):
+            s = hi - gate.hi
+            mask = (1 << gate.width) - 1
+            words = (words & ~(mask << s)) | (gate.table[(words >> s) & mask] << s)
+        inert = G.canonicalize(lo, hi, words)
+    return G.GroupElement(f.shift + g.shift, inert)
+
+
+def pairwise_chain(elements):
+    acc = G.IDENTITY
+    for f in reversed(elements):
+        acc = pairwise_compose(f, acc)
+    return acc
+
+
+@st.composite
+def random_table_gates(draw, max_width=3):
+    width = draw(st.integers(1, max_width))
+    lo = draw(st.integers(-4, 4))
+    table = draw(st.permutations(range(1 << width)))
+    return G.GroupElement(0, G.canonicalize(lo, lo + width - 1, table))
+
+
+_NAMED = [G.make_named(n) for n in ("c0", "c1", "rc1", "swap", "c2")] + [G.make_eca(57)]
+_SIGMA = G.make_named("sigma")
+
+atoms = st.one_of(
+    st.sampled_from([_SIGMA, _SIGMA.inverse(), G.IDENTITY]),
+    st.builds(lambda f, k: f.shift_conjugate(k), st.sampled_from(_NAMED), st.integers(-5, 5)),
+    random_table_gates(),
+)
+
+# runs of atoms, some followed by their inverse, so that a product can
+# cancel back below the cap after its hull has crossed it
+chains = st.lists(
+    st.one_of(atoms.map(lambda f: [f]), atoms.map(lambda f: [f, f.inverse()])),
+    max_size=8,
+).map(lambda runs: [f for run in runs for f in run])
+
+# small enough that tables stay tiny, narrow enough that atoms at
+# opposite ends of the position range cross it
+PROPERTY_CAP = 9
+
+
+def outcome(fn):
+    try:
+        return fn()
+    except G.WindowCapError as err:
+        return ("cap", err.required_width)
+
+
+@settings(max_examples=300, deadline=None)
+@given(chains)
+def test_one_pass_equals_pairwise_chain(elements):
+    gens = {f"g{i}": f for i, f in enumerate(elements)}
+    expr = G.GateExpr(tuple((name, 0) for name in gens))
+    with window_cap(PROPERTY_CAP):
+        expected = outcome(lambda: pairwise_chain(elements))
+        assert outcome(lambda: G.compose_many(elements)) == expected
+        assert outcome(lambda: G.evaluate_expr(expr, gens)) == expected
+
+
+@settings(max_examples=100, deadline=None)
+@given(atoms, atoms, atoms)
+def test_group_laws_hold_for_random_elements(f, g, h):
+    assert (f * g) * h == f * (g * h)
+    assert (f * f.inverse()).is_identity and (f.inverse() * f).is_identity
+    assert (f * g).inverse() == g.inverse() * f.inverse()
+    assert G.compose_many([f, g, h]) == pairwise_chain([f, g, h])
+
+
+def test_chain_succeeds_through_cancellation_past_the_cap():
+    # the hull of all three atoms is 31 cells, but c0@30 cancels first
+    c0 = G.make_named("c0")
+    far = c0.shift_conjugate(30)
+    assert G.compose_many([c0, far, far]) == c0
+    assert G.evaluate_expr(G.GateExpr.parse("c0 c0@30 c0@30"), {"c0": c0}) == c0
+    with pytest.raises(G.WindowCapError) as err:
+        G.compose_many([far, c0, far])
+    assert err.value.required_width == 31

@@ -91,6 +91,16 @@ def test_generators_must_be_inert():
         S.SearchConfig(flip_generators(), G.make_named("sigma"), 3)
 
 
+def test_common_window_obeys_the_window_cap(monkeypatch):
+    # the three shifted rule-57 gates span cells -2..2
+    monkeypatch.setattr(G, "WINDOW_CAP", 4)
+    with pytest.raises(G.WindowCapError) as err:
+        S.search(S.SearchConfig(flip_generators(), G.make_named("c0"), 3))
+    assert err.value.required_width == 5 and err.value.cap == 4
+    monkeypatch.setattr(G, "WINDOW_CAP", 5)
+    assert S.search(S.SearchConfig(flip_generators(), G.make_named("c0"), 3)).status == "not-found"
+
+
 def test_hashing_has_no_false_merges():
     # two different states never collapse: grow a ball and recount
     gens = flip_generators()
