@@ -173,25 +173,19 @@ def _splice_perm(start: int, width: int, table: np.ndarray, n: int) -> np.ndarra
 def project_formula(f: GroupElement, n: int) -> CyclicPerm:
     """Ring permutation induced by f, by direct splicing of the rule.
 
-    The padded rule (width 2R+1, applied at cells offset-R .. offset+R)
-    is spliced into each word; when those cells cross the seam of the
-    ring the word is rotated into window order first (the wraparound
-    branch).  A shift part contributes a ring rotation.
+    The table is spliced into each word at the window cells; when those
+    cells cross the seam of the ring the word is rotated into window
+    order first (the wraparound branch).  A shift part contributes a ring
+    rotation.  The ring must fit the padded rule (n >= 2R + 2), whose
+    extra cell passes through, so splicing the window alone is the same.
     """
     _check_ring(f, n)
-    g = f.inert
-    result = CyclicPerm.identity(n)
-    if not g.is_identity:
-        start, table = g.padded_rule()
-        result = CyclicPerm(n, _splice_perm(start, 2 * g.radius + 1, table, n))
-    if f.shift % n:
-        result = CyclicPerm.rotation(n, f.shift).compose(result)
-    return result
+    return _project_tight(f, n)
 
 
 def _project_tight(f: GroupElement, n: int) -> CyclicPerm:
-    # like project_formula but on the unpadded window; defined whenever
-    # the window itself fits on the ring, even if the padded rule would not
+    # project_formula defined whenever the window itself fits on the
+    # ring, even if the padded rule would not
     g = f.inert
     if g.width > n:
         raise RingTooSmallError(n, g.width)

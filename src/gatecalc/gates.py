@@ -40,6 +40,9 @@ from .bitcore import check_word
 # checks the projected hull against this before allocating anything.
 WINDOW_CAP = 24
 
+# Words of embedded gate tables one product evaluation may keep (8 MiB).
+_EMBED_BUDGET = 1 << 20
+
 
 class WindowCapError(ValueError):
     """Raised when an operation would need a wider window than allowed."""
@@ -141,9 +144,24 @@ class InertGate:
 
     # -- group structure ------------------------------------------------
 
-    def compose(self, other: "InertGate") -> "InertGate":
-        """self after other (other is applied first)."""
-        return _compose_inert([other, self])
+    def compose(self, *others: "InertGate") -> "InertGate":
+        """self after others, the last applied first; see compose_many."""
+        segment: list[InertGate] = []  # application order
+        lo = hi = 0
+        for g in [*reversed(others), self]:
+            if g.is_identity:
+                continue
+            if segment and max(hi, g.hi) - min(lo, g.lo) + 1 > WINDOW_CAP:
+                # a canonicalized prefix can only shrink
+                prefix = _evaluate_hull(segment, lo, hi)
+                segment = [] if prefix.is_identity else [prefix]
+                width = max(prefix.hi, g.hi) - min(prefix.lo, g.lo) + 1
+                if segment and width > WINDOW_CAP:
+                    raise WindowCapError(width, WINDOW_CAP)
+                lo, hi = prefix.lo, prefix.hi
+            lo, hi = (min(lo, g.lo), max(hi, g.hi)) if segment else (g.lo, g.hi)
+            segment.append(g)
+        return _evaluate_hull(segment, lo, hi) if segment else _IDENTITY_GATE
 
     def inverse(self) -> "InertGate":
         if self.is_identity:
@@ -214,9 +232,9 @@ def identity_gate() -> InertGate:
     return _IDENTITY_GATE
 
 
-def _embed(g: InertGate, lo: int, hi: int) -> np.ndarray:
-    """Table of g on the window [lo, hi], which must contain its own."""
-    words = np.arange(1 << (hi - lo + 1), dtype=np.int64)
+def _substitute(words: np.ndarray, g: InertGate, hi: int) -> np.ndarray:
+    # rewrite the g-window bits of every word; window of g must sit
+    # inside the ambient window whose rightmost cell is hi
     if g.is_identity:
         return words
     s = hi - g.hi
@@ -224,38 +242,30 @@ def _embed(g: InertGate, lo: int, hi: int) -> np.ndarray:
     return (words & ~(mask << s)) | (g.table[(words >> s) & mask] << s)
 
 
+def embed(g: InertGate, lo: int, hi: int) -> np.ndarray:
+    """Table of g on [lo, hi], which must contain its window and fit the cap."""
+    width = hi - lo + 1
+    if width > WINDOW_CAP:
+        raise WindowCapError(width, WINDOW_CAP)
+    return _substitute(np.arange(1 << width, dtype=np.int64), g, hi)
+
+
 def _evaluate_hull(parts: list[InertGate], lo: int, hi: int) -> InertGate:
-    # gather the hull words through each gate in turn, canonicalize once
+    # run the hull words through each gate in turn, canonicalize once;
+    # a gate is embedded once and gathered through while its table fits
+    # in the budget, otherwise substituted in place
     if len(parts) == 1:
         return parts[0]
+    words = embed(_IDENTITY_GATE, lo, hi)
+    room = _EMBED_BUDGET
     embedded: dict[InertGate, np.ndarray] = {}
-    words = None
     for g in parts:
         table = embedded.get(g)
-        if table is None:
-            table = embedded[g] = _embed(g, lo, hi)
-        words = table if words is None else table[words]
+        if table is None and room >= words.size:
+            table = embedded[g] = embed(g, lo, hi)
+            room -= words.size
+        words = _substitute(words, g, hi) if table is None else table[words]
     return canonicalize(lo, hi, words)
-
-
-def _compose_inert(parts: Iterable[InertGate]) -> InertGate:
-    # canonical product of gates in application order, with the hull and
-    # cap rule of compose_many; a canonicalized prefix can only shrink
-    segment: list[InertGate] = []
-    lo = hi = 0
-    for g in parts:
-        if g.is_identity:
-            continue
-        if segment and max(hi, g.hi) - min(lo, g.lo) + 1 > WINDOW_CAP:
-            prefix = _evaluate_hull(segment, lo, hi)
-            segment = [] if prefix.is_identity else [prefix]
-            width = max(prefix.hi, g.hi) - min(prefix.lo, g.lo) + 1
-            if segment and width > WINDOW_CAP:
-                raise WindowCapError(width, WINDOW_CAP)
-            lo, hi = prefix.lo, prefix.hi
-        lo, hi = (min(lo, g.lo), max(hi, g.hi)) if segment else (g.lo, g.hi)
-        segment.append(g)
-    return _evaluate_hull(segment, lo, hi) if segment else _IDENTITY_GATE
 
 
 def _compose_chain(elements: Iterable["GroupElement"]) -> "GroupElement":
@@ -266,7 +276,7 @@ def _compose_chain(elements: Iterable["GroupElement"]) -> "GroupElement":
     for a in elements:
         parts.append(a.inert.shift_by(shift))
         shift += a.shift
-    return GroupElement(shift, _compose_inert(parts))
+    return GroupElement(shift, _IDENTITY_GATE.compose(*reversed(parts)))
 
 
 def canonicalize(lo: int, hi: int, table: Iterable[int] | np.ndarray) -> InertGate:
@@ -383,12 +393,10 @@ def compose(f: GroupElement, g: GroupElement) -> GroupElement:
 def compose_many(gates: Iterable[GroupElement]) -> GroupElement:
     """Compose a sequence, first element applied last (function order).
 
-    The product is evaluated in one pass over the hull of all windows and
-    canonicalized once.  Before a gate that would widen the hull past
-    WINDOW_CAP, the product so far is canonicalized and the hull restarts
-    from it; WindowCapError is raised only if that is still too wide.
-    Canonical forms are unique, so this raises exactly when composing
-    two gates at a time would.
+    One pass over the hull of all windows, canonicalized once.  A gate
+    that would widen the hull past WINDOW_CAP first has the product so
+    far canonicalized; WindowCapError is raised only if that is still
+    too wide, which is exactly when composing two at a time would raise.
     """
     return _compose_chain(reversed(list(gates)))
 

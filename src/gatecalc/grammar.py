@@ -32,6 +32,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
 
+import numpy as np
+
 from .cyclic import CyclicPerm, project_formula
 from .gates import GroupElement, compose_many, make_eca, make_named, shift_conjugate
 
@@ -200,9 +202,8 @@ def verify_on_ring(start: str, target: GroupElement, n: int, anchor: int | None 
     """Does the program still implement the target on a ring of n cells?
 
     Terminals become ring permutations of the rule-57 update at their
-    cells, chained as raw arrays and validated once; the composition is
-    compared with the projected target at the anchor (measured on the
-    tape when not supplied).
+    cells; the composition is compared with the projected target at the
+    anchor (measured on the tape when not supplied).
     """
     if n < 4:
         raise ValueError("ring verification needs n >= 4")
@@ -211,7 +212,7 @@ def verify_on_ring(start: str, target: GroupElement, n: int, anchor: int | None 
     string = expand(start)
     e57 = make_eca(57)
     perms = {}                  # cell -> raw permutation array
-    acc = CyclicPerm.identity(n).perm
+    acc = np.arange(1 << n, dtype=np.int64)
     for ch in string:           # chronological: leftmost acts first
         cell = int(ch)
         if cell not in perms:

@@ -25,8 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import gates
-from .gates import GroupElement, WindowCapError, _embed, compose_many, identity_gate
+from .gates import GroupElement, compose_many, embed, identity_gate
 
 _FNV_OFFSET = np.uint64(0xCBF29CE484222325)
 _FNV_PRIME = np.uint64(0x100000001B3)
@@ -139,16 +138,14 @@ class _Searcher:
             windows = [(0, 0)]
         self.lo = min(w[0] for w in windows)
         self.hi = max(w[1] for w in windows)
-        width = self.hi - self.lo + 1
-        if width > gates.WINDOW_CAP:
-            raise WindowCapError(width, gates.WINDOW_CAP)
-        self.size = 1 << width
+        self.size = 1 << (self.hi - self.lo + 1)
         self.dtype = np.uint8 if self.size <= 256 else np.uint32
+        # embed raises WindowCapError if the common window is too wide
         self.gen_tables = [
-            _embed(g.inert, self.lo, self.hi).astype(self.dtype) for g in cfg.generators
+            embed(g.inert, self.lo, self.hi).astype(self.dtype) for g in cfg.generators
         ]
         self.gen_inverses = [np.argsort(t).astype(self.dtype) for t in self.gen_tables]
-        self.target_table = _embed(cfg.target.inert, self.lo, self.hi).astype(self.dtype)
+        self.target_table = embed(cfg.target.inert, self.lo, self.hi).astype(self.dtype)
         self.target_reachable = self._target_in_hull()
         self.ball = _Ball(self.size, self.dtype)
 

@@ -356,13 +356,15 @@ def test_record_roundtrip():
 
 
 @contextlib.contextmanager
-def window_cap(cap):
-    old = G.WINDOW_CAP
-    G.WINDOW_CAP = cap
+def patched(**settings):
+    old = {name: getattr(G, name) for name in settings}
+    for name, value in settings.items():
+        setattr(G, name, value)
     try:
         yield
     finally:
-        G.WINDOW_CAP = old
+        for name, value in old.items():
+            setattr(G, name, value)
 
 
 def pairwise_compose(f, g):
@@ -418,6 +420,10 @@ chains = st.lists(
 # opposite ends of the position range cross it
 PROPERTY_CAP = 9
 
+# the default embeds every gate; 64 words embeds some gates of a product
+# and substitutes the rest in place, none at all past a 6-cell hull
+EMBED_BUDGETS = (G._EMBED_BUDGET, 64)
+
 
 def outcome(fn):
     try:
@@ -431,10 +437,12 @@ def outcome(fn):
 def test_one_pass_equals_pairwise_chain(elements):
     gens = {f"g{i}": f for i, f in enumerate(elements)}
     expr = G.GateExpr(tuple((name, 0) for name in gens))
-    with window_cap(PROPERTY_CAP):
+    with patched(WINDOW_CAP=PROPERTY_CAP):
         expected = outcome(lambda: pairwise_chain(elements))
-        assert outcome(lambda: G.compose_many(elements)) == expected
-        assert outcome(lambda: G.evaluate_expr(expr, gens)) == expected
+    for budget in EMBED_BUDGETS:
+        with patched(WINDOW_CAP=PROPERTY_CAP, _EMBED_BUDGET=budget):
+            assert outcome(lambda: G.compose_many(elements)) == expected
+            assert outcome(lambda: G.evaluate_expr(expr, gens)) == expected
 
 
 @settings(max_examples=100, deadline=None)
@@ -444,6 +452,8 @@ def test_group_laws_hold_for_random_elements(f, g, h):
     assert (f * f.inverse()).is_identity and (f.inverse() * f).is_identity
     assert (f * g).inverse() == g.inverse() * f.inverse()
     assert G.compose_many([f, g, h]) == pairwise_chain([f, g, h])
+    a, b, c = f.inert, g.inert, h.inert
+    assert a.compose(b, c) == a.compose(b).compose(c) == a.compose(b.compose(c))
 
 
 def test_chain_succeeds_through_cancellation_past_the_cap():
