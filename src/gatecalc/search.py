@@ -3,16 +3,24 @@
 All generators must be inert; their products then stay inside the
 common window hull, so a state is just a permutation table of the hull
 words and group-element equality is table equality.  The ball around
-the identity is grown level by level with numpy: a level is a matrix of
-table rows, deduplicated exactly, indexed by a 64-bit content hash with
-full-table confirmation on collision (a hash can never merge two
-distinct states).
+the identity is grown level by level with numpy.  A level is a matrix
+of distinct table rows, ordered by a 64-bit content hash; one sorted
+hash index over all levels maps a table to its depth.  Duplicates are
+found by sorting candidates on the hash and comparing equal-hash rows
+in full, and every index hit is confirmed on the full table, so a hash
+can never merge two distinct states.
 
 Words are tuples of generator indices, first index applied last, as in
 GateExpr.  BFS returns the lexicographically least shortest word.
-Meet-in-the-middle stores the forward ball only and lazily probes
-target . h^-1 for every stored h, level by level in storage order,
-returning the first hit (deterministic, length <= 2 * max_depth).
+Meet-in-the-middle stores the forward ball only.  For each level it
+builds the probes target . h^-1 of all its states h and looks them up
+in the index once; a probe stored at depth |g| splits the target as
+g . h.  Within a level the least |g| wins, then the h stored first.
+Certified mode takes the least |g| + |h| over all levels, the smallest
+|h| on ties.  That is the exact distance when it is at most
+2 * max_depth, since every shorter word splits into two halves of at
+most max_depth letters, both stored.  Otherwise the first level with a
+hit is used.
 
 Every Found result is re-evaluated through the gate algebra before it
 is returned; memory use is estimated before each expansion so that an
@@ -29,6 +37,8 @@ from .gates import GroupElement, compose_many, embed, identity_gate
 
 _FNV_OFFSET = np.uint64(0xCBF29CE484222325)
 _FNV_PRIME = np.uint64(0x100000001B3)
+# table entries per chunk of a temporary gather (2M: 64k rows of 32)
+_CHUNK = 1 << 21
 
 
 @dataclass(frozen=True)
@@ -38,8 +48,8 @@ class SearchConfig:
     max_depth: int
     memory_budget: int = 512 * 1024 * 1024
     strategy: str = "bfs"
-    # mitm only: scan split pairs by total length and certify that the
-    # returned length is the exact distance to the target
+    # mitm only: take the shortest split over all levels and certify
+    # that the returned length is the exact distance to the target
     certify_minimum: bool = False
 
     def __post_init__(self):
@@ -80,52 +90,100 @@ def _hash_rows(rows: np.ndarray) -> np.ndarray:
     return h
 
 
+def _equal_rows(a: np.ndarray, ia: np.ndarray, b: np.ndarray, ib: np.ndarray) -> np.ndarray:
+    """a[ia] == b[ib] row by row, gathered in chunks of _CHUNK entries."""
+    out = np.empty(ia.size, dtype=bool)
+    step = max(1, _CHUNK // a.shape[1])
+    for lo in range(0, ia.size, step):
+        hi = lo + step
+        out[lo:hi] = (a[ia[lo:hi]] == b[ib[lo:hi]]).all(axis=1)
+    return out
+
+
+def _index_keys(hashes: np.ndarray) -> np.ndarray:
+    # the top half of the hash, which the last FNV multiply mixes best
+    return (hashes >> np.uint64(32)).astype(np.uint32)
+
+
 class _Ball:
-    """Levels of the Cayley ball as hash-indexed table matrices."""
+    """Levels of the Cayley ball and one sorted hash index over all of them.
 
-    def __init__(self, size: int, dtype):
-        self.size = size
-        self.dtype = dtype
+    ``keys`` holds the top 32 bits of the hash of every stored state in
+    ascending order and ``ids`` the state's number in storage order,
+    level after level; ``starts`` maps a number back to its depth and
+    its position within its level.
+    """
+
+    def __init__(self):
         self.levels: list[np.ndarray] = []
-        self.hashes: list[np.ndarray] = []
+        self.starts = [0]  # number of the first state of each level, then the total
+        self.keys = np.empty(0, dtype=np.uint32)
+        self.ids = np.empty(0, dtype=np.uint32)
         self.nbytes = 0
-        self.states = 0
 
-    def add_level(self, rows: np.ndarray) -> np.ndarray:
-        order = np.argsort(_hash_rows(rows), kind="stable")
-        rows = rows[order]
-        h = _hash_rows(rows)
+    @property
+    def states(self) -> int:
+        return self.starts[-1]
+
+    def add_level(self, rows: np.ndarray, hashes: np.ndarray) -> None:
+        """Store distinct new states, given in storage order with their hashes."""
+        if self.states + rows.shape[0] > np.iinfo(np.uint32).max:
+            raise OverflowError("the ball index numbers states in 32 bits")
+        keys = _index_keys(hashes)
+        at = np.searchsorted(self.keys, keys)
+        numbers = np.arange(self.states, self.states + rows.shape[0], dtype=np.uint32)
+        self.keys = np.insert(self.keys, at, keys)
+        self.ids = np.insert(self.ids, at, numbers)
         self.levels.append(rows)
-        self.hashes.append(h)
-        self.nbytes += rows.nbytes + h.nbytes
-        self.states += rows.shape[0]
-        return rows
+        self.starts.append(self.states + rows.shape[0])
+        self.nbytes += rows.nbytes + keys.nbytes + numbers.nbytes
 
-    def contains(self, depth: int, rows: np.ndarray) -> np.ndarray:
-        """Boolean mask: which rows are stored at the given level."""
-        stored = self.levels[depth]
-        stored_h = self.hashes[depth]
-        h = _hash_rows(rows)
-        left = np.searchsorted(stored_h, h, side="left")
-        right = np.searchsorted(stored_h, h, side="right")
-        out = np.zeros(rows.shape[0], dtype=bool)
-        candidates = np.nonzero(right > left)[0]
-        simple = candidates[right[candidates] == left[candidates] + 1]
-        if simple.size:
-            out[simple] = (stored[left[simple]] == rows[simple]).all(axis=1)
-        for i in candidates[right[candidates] > left[candidates] + 1]:
-            for j in range(left[i], right[i]):
-                if np.array_equal(stored[j], rows[i]):
-                    out[i] = True
-                    break
+    def depth_of(self, rows: np.ndarray, hashes: np.ndarray | None = None) -> np.ndarray:
+        """Stored depth of each row, or -1 where the row is not stored."""
+        keys = _index_keys(_hash_rows(rows) if hashes is None else hashes)
+        out = np.full(rows.shape[0], -1, dtype=np.int64)
+        left = np.searchsorted(self.keys, keys)
+        cand = np.nonzero(left < self.keys.size)[0]
+        cand = cand[self.keys[left[cand]] == keys[cand]]
+        if not cand.size:
+            return out
+        # every pair of a row and a stored state with the same key
+        counts = np.searchsorted(self.keys, keys[cand], side="right") - left[cand]
+        row = np.repeat(cand, counts)
+        slot = left[row] + np.arange(row.size) - np.repeat(np.cumsum(counts) - counts, counts)
+        state = self.ids[slot].astype(np.int64)
+        depth = np.searchsorted(self.starts, state, side="right") - 1
+        for d in np.unique(depth):
+            pair = np.nonzero(depth == d)[0]
+            stored = state[pair] - self.starts[d]
+            pair = pair[_equal_rows(self.levels[d], stored, rows, row[pair])]
+            out[row[pair]] = d
         return out
 
-    def contains_one(self, depth: int, row: np.ndarray) -> bool:
-        return bool(self.contains(depth, row[None, :])[0])
 
+def _dedup_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct rows ordered by (hash, row), and their hashes.
 
-def _dedup_rows(rows: np.ndarray) -> np.ndarray:
-    return np.unique(rows, axis=0)
+    Adjacent rows with equal hashes are compared in full; a run of equal
+    hashes that holds distinct rows is sorted exactly on its own.
+    """
+    hashes = _hash_rows(rows)
+    order = np.argsort(hashes, kind="stable")
+    hashes = hashes[order]
+    pairs = np.nonzero(hashes[1:] == hashes[:-1])[0]
+    same = _equal_rows(rows, order[pairs], rows, order[pairs + 1])
+    keep = np.ones(order.size, dtype=bool)
+    keep[pairs[same] + 1] = False
+    for h in np.unique(hashes[pairs[~same]]):
+        lo = np.searchsorted(hashes, h, side="left")
+        hi = np.searchsorted(hashes, h, side="right")
+        run = order[lo:hi]
+        _, first = np.unique(rows[run], axis=0, return_index=True)
+        order[lo : lo + first.size] = run[first]
+        keep[lo:hi] = False
+        keep[lo : lo + first.size] = True
+    order = order[keep]
+    return rows[order], hashes[keep]
 
 
 class _Searcher:
@@ -139,7 +197,7 @@ class _Searcher:
         self.lo = min(w[0] for w in windows)
         self.hi = max(w[1] for w in windows)
         self.size = 1 << (self.hi - self.lo + 1)
-        self.dtype = np.uint8 if self.size <= 256 else np.uint32
+        self.dtype = np.min_scalar_type(self.size - 1)
         # embed raises WindowCapError if the common window is too wide
         self.gen_tables = [
             embed(g.inert, self.lo, self.hi).astype(self.dtype) for g in cfg.generators
@@ -147,7 +205,7 @@ class _Searcher:
         self.gen_inverses = [np.argsort(t).astype(self.dtype) for t in self.gen_tables]
         self.target_table = embed(cfg.target.inert, self.lo, self.hi).astype(self.dtype)
         self.target_reachable = self._target_in_hull()
-        self.ball = _Ball(self.size, self.dtype)
+        self.ball = _Ball()
 
     def _target_in_hull(self) -> bool:
         gw = self.cfg.target.inert.window
@@ -162,34 +220,40 @@ class _Searcher:
 
     # -- ball construction ------------------------------------------------
 
-    def grow(self, depth_limit: int) -> str:
-        """Extend the ball to depth_limit; '' on success, else a status.
+    def grow(self, depth_limit: int) -> dict | None:
+        """Extend the ball to depth_limit; None on success.
 
         Stops early (successfully) when the ball closes, i.e. the whole
-        generated group has been enumerated below the limit.
+        generated group has been enumerated below the limit.  When the
+        next level could overrun the memory budget, returns that level,
+        the projected peak bytes and the budget instead.
         """
         if not self.ball.levels:
             identity = np.arange(self.size, dtype=self.dtype)[None, :]
-            self.ball.add_level(identity)
+            self.ball.add_level(identity, _hash_rows(identity))
         if not self.gen_tables:
-            return ""
-        per_state = self.size * np.dtype(self.dtype).itemsize + 8
+            return None
+        # a stored state costs its row, its key and its number in the index
+        per_state = self.size * self.dtype.itemsize + 8
+        budget = self.cfg.memory_budget
         for depth in range(len(self.ball.levels), depth_limit + 1):
-            frontier = self.ball.levels[depth - 1]
-            projected = frontier.shape[0] * len(self.gen_tables) * per_state
-            # unique() over the candidate block roughly doubles the peak
-            if self.ball.nbytes + 3 * projected > self.cfg.memory_budget:
-                return "budget-exceeded"
-            blocks = [frontier[:, t] for t in self.gen_tables]
-            candidates = _dedup_rows(np.concatenate(blocks, axis=0))
-            fresh = ~self.ball.contains(depth - 1, candidates)
-            if depth >= 2:
-                fresh &= ~self.ball.contains(depth - 2, candidates)
-            candidates = candidates[fresh]
-            if candidates.shape[0] == 0:
-                return ""  # ball closed: the whole group is enumerated
-            self.ball.add_level(candidates)
-        return ""
+            frontier = self.ball.levels[-1]
+            n = frontier.shape[0]
+            # the candidates, the distinct and the fresh rows and their
+            # index arrays peak below 3x the candidates' stored size
+            projected = self.ball.nbytes + 3 * n * len(self.gen_tables) * per_state
+            if projected > budget:
+                return {"level": depth, "projected_bytes": projected, "budget": budget}
+            candidates = np.empty((n * len(self.gen_tables), self.size), dtype=self.dtype)
+            for k, t in enumerate(self.gen_tables):
+                np.take(frontier, t, axis=1, out=candidates[k * n : (k + 1) * n])
+            rows, hashes = _dedup_rows(candidates)
+            del candidates
+            fresh = self.ball.depth_of(rows, hashes) < 0
+            if not fresh.any():
+                return None  # ball closed: the whole group is enumerated
+            self.ball.add_level(rows[fresh], hashes[fresh])
+        return None
 
     # -- word reconstruction ----------------------------------------------
 
@@ -198,16 +262,24 @@ class _Searcher:
         word: list[int] = []
         current = row
         for d in range(depth, 0, -1):
-            for i, inv in enumerate(self.gen_inverses):
-                # strip generator i applied last: rest = g_i^-1 . current
-                rest = inv[current]
-                if self.ball.contains_one(d - 1, rest):
-                    word.append(i)
-                    current = rest
-                    break
-            else:
+            # strip generator i applied last: rest_i = g_i^-1 . current
+            rests = np.stack([inv[current] for inv in self.gen_inverses])
+            below = np.nonzero(self.ball.depth_of(rests) == d - 1)[0]
+            if not below.size:
                 raise AssertionError("ball levels are inconsistent")
+            word.append(int(below[0]))
+            current = rests[below[0]]
         return tuple(word)
+
+    def probes(self, level: np.ndarray) -> np.ndarray:
+        """target . h^-1 for each state h of a level, i.e. p[h[j]] = target[j]."""
+        out = np.empty_like(level)
+        target = self.target_table[None, :]
+        step = max(1, _CHUNK // self.size)
+        for lo in range(0, level.shape[0], step):
+            index = level[lo : lo + step].astype(np.intp)
+            np.put_along_axis(out[lo : lo + step], index, target, axis=1)
+        return out
 
     # -- strategies ---------------------------------------------------------
 
@@ -225,69 +297,46 @@ class _Searcher:
     def bfs(self) -> SearchResult:
         for depth in range(self.cfg.max_depth + 1):
             if depth >= len(self.ball.levels):
-                status = self.grow(depth)
-                if status:
-                    return SearchResult(status, stats=self.stats())
+                failure = self.grow(depth)
+                if failure is not None:
+                    return SearchResult("budget-exceeded", stats=self.stats(failure))
                 if depth >= len(self.ball.levels):
                     break  # group exhausted below the depth limit
-            if self.ball.contains_one(depth, self.target_table):
+            if self.ball.depth_of(self.target_table[None, :])[0] == depth:
                 word = self.reconstruct(self.target_table, depth)
                 return SearchResult("found", word, self.stats({"length": depth}))
         return SearchResult("not-found", stats=self.stats())
 
-    def _mitm_hit(self, probes: np.ndarray, level: np.ndarray, h_depth: int, g_depth: int):
-        mask = self.ball.contains(g_depth, probes)
-        hits = np.nonzero(mask)[0]
-        if not hits.size:
-            return None
-        h_row = level[hits[0]]
-        p_row = probes[hits[0]]
-        return self.reconstruct(p_row, g_depth) + self.reconstruct(h_row, h_depth)
-
     def mitm(self) -> SearchResult:
-        status = self.grow(self.cfg.max_depth)
-        if status:
-            return SearchResult(status, stats=self.stats())
-        depths = len(self.ball.levels)
-        probes_cache: dict[int, np.ndarray] = {}
-
-        def probes_for(h_depth: int) -> np.ndarray:
-            if h_depth not in probes_cache:
-                level = self.ball.levels[h_depth]
-                inverses = np.argsort(level, axis=1)
-                probes_cache[h_depth] = self.target_table[inverses].astype(
-                    self.dtype, copy=False
-                )
-            return probes_cache[h_depth]
-
-        if self.cfg.certify_minimum:
-            # scan split pairs by total length: the first hit total is the
-            # exact distance (any word of length d <= 2*max_depth splits
-            # into halves of lengths ceil(d/2), floor(d/2), both stored)
-            for total in range(2 * depths - 1):
-                for h_depth in range(max(0, total - depths + 1), min(total, depths - 1) + 1):
-                    g_depth = total - h_depth
-                    word = self._mitm_hit(
-                        probes_for(h_depth), self.ball.levels[h_depth], h_depth, g_depth
-                    )
-                    if word is not None:
-                        return SearchResult(
-                            "found",
-                            word,
-                            self.stats({"length": len(word), "minimal_length": total}),
-                        )
-            return SearchResult(
-                "not-found", stats=self.stats({"minimal_length_exceeds": 2 * depths - 2})
-            )
-
-        for h_depth in range(depths):
-            for g_depth in range(depths):
-                word = self._mitm_hit(
-                    probes_for(h_depth), self.ball.levels[h_depth], h_depth, g_depth
-                )
-                if word is not None:
-                    return SearchResult("found", word, self.stats({"length": len(word)}))
-        return SearchResult("not-found", stats=self.stats())
+        failure = self.grow(self.cfg.max_depth)
+        if failure is not None:
+            return SearchResult("budget-exceeded", stats=self.stats(failure))
+        certify = self.cfg.certify_minimum
+        best = None  # (|g| + |h|, |h|, position of h, |g|, probe row)
+        for h_depth, level in enumerate(self.ball.levels):
+            probes = self.probes(level)
+            g_depth = self.ball.depth_of(probes)
+            hits = np.nonzero(g_depth >= 0)[0]
+            if not hits.size:
+                continue
+            k = hits[np.argmin(g_depth[hits])]
+            total = h_depth + int(g_depth[k])
+            if best is None or total < best[0]:
+                best = (total, h_depth, k, int(g_depth[k]), probes[k].copy())
+            if not certify:
+                break
+        if best is None:
+            depths = len(self.ball.levels)
+            extra = {"minimal_length_exceeds": 2 * depths - 2} if certify else None
+            return SearchResult("not-found", stats=self.stats(extra))
+        total, h_depth, k, g_depth, probe = best
+        word = self.reconstruct(probe, g_depth) + self.reconstruct(
+            self.ball.levels[h_depth][k], h_depth
+        )
+        extra = {"length": len(word)}
+        if certify:
+            extra["minimal_length"] = total
+        return SearchResult("found", word, self.stats(extra))
 
 
 def evaluate_word(word: tuple[int, ...], generators) -> GroupElement:

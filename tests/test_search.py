@@ -1,5 +1,7 @@
 import itertools
+import tracemalloc
 
+import numpy as np
 import pytest
 
 from gatecalc import gates as G
@@ -58,9 +60,24 @@ def test_ball_closes_on_finite_group():
     assert sum(r.stats["levels"]) == 8
 
 
+def test_ball_closes_without_inverse_generators():
+    # one order-3 gate: its inverse is no generator, yet the ball closes
+    # after the three elements of the cyclic group it generates
+    g = G.GroupElement(0, G.canonicalize(0, 1, np.array([1, 2, 0, 3])))
+    r = S.search(S.SearchConfig((g,), G.make_named("c0"), 10))
+    assert r.status == "not-found"
+    assert r.stats["levels"] == [1, 1, 1]
+    square = S.evaluate_word((0, 0), (g,))
+    r = S.search(S.SearchConfig((g,), square, 10))
+    assert r.word == (0, 0) and r.stats["levels"] == [1, 1, 1]
+
+
+MITM_WORDS = [(1, 0), (0, 1, 2, 1), (2, 2, 0, 1, 0, 2)]
+
+
 def test_mitm_matches_bfs():
     gens = flip_generators()
-    for word in [(1, 0), (0, 1, 2, 1), (2, 2, 0, 1, 0, 2)]:
+    for word in MITM_WORDS:
         target = S.evaluate_word(word, gens)
         bfs = S.search(S.SearchConfig(gens, target, 8))
         mitm = S.search(S.SearchConfig(gens, target, 4, strategy="mitm"))
@@ -82,6 +99,44 @@ def test_budget_exceeded_is_predictable():
     r = S.search(cfg)
     assert r.status == "budget-exceeded"
     assert r.stats["bytes"] <= 100_000
+    assert r.stats["budget"] == 100_000
+    assert r.stats["projected_bytes"] > 100_000
+    # the level that would not fit is the one after the last stored level
+    assert r.stats["level"] == len(r.stats["levels"])
+
+
+def test_growth_peak_stays_within_the_projection():
+    # the budget check projects ball bytes + 3 x (candidates x bytes per
+    # state); the traced peak of growing each level must stay below it
+    for shifts, first, last in [((-1, 0, 1), 12, 18), ((-3, -2, -1, 0, 1, 2, 3), 3, 6)]:
+        e57 = G.make_eca(57)
+        gens = tuple(e57.shift_conjugate(k) for k in shifts)
+        searcher = S._Searcher(S.SearchConfig(gens, G.make_named("c0"), last))
+        searcher.grow(first - 1)
+        per_state = searcher.size * searcher.dtype.itemsize + 8
+        tracemalloc.start()
+        try:
+            for depth in range(first, last + 1):
+                before = searcher.ball.nbytes
+                frontier = searcher.ball.levels[-1].shape[0]
+                projected = before + 3 * frontier * len(gens) * per_state
+                base = tracemalloc.get_traced_memory()[0]
+                tracemalloc.reset_peak()
+                assert searcher.grow(depth) is None
+                peak = before + tracemalloc.get_traced_memory()[1] - base
+                assert peak <= projected, (shifts, depth, peak, projected)
+        finally:
+            tracemalloc.stop()
+
+
+def test_rows_use_the_narrowest_dtype():
+    e57 = G.make_eca(57)
+    for shifts, dtype in [((-1, 0, 1), np.uint8), ((-3, -2, -1, 0, 1, 2, 3), np.uint16)]:
+        gens = tuple(e57.shift_conjugate(k) for k in shifts)
+        assert S._Searcher(S.SearchConfig(gens, G.make_named("c0"), 3)).dtype == dtype
+    # a 17-cell hull (131,072 words) needs uint32
+    wide = (G.make_named("c0"), G.make_named("c0").shift_conjugate(16))
+    assert S._Searcher(S.SearchConfig(wide, G.make_named("c0"), 1)).dtype == np.uint32
 
 
 def test_generators_must_be_inert():
@@ -112,6 +167,29 @@ def test_hashing_has_no_false_merges():
         for row in level:
             seen.add(row.tobytes())
     assert len(seen) == searcher.ball.states
+
+
+def test_hash_collisions_cannot_merge_states(monkeypatch):
+    # with a 2-bit hash nearly every pair of states collides, so dedup
+    # falls back to exact sorts and every lookup confirms many candidates
+    gens = flip_generators()
+
+    def run():
+        searcher = S._Searcher(S.SearchConfig(gens, G.make_named("c0"), 8))
+        searcher.grow(8)
+        out = [[lvl.shape[0] for lvl in searcher.ball.levels], searcher.ball.states]
+        for word in MITM_WORDS:
+            cfg = S.SearchConfig(
+                gens, S.evaluate_word(word, gens), 4, strategy="mitm", certify_minimum=True
+            )
+            r = S.search(cfg)
+            out.append((r.word, r.stats["minimal_length"], r.stats["levels"]))
+        return out
+
+    real = run()
+    real_hash = S._hash_rows
+    monkeypatch.setattr(S, "_hash_rows", lambda rows: real_hash(rows) & np.uint64(0x3))
+    assert run() == real
 
 
 def test_flip_word_search_mitm():
