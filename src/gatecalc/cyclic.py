@@ -5,8 +5,9 @@ every n-th cell simultaneously; on n-periodic tapes the copies commute,
 and reading off one period turns the gate into a permutation of the 2^n
 window words.  Two independent implementations are kept side by side:
 
-* project_formula: closed-form splice of the padded rule into the word,
-  with a separate wraparound branch when the window crosses the seam;
+* project_formula: the tape substitution formula (gates.substitute)
+  conjugated by a ring rotation that brings the window's first cell to
+  the top bit, so a window across the seam needs no branch of its own;
 * project_periodic: literal simulation on a 3n-cell periodic buffer,
   one word at a time.  Slow and boring on purpose; it is the oracle the
   formula is validated against.
@@ -24,7 +25,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .gates import GroupElement, InertGate, compose_many
+from .gates import GroupElement, InertGate, compose_many, substitute, table_cycles
 
 # Rings above this need >1M-entry permutations; raise deliberately.
 RING_CAP = 20
@@ -64,12 +65,7 @@ class CyclicPerm:
     @classmethod
     def rotation(cls, n: int, k: int = 1) -> "CyclicPerm":
         """Ring shift: cell i of the image reads cell i+k of the source."""
-        k %= n
-        if k == 0:
-            return cls.identity(n)
-        mask = (1 << n) - 1
-        w = np.arange(1 << n, dtype=np.int64)
-        return cls(n, ((w << k) | (w >> (n - k))) & mask)
+        return cls(n, _rotate(np.arange(1 << n, dtype=np.int64), k, n))
 
     def compose(self, other: "CyclicPerm") -> "CyclicPerm":
         """self after other."""
@@ -82,44 +78,12 @@ class CyclicPerm:
             return NotImplemented
         return self.compose(other)
 
-    def inverse(self) -> "CyclicPerm":
-        inv = np.empty_like(self.perm)
-        inv[self.perm] = np.arange(self.perm.size, dtype=np.int64)
-        return CyclicPerm(self.n, inv)
-
-    def cycle_count(self) -> int:
-        seen = np.zeros(self.perm.size, dtype=bool)
-        perm = self.perm
-        cycles = 0
-        for start in range(perm.size):
-            if seen[start]:
-                continue
-            cycles += 1
-            j = start
-            while not seen[j]:
-                seen[j] = True
-                j = int(perm[j])
-        return cycles
-
     def is_even(self) -> bool:
-        return (self.perm.size - self.cycle_count()) % 2 == 0
+        return sum(len(c) - 1 for c in self.cycles()) % 2 == 0
 
     def cycles(self) -> list[list[int]]:
         """Nontrivial cycles, each starting at its least element."""
-        seen = np.zeros(self.perm.size, dtype=bool)
-        out = []
-        for start in range(self.perm.size):
-            if seen[start] or self.perm[start] == start:
-                seen[start] = True
-                continue
-            cyc = []
-            j = start
-            while not seen[j]:
-                seen[j] = True
-                cyc.append(j)
-                j = int(self.perm[j])
-            out.append(cyc)
-        return out
+        return table_cycles(self.perm)
 
     def __eq__(self, other):
         if not isinstance(other, CyclicPerm):
@@ -134,7 +98,7 @@ class CyclicPerm:
 
 
 def sign(p: CyclicPerm) -> str:
-    """Parity of the permutation: 'even' or 'odd' (via cycle count)."""
+    """Parity of the permutation: 'even' or 'odd' (via cycle lengths)."""
     return "even" if p.is_even() else "odd"
 
 
@@ -151,33 +115,23 @@ def _check_ring(f: GroupElement, n: int) -> None:
         raise ValueError(f"ring size must be in [1, {RING_CAP}]")
 
 
-def _splice_perm(start: int, width: int, table: np.ndarray, n: int) -> np.ndarray:
-    # apply a width-cell rule at ring cells start .. start+width-1 (mod n)
-    mask = (1 << width) - 1
-    a = start % n
-    w = np.arange(1 << n, dtype=np.int64)
-    if a + width <= n:
-        # window sits at cells [a, a + width) without wrapping
-        s = n - a - width
-        return (w & ~(mask << s)) | (table[(w >> s) & mask] << s)
-    suffix = n - a          # cells [a, n) hold the head of the window
-    prefix = width - suffix  # cells [0, prefix) hold the tail
-    smask = (1 << suffix) - 1
-    pmask = (1 << prefix) - 1
-    mid_mask = ((1 << (n - width)) - 1) << suffix
-    u = ((w & smask) << prefix) | (w >> (n - prefix))
-    out = table[u]
-    return ((out & pmask) << (n - prefix)) | (w & mid_mask) | (out >> prefix)
+def _rotate(words: np.ndarray, k: int, n: int) -> np.ndarray:
+    # every n-cell word rotated so that cell i of the image reads cell i+k
+    k %= n
+    if k == 0:
+        return words
+    return ((words << k) | (words >> (n - k))) & ((1 << n) - 1)
 
 
 def project_formula(f: GroupElement, n: int) -> CyclicPerm:
-    """Ring permutation induced by f, by direct splicing of the rule.
+    """Ring permutation induced by f, by the tape substitution formula.
 
-    The table is spliced into each word at the window cells; when those
-    cells cross the seam of the ring the word is rotated into window
-    order first (the wraparound branch).  A shift part contributes a ring
-    rotation.  The ring must fit the padded rule (n >= 2R + 2), whose
-    extra cell passes through, so splicing the window alone is the same.
+    Each word is rotated so that the first window cell is its top bit,
+    which puts the whole window inside one period wherever it sits on
+    the ring, seam or not.  The gate is then substituted as on the tape,
+    and one rotation maps the word back and applies the shift part.  The
+    ring must fit the padded rule (n >= 2R + 2), whose extra cell passes
+    through, so substituting the window alone is the same.
     """
     _check_ring(f, n)
     return _project_tight(f, n)
@@ -189,12 +143,10 @@ def _project_tight(f: GroupElement, n: int) -> CyclicPerm:
     g = f.inert
     if g.width > n:
         raise RingTooSmallError(n, g.width)
-    result = CyclicPerm.identity(n)
-    if not g.is_identity:
-        result = CyclicPerm(n, _splice_perm(g.lo, g.width, g.table, n))
-    if f.shift % n:
-        result = CyclicPerm.rotation(n, f.shift).compose(result)
-    return result
+    a = g.lo % n
+    words = _rotate(np.arange(1 << n, dtype=np.int64), a, n)
+    words = substitute(words, g, g.lo + n - 1)
+    return CyclicPerm(n, _rotate(words, f.shift - a, n))
 
 
 def project_periodic(f: GroupElement, n: int) -> CyclicPerm:

@@ -186,22 +186,7 @@ class InertGate:
 
     def order(self) -> int:
         """Order as a group element (lcm of table cycle lengths)."""
-        if self.is_identity:
-            return 1
-        seen = np.zeros(self.table.size, dtype=bool)
-        result = 1
-        table = self.table
-        for start in range(table.size):
-            if seen[start]:
-                continue
-            length = 0
-            j = start
-            while not seen[j]:
-                seen[j] = True
-                j = int(table[j])
-                length += 1
-            result = result * length // math.gcd(result, length)
-        return result
+        return math.lcm(*map(len, table_cycles(self.table)))
 
     # -- plumbing --------------------------------------------------------
 
@@ -232,9 +217,30 @@ def identity_gate() -> InertGate:
     return _IDENTITY_GATE
 
 
-def _substitute(words: np.ndarray, g: InertGate, hi: int) -> np.ndarray:
-    # rewrite the g-window bits of every word; window of g must sit
-    # inside the ambient window whose rightmost cell is hi
+def table_cycles(table: np.ndarray) -> list[list[int]]:
+    """Nontrivial cycles of a permutation table, each from its least entry."""
+    table = table.tolist()
+    seen = [False] * len(table)
+    out = []
+    for start, image in enumerate(table):
+        if seen[start] or image == start:
+            continue
+        cycle = []
+        j = start
+        while not seen[j]:
+            seen[j] = True
+            cycle.append(j)
+            j = table[j]
+        out.append(cycle)
+    return out
+
+
+def substitute(words: np.ndarray, g: InertGate, hi: int) -> np.ndarray:
+    """Apply g to every word of an ambient window whose rightmost cell is hi.
+
+    The window of g must sit inside the ambient window; its bits are
+    rewritten through the table and all other bits pass through.
+    """
     if g.is_identity:
         return words
     s = hi - g.hi
@@ -247,7 +253,7 @@ def embed(g: InertGate, lo: int, hi: int) -> np.ndarray:
     width = hi - lo + 1
     if width > WINDOW_CAP:
         raise WindowCapError(width, WINDOW_CAP)
-    return _substitute(np.arange(1 << width, dtype=np.int64), g, hi)
+    return substitute(np.arange(1 << width, dtype=np.int64), g, hi)
 
 
 def _evaluate_hull(parts: list[InertGate], lo: int, hi: int) -> InertGate:
@@ -264,7 +270,7 @@ def _evaluate_hull(parts: list[InertGate], lo: int, hi: int) -> InertGate:
         if table is None and room >= words.size:
             table = embedded[g] = embed(g, lo, hi)
             room -= words.size
-        words = _substitute(words, g, hi) if table is None else table[words]
+        words = substitute(words, g, hi) if table is None else table[words]
     return canonicalize(lo, hi, words)
 
 

@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .gates import GroupElement, compose_many, embed, identity_gate
+from .gates import GroupElement, compose_many, embed
 
 _FNV_OFFSET = np.uint64(0xCBF29CE484222325)
 _FNV_PRIME = np.uint64(0x100000001B3)
@@ -341,8 +341,6 @@ class _Searcher:
 
 def evaluate_word(word: tuple[int, ...], generators) -> GroupElement:
     """Compose a word of generator indices (first index applied last)."""
-    if not word:
-        return GroupElement(0, identity_gate())
     return compose_many([generators[i] for i in word])
 
 

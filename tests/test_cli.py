@@ -166,3 +166,9 @@ def test_window_cap_flag(capsys):
     )
     assert code == 2
     assert "window cap exceeded" in err
+
+
+def test_ring_size_is_bounded_by_the_ring_cap_not_the_window_cap(capsys):
+    code, out, _ = run(capsys, "--window-cap", "4", "project", "--name", "swap", "--n", "6")
+    assert code == 0
+    assert "permutation of {0,1}^6, parity even" in out

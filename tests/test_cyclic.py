@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gatecalc import gates as G
 from gatecalc import cyclic as C
@@ -55,7 +57,7 @@ def test_ring_too_small():
 
 
 def test_formula_matches_periodic_exhaustively():
-    # includes the wraparound branch via large offsets
+    # includes windows across the seam via large offsets
     for _ in range(60):
         gate = random_gate()
         f = G.GroupElement(int(RNG.integers(-3, 4)), gate)
@@ -69,6 +71,26 @@ def test_wraparound_branch_specifically():
         for j in (n - 1, n, n + 2):
             f = e57.shift_conjugate(j)  # window [j-1, j+1] crosses the seam
             assert C.project_formula(f, n) == C.project_periodic(f, n)
+
+
+@st.composite
+def gates_on_rings(draw):
+    width = draw(st.integers(1, 5))
+    lo = draw(st.integers(-30, 30))
+    table = draw(st.permutations(range(1 << width)))
+    gate = G.canonicalize(lo, lo + width - 1, table)
+    f = G.GroupElement(draw(st.integers(-8, 8)), gate)
+    return f, draw(st.integers(C.min_ring(f), 10))
+
+
+@settings(max_examples=100, deadline=None)
+@given(gates_on_rings())
+def test_formula_matches_periodic_anywhere_on_the_tape(case):
+    f, n = case
+    p = C.project_formula(f, n)
+    assert p == C.project_periodic(f, n)
+    # moving the window a whole period round the ring changes nothing
+    assert C.project_formula(f.shift_conjugate(n), n) == p
 
 
 def test_projection_parity_even():

@@ -456,6 +456,16 @@ def test_group_laws_hold_for_random_elements(f, g, h):
     assert a.compose(b, c) == a.compose(b).compose(c) == a.compose(b.compose(c))
 
 
+@settings(max_examples=100, deadline=None)
+@given(random_table_gates())
+def test_order_is_the_least_power_giving_the_identity(f):
+    g = f.inert
+    power, k = g, 1
+    while not power.is_identity:
+        power, k = power.compose(g), k + 1
+    assert g.order() == k
+
+
 def test_chain_succeeds_through_cancellation_past_the_cap():
     # the hull of all three atoms is 31 cells, but c0@30 cancels first
     c0 = G.make_named("c0")

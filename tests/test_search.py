@@ -25,6 +25,7 @@ def brute_force_distance(gens, target, max_depth):
 def test_identity_target():
     r = S.search(S.SearchConfig(flip_generators(), G.IDENTITY, 5))
     assert r.status == "found" and r.word == ()
+    assert S.evaluate_word((), flip_generators()) == G.IDENTITY
 
 
 def test_bfs_finds_shortest_and_lex_least():
