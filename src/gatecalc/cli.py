@@ -37,6 +37,16 @@ def _parse_mem(text: str) -> int:
     return int(m.group(1)) * scale
 
 
+def _parse_cap(text: str | int) -> int:
+    try:
+        cap = int(text)
+    except ValueError:
+        raise ValueError(f"bad window cap {text!r}") from None
+    if cap < 1:
+        raise ValueError(f"window cap must be at least 1, got {cap}")
+    return cap
+
+
 def _default_mem() -> int:
     env = os.environ.get("GATECALC_MEM")
     return _parse_mem(env) if env else 512 << 20
@@ -279,8 +289,8 @@ def _cmd_search(args) -> int:
 
 def _cmd_verify_all(args) -> int:
     indices = None
-    if args.only:
-        indices = {int(tok) for tok in args.only.split(",")}
+    if args.only is not None:
+        indices = {int(tok) for tok in args.only.split(",") if tok.strip()}
     results = verify.run_all(indices)
     payload = {
         "command": "verify-all",
@@ -395,10 +405,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    cap = args.window_cap or os.environ.get("GATECALC_WINDOW_CAP")
-    if cap:
-        gates.WINDOW_CAP = int(cap)
+    cap = args.window_cap
+    if cap is None:
+        cap = os.environ.get("GATECALC_WINDOW_CAP") or None
     try:
+        if cap is not None:
+            gates.WINDOW_CAP = _parse_cap(cap)
         return args.fn(args)
     except (ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)

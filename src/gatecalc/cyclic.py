@@ -9,8 +9,9 @@ window words.  Two independent implementations are kept side by side:
   conjugated by a ring rotation that brings the window's first cell to
   the top bit, so a window across the seam needs no branch of its own;
 * project_periodic: literal simulation on a 3n-cell periodic buffer,
-  one word at a time.  Slow and boring on purpose; it is the oracle the
-  formula is validated against.
+  all 2^n words at once (one row each), the rule applied at each
+  admissible cell in turn.  It is the oracle the formula is validated
+  against, so it calls neither the tape substitution nor the rotations.
 
 The module also carries the parity bookkeeping (projected gates are
 always even permutations; the ring rotation is even exactly when the
@@ -152,45 +153,45 @@ def _project_tight(f: GroupElement, n: int) -> CyclicPerm:
 def project_periodic(f: GroupElement, n: int) -> CyclicPerm:
     """Ring permutation via literal periodic simulation (the oracle).
 
-    For each word, lays out three periods on a buffer, applies the rule
-    at every admissible cell congruent to the gate offset, reads one
-    period back and rotates it by the shift part.
+    Lays out three periods of every word at once, one row per word,
+    applies the rule at every admissible cell congruent to the gate
+    offset, one cell after another, reads one period back and rotates
+    it by the shift part.  It shares no code with project_formula.
     """
     _check_ring(f, n)
     g = f.inert
-    size = 1 << n
-    perm = np.empty(size, dtype=np.int64)
-    if g.is_identity:
-        positions = []
-        radius = 0
-        table = None
-        width = 0
-    else:
+    words = np.arange(1 << n, dtype=np.int64)
+    # column j holds cell j - n; Fortran order keeps each column contiguous
+    buf = np.empty((1 << n, 3 * n), dtype=np.uint8, order="F")
+    for j in range(n):
+        buf[:, j] = (words >> (n - 1 - j)) & 1
+    buf[:, n : 2 * n] = buf[:, :n]
+    buf[:, 2 * n :] = buf[:, :n]
+    positions = []
+    if not g.is_identity:
         start, table = g.padded_rule()
         radius = g.radius
-        width = 2 * radius + 1
         q0 = (start + radius) % n
         positions = [
             q
             for q in (q0 - n, q0, q0 + n)
             if -n <= q - radius and q + radius <= 2 * n - 1
         ]
+    for q in positions:
+        cells = range(q - radius + n, q + radius + n + 1)
+        u = np.zeros_like(words)
+        for c in cells:
+            u <<= 1
+            u |= buf[:, c]
+        out = table[u]
+        for t, c in enumerate(reversed(cells)):
+            buf[:, c] = (out >> t) & 1
     k = f.shift % n
-    for w in range(size):
-        buf = [(w >> (n - 1 - (j % n))) & 1 for j in range(-n, 2 * n)]
-        for q in positions:
-            base = q - radius + n
-            u = 0
-            for t in range(width):
-                u = (u << 1) | buf[base + t]
-            out = int(table[u])
-            for t in range(width):
-                buf[base + t] = (out >> (width - 1 - t)) & 1
-        value = 0
-        for i in range(n):
-            value = (value << 1) | buf[n + ((i + k) % n)]
-        perm[w] = value
-    return CyclicPerm(n, perm)
+    value = np.zeros_like(words)
+    for i in range(n):
+        value <<= 1
+        value |= buf[:, n + (i + k) % n]
+    return CyclicPerm(n, value)
 
 
 # -- necklaces and parity ------------------------------------------------

@@ -234,6 +234,12 @@ CRITERIA = [
 
 
 def run_all(indices=None) -> list[CriterionResult]:
+    if indices is not None:
+        unknown = sorted(set(indices) - {i for i, _, _ in CRITERIA})
+        if unknown:
+            raise ValueError(f"unknown criteria: {unknown}")
+        if not indices:
+            raise ValueError("no criteria selected")
     results = []
     for i, name, fn in CRITERIA:
         if indices is not None and i not in indices:

@@ -17,7 +17,7 @@ TIME_BUDGETS = {
     2: 1.0,
     3: 10.0,
     4: 60.0,
-    5: 60.0,
+    5: 10.0,
     6: 30.0,
     7: 300.0,
     8: 10.0,

@@ -154,6 +154,16 @@ def test_verify_all_json_schema(capsys):
     assert payload["results"][0]["index"] == 9
 
 
+@pytest.mark.parametrize(
+    "only,message", [("99", "unknown criteria: [99]"), ("2,99,0", "[0, 99]"), ("", "no criteria")]
+)
+def test_verify_all_rejects_unknown_or_empty_selections(capsys, only, message):
+    code, out, err = run(capsys, "verify-all", "--only", only)
+    assert code == 2
+    assert message in err
+    assert "criteria passed" not in out
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as err:
         cli.main(["no-such-command"])
@@ -172,3 +182,23 @@ def test_ring_size_is_bounded_by_the_ring_cap_not_the_window_cap(capsys):
     code, out, _ = run(capsys, "--window-cap", "4", "project", "--name", "swap", "--n", "6")
     assert code == 0
     assert "permutation of {0,1}^6, parity even" in out
+
+
+@pytest.mark.parametrize(
+    "argv,env,message",
+    [
+        (["gate", "--name", "c0"], "abc", "bad window cap 'abc'"),
+        (["--window-cap", "0", "gate", "--name", "c0"], None, "at least 1, got 0"),
+        (["--window-cap", "-3", "gate", "--name", "c0"], None, "at least 1, got -3"),
+        (["gate", "--name", "c0"], "-3", "at least 1, got -3"),
+    ],
+)
+def test_malformed_window_cap_is_a_usage_error(capsys, monkeypatch, argv, env, message):
+    if env is not None:
+        monkeypatch.setenv("GATECALC_WINDOW_CAP", env)
+    cap = gates.WINDOW_CAP
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert message in err
+    assert out == ""
+    assert gates.WINDOW_CAP == cap

@@ -74,13 +74,13 @@ def test_wraparound_branch_specifically():
 
 
 @st.composite
-def gates_on_rings(draw):
-    width = draw(st.integers(1, 5))
+def gates_on_rings(draw, max_n=10):
+    width = draw(st.integers(0, 5))  # even widths have padded rules
     lo = draw(st.integers(-30, 30))
     table = draw(st.permutations(range(1 << width)))
-    gate = G.canonicalize(lo, lo + width - 1, table)
+    gate = G.canonicalize(lo, lo + width - 1, table) if width else G.identity_gate()
     f = G.GroupElement(draw(st.integers(-8, 8)), gate)
-    return f, draw(st.integers(C.min_ring(f), 10))
+    return f, draw(st.integers(C.min_ring(f), max_n))
 
 
 @settings(max_examples=100, deadline=None)
@@ -91,6 +91,77 @@ def test_formula_matches_periodic_anywhere_on_the_tape(case):
     assert p == C.project_periodic(f, n)
     # moving the window a whole period round the ring changes nothing
     assert C.project_formula(f.shift_conjugate(n), n) == p
+
+
+def periodic_reference(f, n):
+    # the oracle one word at a time: three periods in a Python list
+    g = f.inert
+    size = 1 << n
+    perm = np.empty(size, dtype=np.int64)
+    if g.is_identity:
+        positions = []
+        radius = 0
+        table = None
+        width = 0
+    else:
+        start, table = g.padded_rule()
+        radius = g.radius
+        width = 2 * radius + 1
+        q0 = (start + radius) % n
+        positions = [
+            q
+            for q in (q0 - n, q0, q0 + n)
+            if -n <= q - radius and q + radius <= 2 * n - 1
+        ]
+    k = f.shift % n
+    for w in range(size):
+        buf = [(w >> (n - 1 - (j % n))) & 1 for j in range(-n, 2 * n)]
+        for q in positions:
+            base = q - radius + n
+            u = 0
+            for t in range(width):
+                u = (u << 1) | buf[base + t]
+            out = int(table[u])
+            for t in range(width):
+                buf[base + t] = (out >> (width - 1 - t)) & 1
+        value = 0
+        for i in range(n):
+            value = (value << 1) | buf[n + ((i + k) % n)]
+        perm[w] = value
+    return C.CyclicPerm(n, perm)
+
+
+@settings(max_examples=200, deadline=None)
+@given(gates_on_rings(max_n=8))
+def test_periodic_oracle_matches_the_scalar_reference(case):
+    f, n = case
+    assert C.project_periodic(f, n) == periodic_reference(f, n)
+
+
+def test_periodic_oracle_shares_no_code_with_the_formula(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the periodic oracle used the substitution formula")
+
+    for module, name in [
+        (C, "substitute"),
+        (C, "_rotate"),
+        (C, "_project_tight"),
+        (C, "project_formula"),
+        (G, "substitute"),
+        (G, "embed"),
+    ]:
+        monkeypatch.setattr(module, name, forbidden)
+    words = np.arange(16)
+    flip = C.project_periodic(G.make_named("c0"), 4)
+    assert np.array_equal(flip.perm, words ^ 0b1000)
+    # cells 0 and 1 are the top two bits: 01 <-> 10 exchanges them
+    swap = C.project_periodic(G.make_word_swap("01", "10"), 4)
+    exchanged = (words & 0b0011) | ((words << 1) & 0b1000) | ((words >> 1) & 0b0100)
+    assert np.array_equal(swap.perm, exchanged)
+    e57 = G.make_eca(57)
+    for j in (3, 4):  # windows across the seam
+        f = e57.shift_conjugate(j)
+        assert C.project_periodic(f, 4) == periodic_reference(f, 4)
 
 
 def test_projection_parity_even():

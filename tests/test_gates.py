@@ -1,5 +1,7 @@
 import contextlib
+import itertools
 import math
+import random
 
 import numpy as np
 import pytest
@@ -454,6 +456,51 @@ def test_group_laws_hold_for_random_elements(f, g, h):
     assert G.compose_many([f, g, h]) == pairwise_chain([f, g, h])
     a, b, c = f.inert, g.inert, h.inert
     assert a.compose(b, c) == a.compose(b).compose(c) == a.compose(b.compose(c))
+
+
+@settings(max_examples=100, deadline=None)
+@given(atoms, atoms, st.integers(-9, 9))
+def test_shift_conjugation_is_an_automorphism(f, g, k):
+    assert (f * g).shift_conjugate(k) == f.shift_conjugate(k) * g.shift_conjugate(k)
+    assert f.shift_conjugate(k).shift_conjugate(-k) == f
+
+
+def tape_image(f, x, anchor, margin):
+    # cells [anchor + margin, anchor + len(x) - margin) of f(x): the
+    # inert part by apply, then cell i reads cell i + shift
+    y = G.apply(G.GroupElement(0, f.inert), x, anchor)
+    return y[margin + f.shift : len(x) - margin + f.shift]
+
+
+# the same element built another way, or an unrelated one
+element_pairs = st.one_of(
+    st.tuples(atoms, atoms),
+    st.builds(lambda f, h: (f, G.compose_many([f, h, h.inverse()])), atoms, atoms),
+    st.builds(lambda f, h: (f, f * h), atoms, atoms),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(element_pairs, st.integers(0, 2**32))
+def test_records_are_equal_exactly_when_tape_images_are(pair, seed):
+    f, g = pair
+    cells = sorted(
+        {c for h in pair if not h.inert.is_identity for c in range(h.inert.lo, h.inert.hi + 1)}
+    )
+    # every assignment of the window cells, on a random background wide
+    # enough that unequal shift powers show
+    margin = max(abs(f.shift), abs(g.shift))
+    anchor = min(cells, default=0) - margin - 16
+    length = max(cells, default=0) + margin + 17 - anchor
+    rnd = random.Random(seed)
+    equal_images = True
+    for bits in itertools.product("01", repeat=len(cells)):
+        tape = [rnd.choice("01") for _ in range(length)]
+        for c, b in zip(cells, bits):
+            tape[c - anchor] = b
+        x = "".join(tape)
+        equal_images &= tape_image(f, x, anchor, margin) == tape_image(g, x, anchor, margin)
+    assert (f.to_record() == g.to_record()) == equal_images
 
 
 @settings(max_examples=100, deadline=None)
