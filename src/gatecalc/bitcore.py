@@ -58,11 +58,6 @@ def diff_set(u: str, v: str) -> str:
     return int_to_word(word_to_int(u) ^ word_to_int(v), len(u))
 
 
-def weight(w: str) -> int:
-    """Number of ones in the word."""
-    return check_word(w).count("1")
-
-
 @dataclass(frozen=True)
 class Gf2Poly:
     """Binary polynomial with a Laurent offset.

@@ -27,10 +27,11 @@ Conventions, fixed once and used everywhere:
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import re
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -146,22 +147,7 @@ class InertGate:
 
     def compose(self, *others: "InertGate") -> "InertGate":
         """self after others, the last applied first; see compose_many."""
-        segment: list[InertGate] = []  # application order
-        lo = hi = 0
-        for g in [*reversed(others), self]:
-            if g.is_identity:
-                continue
-            if segment and max(hi, g.hi) - min(lo, g.lo) + 1 > WINDOW_CAP:
-                # a canonicalized prefix can only shrink
-                prefix = _evaluate_hull(segment, lo, hi)
-                segment = [] if prefix.is_identity else [prefix]
-                width = max(prefix.hi, g.hi) - min(prefix.lo, g.lo) + 1
-                if segment and width > WINDOW_CAP:
-                    raise WindowCapError(width, WINDOW_CAP)
-                lo, hi = prefix.lo, prefix.hi
-            lo, hi = (min(lo, g.lo), max(hi, g.hi)) if segment else (g.lo, g.hi)
-            segment.append(g)
-        return _evaluate_hull(segment, lo, hi) if segment else _IDENTITY_GATE
+        return _product(*_intern([*reversed(others), self]))
 
     def inverse(self) -> "InertGate":
         if self.is_identity:
@@ -256,33 +242,60 @@ def embed(g: InertGate, lo: int, hi: int) -> np.ndarray:
     return substitute(np.arange(1 << width, dtype=np.int64), g, hi)
 
 
-def _evaluate_hull(parts: list[InertGate], lo: int, hi: int) -> InertGate:
-    # run the hull words through each gate in turn, canonicalize once;
-    # a gate is embedded once and gathered through while its table fits
-    # in the budget, otherwise substituted in place
-    if len(parts) == 1:
-        return parts[0]
+def _intern(items: Sequence) -> tuple[list, list[int]]:
+    # the distinct items in order of first use, and each item's number
+    ids = {item: i for i, item in enumerate(dict.fromkeys(items))}
+    return list(ids), list(map(ids.__getitem__, items))
+
+
+def _product(parts: list[InertGate], seq: list[int]) -> InertGate:
+    # parts[i] for i in seq, in application order: each distinct part is
+    # embedded once in the hull of all parts (substituted in place past
+    # the budget), the words are gathered through them and canonicalized
+    # once.  If the hull is too wide, the product so far is canonicalized
+    # before each part that would widen it past the cap, and WindowCapError
+    # raised only if that prefix is still too wide with the part
+    live = [not g.is_identity for g in parts]
+    if not all(live):
+        seq = [i for i in seq if live[i]]
+    if len(seq) <= 1:
+        return parts[seq[0]] if seq else _IDENTITY_GATE
+    used = dict.fromkeys(seq)  # first-use order
+    lo = min(parts[i].lo for i in used)
+    hi = max(parts[i].hi for i in used)
+    if hi - lo + 1 > WINDOW_CAP:
+        parts = [*parts, _IDENTITY_GATE]  # last slot: the prefix
+        start, lo, hi = 0, parts[seq[0]].lo, parts[seq[0]].hi
+        for end, i in enumerate(seq):
+            g = parts[i]
+            if max(hi, g.hi) - min(lo, g.lo) + 1 > WINDOW_CAP:
+                prefix = parts[-1] = _product(parts, [-1, *seq[start:end]])
+                start, lo, hi = end, g.lo, g.hi
+                if not prefix.is_identity:
+                    lo, hi = min(prefix.lo, lo), max(prefix.hi, hi)
+                    if hi - lo + 1 > WINDOW_CAP:
+                        raise WindowCapError(hi - lo + 1, WINDOW_CAP)
+            lo, hi = min(lo, g.lo), max(hi, g.hi)
+        return _product(parts, [-1, *seq[start:]])
     words = embed(_IDENTITY_GATE, lo, hi)
-    room = _EMBED_BUDGET
-    embedded: dict[InertGate, np.ndarray] = {}
-    for g in parts:
-        table = embedded.get(g)
-        if table is None and room >= words.size:
-            table = embedded[g] = embed(g, lo, hi)
-            room -= words.size
-        words = substitute(words, g, hi) if table is None else table[words]
+    tables: list[np.ndarray | None] = [None] * len(parts)
+    for i in list(used)[: _EMBED_BUDGET // words.size]:
+        tables[i] = embed(parts[i], lo, hi)
+    for i in seq:
+        table = tables[i]
+        words = substitute(words, parts[i], hi) if table is None else table[words]
     return canonicalize(lo, hi, words)
 
 
-def _compose_chain(elements: Iterable["GroupElement"]) -> "GroupElement":
-    # group elements in application order; each inert part is translated
-    # by the shift applied before it, as in GroupElement.compose
-    shift = 0
-    parts = []
-    for a in elements:
-        parts.append(a.inert.shift_by(shift))
-        shift += a.shift
-    return GroupElement(shift, _IDENTITY_GATE.compose(*reversed(parts)))
+def _compose_indexed(elements: list["GroupElement"], seq: list[int]) -> "GroupElement":
+    # elements[i] for i in seq, in application order; each inert part is
+    # translated by the shift applied before it, as in GroupElement.compose
+    if all(e.shift == 0 for e in elements):
+        return GroupElement(0, _product([e.inert for e in elements], seq))
+    shifts = list(itertools.accumulate((elements[i].shift for i in seq), initial=0))
+    placed, order = _intern(list(zip(seq, shifts)))
+    parts = [elements[i].inert.shift_by(k) for i, k in placed]
+    return GroupElement(shifts[-1], _product(parts, order))
 
 
 def canonicalize(lo: int, hi: int, table: Iterable[int] | np.ndarray) -> InertGate:
@@ -306,22 +319,20 @@ def canonicalize(lo: int, hi: int, table: Iterable[int] | np.ndarray) -> InertGa
     if np.bincount(table, minlength=size).max(initial=1) != 1:
         raise ValueError("not a permutation: repeated value")
 
-    idx = np.arange(size, dtype=np.int64)
-    changed_mask = int(np.bitwise_or.reduce(table ^ idx, initial=0))
-    support = []
-    for p in range(width):
+    changed_mask = int(np.bitwise_or.reduce(table ^ np.arange(size), initial=0))
+
+    def in_support(p: int) -> bool:
         bit = 1 << p
-        if changed_mask & bit:
-            support.append(p)
-            continue
-        diff = (table[idx ^ bit] ^ table) & ~bit
-        if diff.any():
-            support.append(p)
-    if not support:
+        pairs = table.reshape(-1, 2, bit)  # images of words without, with bit p
+        return bool(changed_mask & bit or ((pairs[:, 0] ^ pairs[:, 1]) & ~bit).any())
+
+    # only the outermost cells of the support matter: scan in from both ends
+    p_min = next((p for p in range(width) if in_support(p)), None)
+    if p_min is None:
         return _IDENTITY_GATE
-    p_min, p_max = support[0], support[-1]
+    p_max = next(p for p in range(width - 1, p_min - 1, -1) if in_support(p))
     if p_min == 0 and p_max == width - 1:
-        return InertGate(lo, hi, table)
+        return InertGate(lo, hi, table.copy())  # the caller keeps its array
     new_width = p_max - p_min + 1
     mask = (1 << new_width) - 1
     sub = np.arange(1 << new_width, dtype=np.int64)
@@ -399,12 +410,15 @@ def compose(f: GroupElement, g: GroupElement) -> GroupElement:
 def compose_many(gates: Iterable[GroupElement]) -> GroupElement:
     """Compose a sequence, first element applied last (function order).
 
-    One pass over the hull of all windows, canonicalized once.  A gate
-    that would widen the hull past WINDOW_CAP first has the product so
-    far canonicalized; WindowCapError is raised only if that is still
-    too wide, which is exactly when composing two at a time would raise.
+    The product is compiled once: each distinct element becomes one part
+    (one per running shift if any element shifts), embedded once in the
+    hull of all parts; the hull words are gathered through the parts in
+    order and canonicalized once.  A part that would widen the running
+    hull past WINDOW_CAP first has the product so far canonicalized;
+    WindowCapError is raised only if that is still too wide, which is
+    exactly when composing two at a time would raise.
     """
-    return _compose_chain(reversed(list(gates)))
+    return _compose_indexed(*_intern(list(gates)[::-1]))
 
 
 def inverse(f: GroupElement) -> GroupElement:
@@ -607,19 +621,12 @@ def evaluate_expr(
 ) -> GroupElement:
     """Compose the atoms of expr; by default the first atom acts last.
 
-    Evaluated like compose_many: one pass over the hull, same cap rule.
+    Compiled like compose_many: each distinct atom is resolved once.
     """
-    cache: dict[tuple[str, int], GroupElement] = {}
-
-    def resolve(atom):
-        gate = cache.get(atom)
-        if gate is None:
-            name, k = atom
-            if name not in generators:
-                raise ValueError(f"unknown generator {name!r}")
-            gate = generators[name].shift_conjugate(k)
-            cache[atom] = gate
-        return gate
-
-    order = expr.atoms if leftmost_first else reversed(expr.atoms)
-    return _compose_chain(resolve(atom) for atom in order)
+    order = expr.atoms if leftmost_first else expr.atoms[::-1]
+    atoms, seq = _intern(order)
+    try:
+        elements = [generators[name].shift_conjugate(k) for name, k in atoms]
+    except KeyError as exc:
+        raise ValueError(f"unknown generator {exc.args[0]!r}") from None
+    return _compose_indexed(elements, seq)

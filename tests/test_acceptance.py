@@ -19,7 +19,7 @@ TIME_BUDGETS = {
     4: 60.0,
     5: 10.0,
     6: 30.0,
-    7: 300.0,
+    7: 20.0,
     8: 10.0,
     9: 1.0,
     10: 60.0,

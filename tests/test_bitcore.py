@@ -6,7 +6,6 @@ from gatecalc.bitcore import (
     gf2_divides,
     int_to_word,
     shift_span_contains,
-    weight,
     word_to_int,
 )
 
@@ -47,11 +46,6 @@ def test_word_int_range_errors():
         word_to_int("012")
     with pytest.raises(ValueError):
         word_to_int("0" * 65)
-
-
-def test_weight():
-    assert weight("010110") == 3
-    assert weight("") == 0
 
 
 def test_gf2_divides_examples():

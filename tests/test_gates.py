@@ -64,6 +64,17 @@ def test_canonicalize_rejects_non_permutation():
         G.canonicalize(0, 0, [0, 7])
 
 
+def test_canonicalize_leaves_the_callers_array_alone():
+    table = np.array([1, 0, 2, 3])
+    G.canonicalize(0, 1, table)
+    assert table.flags.writeable
+    base = np.array([0, 2, 1, 3])
+    g = G.canonicalize(0, 1, base[:])
+    base[:] = [0, 1, 2, 3]
+    swap = G.make_named("swap").inert
+    assert g == swap and hash(g) == hash(swap)
+
+
 def test_canonicalize_idempotent_and_semantics_preserved():
     widths = [int(RNG.integers(1, 7)) for _ in range(40)] + [7, 7, 8, 8]
     for width in widths:
@@ -445,6 +456,33 @@ def test_one_pass_equals_pairwise_chain(elements):
         with patched(WINDOW_CAP=PROPERTY_CAP, _EMBED_BUDGET=budget):
             assert outcome(lambda: G.compose_many(elements)) == expected
             assert outcome(lambda: G.evaluate_expr(expr, gens)) == expected
+
+
+@st.composite
+def repeated_atom_exprs(draw):
+    # a few generators, sigma among them, and a word over (name, k) that
+    # repeats atoms, so the same atom recurs at different running shifts
+    drawn = draw(st.lists(atoms, min_size=1, max_size=4))
+    gens = {"s": _SIGMA, **{f"g{i}": f for i, f in enumerate(drawn)}}
+    atom = st.tuples(st.sampled_from(sorted(gens)), st.integers(-2, 2))
+    return gens, G.GateExpr(tuple(draw(st.lists(atom, max_size=12))))
+
+
+@settings(max_examples=300, deadline=None)
+@given(repeated_atom_exprs())
+def test_repeated_atoms_equal_pairwise_chain(case):
+    gens, expr = case
+    for leftmost_first in (False, True):
+        # function order: the first element is applied last
+        order = expr.atoms[::-1] if leftmost_first else expr.atoms
+        elements = [gens[name].shift_conjugate(k) for name, k in order]
+        with patched(WINDOW_CAP=PROPERTY_CAP):
+            expected = outcome(lambda: pairwise_chain(elements))
+        for budget in EMBED_BUDGETS:
+            with patched(WINDOW_CAP=PROPERTY_CAP, _EMBED_BUDGET=budget):
+                assert outcome(lambda: G.compose_many(elements)) == expected
+                got = outcome(lambda: G.evaluate_expr(expr, gens, leftmost_first))
+                assert got == expected
 
 
 @settings(max_examples=100, deadline=None)
