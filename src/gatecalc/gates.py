@@ -31,7 +31,7 @@ import itertools
 import math
 import re
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -147,7 +147,10 @@ class InertGate:
 
     def compose(self, *others: "InertGate") -> "InertGate":
         """self after others, the last applied first; see compose_many."""
-        return _product(*_intern([*reversed(others), self]))
+        gates = [*reversed(others), self]
+        # interned by identity, which needs no table compare; equal gates
+        # built apart just become two parts
+        return _product(gates, _intern(map(id, gates))[0])
 
     def inverse(self) -> "InertGate":
         if self.is_identity:
@@ -242,10 +245,11 @@ def embed(g: InertGate, lo: int, hi: int) -> np.ndarray:
     return substitute(np.arange(1 << width, dtype=np.int64), g, hi)
 
 
-def _intern(items: Sequence) -> tuple[list, list[int]]:
-    # the distinct items in order of first use, and each item's number
-    ids = {item: i for i, item in enumerate(dict.fromkeys(items))}
-    return list(ids), list(map(ids.__getitem__, items))
+def _intern(items: Iterable) -> tuple[list[int], dict]:
+    # each item's number, which is the position of its first occurrence,
+    # and the distinct items mapped to their numbers
+    first: dict = {}
+    return list(map(first.setdefault, items, itertools.count())), first
 
 
 def _product(parts: list[InertGate], seq: list[int]) -> InertGate:
@@ -255,12 +259,13 @@ def _product(parts: list[InertGate], seq: list[int]) -> InertGate:
     # once.  If the hull is too wide, the product so far is canonicalized
     # before each part that would widen it past the cap, and WindowCapError
     # raised only if that prefix is still too wide with the part
-    live = [not g.is_identity for g in parts]
-    if not all(live):
-        seq = [i for i in seq if live[i]]
+    distinct = dict.fromkeys(seq)  # first-use order
+    used = [i for i in distinct if not parts[i].is_identity]
+    if len(used) < len(distinct):
+        live = set(used)
+        seq = [i for i in seq if i in live]
     if len(seq) <= 1:
         return parts[seq[0]] if seq else _IDENTITY_GATE
-    used = dict.fromkeys(seq)  # first-use order
     lo = min(parts[i].lo for i in used)
     hi = max(parts[i].hi for i in used)
     if hi - lo + 1 > WINDOW_CAP:
@@ -279,7 +284,7 @@ def _product(parts: list[InertGate], seq: list[int]) -> InertGate:
         return _product(parts, [-1, *seq[start:]])
     words = embed(_IDENTITY_GATE, lo, hi)
     tables: list[np.ndarray | None] = [None] * len(parts)
-    for i in list(used)[: _EMBED_BUDGET // words.size]:
+    for i in used[: _EMBED_BUDGET // words.size]:
         tables[i] = embed(parts[i], lo, hi)
     for i in seq:
         table = tables[i]
@@ -287,15 +292,19 @@ def _product(parts: list[InertGate], seq: list[int]) -> InertGate:
     return canonicalize(lo, hi, words)
 
 
-def _compose_indexed(elements: list["GroupElement"], seq: list[int]) -> "GroupElement":
-    # elements[i] for i in seq, in application order; each inert part is
-    # translated by the shift applied before it, as in GroupElement.compose
-    if all(e.shift == 0 for e in elements):
-        return GroupElement(0, _product([e.inert for e in elements], seq))
-    shifts = list(itertools.accumulate((elements[i].shift for i in seq), initial=0))
-    placed, order = _intern(list(zip(seq, shifts)))
-    parts = [elements[i].inert.shift_by(k) for i, k in placed]
-    return GroupElement(shifts[-1], _product(parts, order))
+def _compose_indexed(elements: dict[int, "GroupElement"], seq: list[int]) -> "GroupElement":
+    # elements[i] for i in seq, in application order; if any element
+    # shifts, each inert part is translated by the shift applied before it,
+    # as in GroupElement.compose, once per distinct (element, running shift)
+    shift, parts = 0, {i: e.inert for i, e in elements.items()}
+    if any(e.shift for e in elements.values()):
+        shifts = list(itertools.accumulate((elements[i].shift for i in seq), initial=0))
+        seq, first = _intern(zip(seq, shifts))
+        parts = {j: elements[i].inert.shift_by(k) for (i, k), j in first.items()}
+        shift = shifts[-1]
+    # every product enters the kernel through InertGate.compose, the one
+    # entry point a profiler or tracer needs to wrap
+    return GroupElement(shift, _IDENTITY_GATE.compose(*map(parts.__getitem__, reversed(seq))))
 
 
 def canonicalize(lo: int, hi: int, table: Iterable[int] | np.ndarray) -> InertGate:
@@ -418,7 +427,8 @@ def compose_many(gates: Iterable[GroupElement]) -> GroupElement:
     WindowCapError is raised only if that is still too wide, which is
     exactly when composing two at a time would raise.
     """
-    return _compose_indexed(*_intern(list(gates)[::-1]))
+    seq, first = _intern(list(gates)[::-1])
+    return _compose_indexed({i: g for g, i in first.items()}, seq)
 
 
 def inverse(f: GroupElement) -> GroupElement:
@@ -624,9 +634,9 @@ def evaluate_expr(
     Compiled like compose_many: each distinct atom is resolved once.
     """
     order = expr.atoms if leftmost_first else expr.atoms[::-1]
-    atoms, seq = _intern(order)
+    seq, first = _intern(order)
     try:
-        elements = [generators[name].shift_conjugate(k) for name, k in atoms]
+        elements = {i: generators[name].shift_conjugate(k) for (name, k), i in first.items()}
     except KeyError as exc:
         raise ValueError(f"unknown generator {exc.args[0]!r}") from None
     return _compose_indexed(elements, seq)
