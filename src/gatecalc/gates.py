@@ -96,7 +96,9 @@ class InertGate:
         self.hi = hi
         table.setflags(write=False)
         self.table = table
-        self._hash = hash((lo, hi, table.tobytes()))
+        # CPython hashes -1 like -2; doubled bounds are never -1, so gates
+        # one cell apart, such as c0@-1 and c0@-2, do not collide
+        self._hash = hash((2 * lo, 2 * hi, table.tobytes()))
 
     # -- basic shape ---------------------------------------------------
 
@@ -399,6 +401,10 @@ class GroupElement:
             )
         return cls(record["shift_power"], inert)
 
+    def __hash__(self):
+        # doubled for the same reason as InertGate's bounds
+        return hash((2 * self.shift, self.inert))
+
     def __repr__(self):
         if self.is_identity:
             return "GroupElement(identity)"
@@ -463,7 +469,18 @@ def make_named(name: str, k: int | None = None) -> GroupElement:
     Known names: identity, sigma (the shift), c0 (flip cell 0),
     c1 (flip cell 0 iff cell 1 is 1), c2 (Toffoli), ck (needs k),
     rc1 (mirrored c1: flip cell 0 iff cell -1 is 1), swap (cells 0, 1).
+    Every name but ck is built once and the same element returned after.
     """
+    if name == "ck":
+        # not kept: its width, and so whether it fits the cap, depends on k
+        if k is None or k < 0:
+            raise ValueError("ck needs k >= 0")
+        return GroupElement(0, _controlled_not(k))
+    return _fixed_named(name)
+
+
+@functools.cache
+def _fixed_named(name: str) -> GroupElement:
     if name == "identity":
         return IDENTITY
     if name == "sigma":
@@ -474,10 +491,6 @@ def make_named(name: str, k: int | None = None) -> GroupElement:
         return GroupElement(0, _controlled_not(1))
     if name == "c2":
         return GroupElement(0, _controlled_not(2))
-    if name == "ck":
-        if k is None or k < 0:
-            raise ValueError("ck needs k >= 0")
-        return GroupElement(0, _controlled_not(k))
     if name == "rc1":
         return GroupElement(0, _controlled_not(1)).reverse_conjugate()
     if name == "swap":

@@ -5,10 +5,14 @@ common window hull, so a state is just a permutation table of the hull
 words and group-element equality is table equality.  The ball around
 the identity is grown level by level with numpy.  A level is a matrix
 of distinct table rows, ordered by a 64-bit content hash; one sorted
-hash index over all levels maps a table to its depth.  Duplicates are
-found by sorting candidates on the hash and comparing equal-hash rows
-in full, and every index hit is confirmed on the full table, so a hash
-can never merge two distinct states.
+hash index over all levels maps a table to its depth; a lookup sorts
+its keys first (growth hands them over sorted already), so that it
+walks the index once from left to right.  Duplicates are found by
+sorting candidates on the hash and comparing equal-hash rows in full,
+and every index hit is confirmed on the full table, so a hash can never
+merge two distinct states.  Hashing, row comparison and probe
+construction each work through one block of rows at a time, so their
+temporaries stay in cache and do not grow with the level.
 
 Words are tuples of generator indices, first index applied last, as in
 GateExpr.  BFS returns the lexicographically least shortest word.
@@ -37,8 +41,12 @@ from .gates import GroupElement, compose_many, embed
 
 _FNV_OFFSET = np.uint64(0xCBF29CE484222325)
 _FNV_PRIME = np.uint64(0x100000001B3)
-# table entries per chunk of a temporary gather (2M: 64k rows of 32)
-_CHUNK = 1 << 21
+# table entries per block of rows that hashing, row comparison and probe
+# construction work through at a time (256k: 8k rows of 32 entries, 512
+# of 512).  The probes' intp index for a block (2 MB) still fits a 2 MB
+# L2 cache; much smaller blocks pay numpy's per-call cost once per
+# column of a wide row when hashing.
+_CHUNK = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -75,6 +83,7 @@ class SearchResult:
 
 
 def _hash_rows(rows: np.ndarray) -> np.ndarray:
+    """FNV-1a over the 64-bit words of each row, one block of rows at a time."""
     data = np.ascontiguousarray(rows).view(np.uint8)
     data = data.reshape(rows.shape[0], -1)
     if data.shape[1] % 8:
@@ -84,9 +93,14 @@ def _hash_rows(rows: np.ndarray) -> np.ndarray:
         )
     words = data.view(np.uint64)
     h = np.full(rows.shape[0], _FNV_OFFSET, dtype=np.uint64)
-    for col in range(words.shape[1]):
-        h ^= words[:, col]
-        h *= _FNV_PRIME
+    # rows of _CHUNK entries; their words stay in cache while every
+    # column is folded in
+    step = max(1, _CHUNK * rows.itemsize // data.shape[1])
+    for lo in range(0, words.shape[0], step):
+        block, hb = words[lo : lo + step], h[lo : lo + step]
+        for col in range(words.shape[1]):
+            hb ^= block[:, col]
+            hb *= _FNV_PRIME
     return h
 
 
@@ -142,6 +156,11 @@ class _Ball:
         """Stored depth of each row, or -1 where the row is not stored."""
         keys = _index_keys(_hash_rows(rows) if hashes is None else hashes)
         out = np.full(rows.shape[0], -1, dtype=np.int64)
+        # ascending needles walk the index once, from left to right
+        order = None
+        if np.any(keys[1:] < keys[:-1]):
+            order = np.argsort(keys)
+            keys = keys[order]
         left = np.searchsorted(self.keys, keys)
         cand = np.nonzero(left < self.keys.size)[0]
         cand = cand[self.keys[left[cand]] == keys[cand]]
@@ -151,6 +170,8 @@ class _Ball:
         counts = np.searchsorted(self.keys, keys[cand], side="right") - left[cand]
         row = np.repeat(cand, counts)
         slot = left[row] + np.arange(row.size) - np.repeat(np.cumsum(counts) - counts, counts)
+        if order is not None:
+            row = order[row]
         state = self.ids[slot].astype(np.int64)
         depth = np.searchsorted(self.starts, state, side="right") - 1
         for d in np.unique(depth):
@@ -168,7 +189,9 @@ def _dedup_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     hashes that holds distinct rows is sorted exactly on its own.
     """
     hashes = _hash_rows(rows)
-    order = np.argsort(hashes, kind="stable")
+    # the order among equal hashes does not matter: their rows are either
+    # identical and merged, or sorted exactly below
+    order = np.argsort(hashes)
     hashes = hashes[order]
     pairs = np.nonzero(hashes[1:] == hashes[:-1])[0]
     same = _equal_rows(rows, order[pairs], rows, order[pairs + 1])
@@ -273,12 +296,16 @@ class _Searcher:
 
     def probes(self, level: np.ndarray) -> np.ndarray:
         """target . h^-1 for each state h of a level, i.e. p[h[j]] = target[j]."""
-        out = np.empty_like(level)
-        target = self.target_table[None, :]
+        out = np.empty(level.shape, dtype=level.dtype)  # C order: row blocks flatten to views
         step = max(1, _CHUNK // self.size)
+        # flat position of entry 0 of each row of a block, and one flat
+        # index buffer that every block reuses
+        starts = np.arange(0, step * self.size, self.size, dtype=np.intp)[:, None]
+        index = np.empty((step, self.size), dtype=np.intp)
         for lo in range(0, level.shape[0], step):
-            index = level[lo : lo + step].astype(np.intp)
-            np.put_along_axis(out[lo : lo + step], index, target, axis=1)
+            block = level[lo : lo + step]
+            flat = np.add(block, starts[: block.shape[0]], out=index[: block.shape[0]])
+            out[lo : lo + step].reshape(-1)[flat] = self.target_table
         return out
 
     # -- strategies ---------------------------------------------------------

@@ -211,6 +211,34 @@ def test_named_gates():
         G.make_named("ck")
 
 
+def test_fixed_generators_are_built_once(monkeypatch):
+    for name in ("identity", "sigma", "c0", "c1", "c2", "rc1", "swap"):
+        g = G.make_named(name)
+        assert G.make_named(name) is g
+        if not g.inert.is_identity:
+            assert not g.inert.table.flags.writeable
+    # ck is built on every call: whether it fits the cap depends on k
+    assert G.make_named("ck", 10).inert.width == 11
+    monkeypatch.setattr(G, "WINDOW_CAP", 8)
+    with pytest.raises(G.WindowCapError):
+        G.make_named("ck", 10)
+
+
+def test_gates_one_cell_apart_do_not_collide(monkeypatch):
+    # CPython hashes -1 like -2; a hash over raw bounds or shift powers
+    # would make every set holding both compare tables
+    calls = []
+    for cls in (G.InertGate, G.GroupElement):
+        eq = cls.__eq__
+        monkeypatch.setattr(cls, "__eq__", lambda a, b, eq=eq: calls.append(1) or eq(a, b))
+    c0 = G.make_named("c0")
+    moved = [c0.shift_conjugate(k) for k in range(-8, 9)]
+    assert len({g.inert for g in moved}) == 17
+    assert len(set(moved)) == 17
+    assert len({G.GroupElement(k, c0.inert) for k in range(-8, 9)}) == 17
+    assert calls == []
+
+
 def test_swap_identity_from_controlled_flips():
     sigma = G.make_named("sigma")
     c1 = G.make_named("c1")

@@ -170,6 +170,95 @@ def test_hashing_has_no_false_merges():
     assert len(seen) == searcher.ball.states
 
 
+def two_bit_hash(monkeypatch):
+    real_hash = S._hash_rows
+    monkeypatch.setattr(S, "_hash_rows", lambda rows: real_hash(rows) & np.uint64(0x3))
+
+
+def fnv_reference(row):
+    # FNV-1a over the row's little-endian 64-bit words, zero-padded
+    data = row.tobytes()
+    data += bytes(-len(data) % 8)
+    h = 0xCBF29CE484222325
+    for at in range(0, len(data), 8):
+        h = ((h ^ int.from_bytes(data[at : at + 8], "little")) * 0x100000001B3) % (1 << 64)
+    return h
+
+
+@pytest.mark.parametrize(
+    "dtype, width", [(np.uint8, 64), (np.uint16, 64), (np.uint32, 64), (np.uint8, 4)]
+)
+def test_hash_rows_do_not_depend_on_blocks(dtype, width):
+    rng = np.random.default_rng(3)
+    per_block = S._CHUNK // width
+    rows = rng.integers(0, np.iinfo(dtype).max, (2 * per_block + 5, width), dtype=dtype)
+    together = S._hash_rows(rows)
+    picks = [0, per_block - 1, per_block, per_block + 1, 2 * per_block, rows.shape[0] - 1]
+    picks += rng.integers(0, rows.shape[0], 20).tolist()
+    for i in picks:
+        assert S._hash_rows(rows[i : i + 1])[0] == together[i] == fnv_reference(rows[i])
+
+
+@pytest.mark.parametrize("collide", [False, True])
+def test_depth_of_matches_a_dict_of_rows(monkeypatch, collide):
+    if collide:
+        two_bit_hash(monkeypatch)
+    searcher = S._Searcher(S.SearchConfig(flip_generators(), G.make_named("c0"), 10))
+    searcher.grow(10)
+    ball = searcher.ball
+    depth = {row.tobytes(): d for d, level in enumerate(ball.levels) for row in level}
+    rng = np.random.default_rng(11)
+    stored = np.concatenate(ball.levels)
+    # probes and shuffled rows, nearly all of them unseen
+    unseen = np.concatenate([searcher.probes(ball.levels[-1]), rng.permuted(stored[:200], axis=1)])
+    rows = np.concatenate([stored[rng.integers(0, stored.shape[0], 400)], unseen])
+    rows = rows[rng.permutation(rows.shape[0])]
+    want = [depth.get(row.tobytes(), -1) for row in rows]
+    assert -1 in want and len(set(want)) > 5
+    assert ball.depth_of(rows).tolist() == want
+    # rows in hash order with their hashes, as growth passes them
+    distinct, hashes = S._dedup_rows(rows)
+    assert ball.depth_of(distinct, hashes).tolist() == [
+        depth.get(row.tobytes(), -1) for row in distinct
+    ]
+
+
+@pytest.mark.parametrize("collide", [False, True])
+def test_dedup_does_not_depend_on_input_order(monkeypatch, collide):
+    if collide:
+        two_bit_hash(monkeypatch)
+    searcher = S._Searcher(S.SearchConfig(flip_generators(), G.make_named("c0"), 9))
+    searcher.grow(9)
+    frontier = searcher.ball.levels[-1]
+    candidates = np.concatenate([frontier[:, t] for t in searcher.gen_tables])
+    rows, hashes = S._dedup_rows(candidates)
+    assert {row.tobytes() for row in rows} == {row.tobytes() for row in candidates}
+    assert rows.shape[0] < candidates.shape[0]
+    rng = np.random.default_rng(4)
+    for _ in range(3):
+        again, again_hashes = S._dedup_rows(candidates[rng.permutation(candidates.shape[0])])
+        assert np.array_equal(again, rows) and np.array_equal(again_hashes, hashes)
+
+
+def test_probe_temporaries_stay_within_a_block():
+    searcher = S._Searcher(S.SearchConfig(flip_generators(), G.make_named("c0"), 21))
+    searcher.grow(21)
+    level = searcher.ball.levels[-1]
+    assert level.size >= 4 * S._CHUNK
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        out = searcher.probes(level)
+        peak = tracemalloc.get_traced_memory()[1] - base - out.nbytes
+    finally:
+        tracemalloc.stop()
+    # an intp index over one block of rows, not over the level
+    assert peak <= S._CHUNK * np.dtype(np.intp).itemsize * 1.25, peak
+    target = searcher.target_table
+    for k in (0, level.shape[0] // 2, level.shape[0] - 1):
+        assert np.array_equal(out[k][level[k]], target)
+
+
 def test_hash_collisions_cannot_merge_states(monkeypatch):
     # with a 2-bit hash nearly every pair of states collides, so dedup
     # falls back to exact sorts and every lookup confirms many candidates
@@ -193,6 +282,15 @@ def test_hash_collisions_cannot_merge_states(monkeypatch):
     assert run() == real
 
 
+# the word both mitm modes return for the flip at depth 25, with
+# a, b, c for e57@-1, e57, e57@1; any change of storage order shows here
+FLIP_WORD = "abacbcbabcbacbabcbcbabacbacbcbababcbacbabcbabacbcb"
+
+
+def letters(word):
+    return "".join("abc"[i] for i in word)
+
+
 def test_flip_word_search_mitm():
     # the full run: depth 25 over the three shifted rule-57 gates
     gens = flip_generators()
@@ -202,7 +300,7 @@ def test_flip_word_search_mitm():
     )
     r = S.search(cfg)
     assert r.status == "found"
-    assert len(r.word) == 50
+    assert letters(r.word) == FLIP_WORD
     assert S.evaluate_word(r.word, gens) == c0
 
 
@@ -222,3 +320,21 @@ def test_flip_distance_certified_exactly_50():
     r = S.search(cfg)
     assert r.status == "found"
     assert r.stats["minimal_length"] == 50
+    assert letters(r.word) == FLIP_WORD
+    assert r.stats["states"] == 676982
+
+
+@pytest.mark.parametrize(
+    "name, found, bound", [("c1", "found", "minimal_length"), ("rc1", "not-found", "minimal_length_exceeds")]
+)
+def test_controlled_flip_distances_certified_at_depth_26(name, found, bound):
+    # c1 is exactly 52 letters away; rc1 is more than 52 letters away
+    gens = flip_generators()
+    target = G.make_named(name)
+    cfg = S.SearchConfig(gens, target, 26, strategy="mitm", certify_minimum=True)
+    r = S.search(cfg)
+    assert r.status == found
+    assert r.stats[bound] == 52
+    assert r.stats["states"] == 1072454
+    if found == "found":
+        assert len(r.word) == 52 and S.evaluate_word(r.word, gens) == target
