@@ -15,8 +15,9 @@ window words.  Two independent implementations are kept side by side:
 
 The module also carries the parity bookkeeping (projected gates are
 always even permutations; the ring rotation is even exactly when the
-binary necklace count is, i.e. for n >= 3) and executable forms of the
-two locality identities used to transfer tape identities onto rings.
+binary necklace count is, i.e. for n >= 3), with cycles counted in
+numpy by pointer doubling, and executable forms of the two locality
+identities used to transfer tape identities onto rings.
 """
 
 from __future__ import annotations
@@ -80,7 +81,7 @@ class CyclicPerm:
         return self.compose(other)
 
     def is_even(self) -> bool:
-        return sum(len(c) - 1 for c in self.cycles()) % 2 == 0
+        return _is_even_table(self.perm)
 
     def cycles(self) -> list[list[int]]:
         """Nontrivial cycles, each starting at its least element."""
@@ -98,8 +99,23 @@ class CyclicPerm:
         return f"CyclicPerm(n={self.n})"
 
 
+def _is_even_table(table: np.ndarray) -> bool:
+    # (N - number of cycles) is even.  Cycles are counted by pointer
+    # doubling: after k rounds each point is labelled with the least of
+    # the 2^k points from it along its cycle, so after ceil(log2 N)
+    # rounds with the least point of its cycle, and exactly one point
+    # of each cycle is its own label
+    points = np.arange(table.size)
+    label, step = points, table
+    for _ in range((table.size - 1).bit_length()):
+        label = np.minimum(label, label[step])
+        step = step[step]
+    cycles = np.count_nonzero(label == points)
+    return (table.size - cycles) % 2 == 0
+
+
 def sign(p: CyclicPerm) -> str:
-    """Parity of the permutation: 'even' or 'odd' (via cycle lengths)."""
+    """Parity of the permutation: 'even' or 'odd' (via its cycle count)."""
     return "even" if p.is_even() else "odd"
 
 

@@ -506,11 +506,15 @@ def make_word_swap(u: str, v: str) -> GroupElement:
         raise ValueError(f"unequal lengths: {len(u)} vs {len(v)}")
     if not u:
         raise ValueError("patterns must be nonempty")
+    if u == v:
+        return IDENTITY
     n = len(u)
     table = np.arange(1 << n, dtype=np.int64)
     iu, iv = int(u, 2), int(v, 2)
     table[iu], table[iv] = iv, iu
-    return GroupElement(0, canonicalize(0, n - 1, table))
+    # a swap of two distinct words depends on every cell, so [0, n - 1]
+    # is already the canonical window
+    return GroupElement(0, InertGate(0, n - 1, table))
 
 
 def make_eca(rule: int) -> GroupElement:

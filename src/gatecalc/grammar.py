@@ -22,12 +22,18 @@ recorded here rather than guessed:
 The golden strings live in data/programs/ as plain text with pinned
 checksums; they are test data, the productions below are the single
 source of truth.
+
+Ring checks are evaluated along the grammar: each nonterminal's ring
+permutation is composed once from the permutations of its factors, in
+the order expansion emits them, so by associativity the result is the
+permutation of the expanded string.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
@@ -89,7 +95,15 @@ def validate_acyclic() -> list[str]:
     return order
 
 
-validate_acyclic()
+# nonterminals, each after every symbol on its right-hand side
+TOPOLOGICAL_ORDER = tuple(validate_acyclic())
+
+
+def _factors(symbol: str) -> tuple[str, ...]:
+    # right-hand side in the order expansion emits it: pure digit rules
+    # as written, composite rules right to left (see the module docstring)
+    rhs = PRODUCTIONS[symbol]
+    return rhs if all(token in "123456" for token in rhs) else rhs[::-1]
 
 
 @lru_cache(maxsize=None)
@@ -101,13 +115,7 @@ def expand(start: str) -> str:
     """
     if start not in PRODUCTIONS:
         raise ValueError(f"unknown start symbol {start!r}")
-    rhs = PRODUCTIONS[start]
-    if all(token in "123456" for token in rhs):
-        return "".join(rhs)
-    parts = []
-    for token in reversed(rhs):
-        parts.append(token if token in "123456" else expand(token))
-    return "".join(parts)
+    return "".join(t if t in "123456" else expand(t) for t in _factors(start))
 
 
 # -- golden data ----------------------------------------------------------
@@ -190,24 +198,47 @@ def verify_on_ring(start: str, target: GroupElement, n: int, anchor: int | None 
     """Does the program still implement the target on a ring of n cells?
 
     Terminals become ring permutations of the rule-57 update at their
-    cells; the composition is compared with the projected target at the
-    anchor (measured on the tape when not supplied).
+    cells.  The program is evaluated along the grammar: each nonterminal
+    reachable from start is composed once, from its factors in expansion
+    order (leftmost acts first), which by associativity is the
+    permutation of the expanded string.  It is compared with the
+    projected target at the anchor (measured on the tape when not
+    supplied).
     """
+    if start not in PRODUCTIONS:
+        raise ValueError(f"unknown start symbol {start!r}")
     if n < 4:
         raise ValueError("ring verification needs n >= 4")
     if anchor is None:
         anchor = measure_anchor()
-    string = expand(start)
-    e57 = make_eca(57)
-    perms = {}                  # cell -> raw permutation array
-    acc = np.arange(1 << n, dtype=np.int64)
-    for ch in string:           # chronological: leftmost acts first
-        cell = int(ch)
-        if cell not in perms:
-            perms[cell] = project_formula(shift_conjugate(e57, cell), n).perm
-        acc = perms[cell][acc]
+    program = _ring_program(start, n)
     expected = project_formula(shift_conjugate(target, anchor), n)
-    return CyclicPerm(n, acc) == expected
+    return CyclicPerm(n, program) == expected
+
+
+def _ring_program(start: str, n: int) -> np.ndarray:
+    # ring permutation of expand(start), each reachable nonterminal
+    # composed once; a table entry is freed after its last use, which
+    # bounds the live permutations by the width of the grammar
+    uses = Counter({start: 1})  # factor occurrences, plus the final read
+    for symbol in reversed(TOPOLOGICAL_ORDER):  # parents before children
+        if uses[symbol]:
+            uses.update(PRODUCTIONS[symbol])
+    e57 = make_eca(57)
+    perms: dict[str, np.ndarray] = {}
+    for symbol in TOPOLOGICAL_ORDER:
+        if not uses[symbol]:
+            continue
+        acc = None
+        for token in _factors(symbol):
+            if token not in perms:  # a digit, projected at its first use
+                perms[token] = project_formula(shift_conjugate(e57, int(token)), n).perm
+            acc = perms[token] if acc is None else perms[token][acc]
+            uses[token] -= 1
+            if not uses[token]:
+                del perms[token]
+        perms[symbol] = acc
+    return perms.pop(start)
 
 
 def adjacent_repeat_report(start: str) -> dict:

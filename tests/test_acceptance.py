@@ -16,14 +16,14 @@ TIME_BUDGETS = {
     1: 1.0,
     2: 1.0,
     3: 10.0,
-    4: 60.0,
+    4: 5.0,
     5: 10.0,
-    6: 30.0,
+    6: 5.0,
     7: 20.0,
     8: 10.0,
     9: 1.0,
-    10: 60.0,
-    11: 300.0,
+    10: 5.0,
+    11: 30.0,
 }
 
 # criterion index -> (passed, detail) of its parametrized run, so that the

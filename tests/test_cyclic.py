@@ -180,6 +180,37 @@ def test_sign_of_rotations():
     assert C.sign(C.CyclicPerm.identity(6)) == "even"
 
 
+def parity_from_cycles(table):
+    return sum(len(c) - 1 for c in G.table_cycles(table)) % 2 == 0
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(1, 4096),
+    st.sampled_from(["random", "identity", "transposition"]),
+    st.integers(0, 2**32 - 1),
+)
+def test_parity_by_doubling_matches_the_cycle_walk(size, kind, seed):
+    rng = np.random.default_rng(seed)
+    table = np.arange(size)
+    if kind == "random":
+        table = rng.permutation(size)
+    elif kind == "transposition" and size > 1:
+        i, j = rng.choice(size, 2, replace=False)
+        table[[i, j]] = table[[j, i]]
+    assert C._is_even_table(table) == parity_from_cycles(table)
+
+
+def test_parity_of_one_full_length_cycle():
+    # a cycle through all N points needs every one of the ceil(log2 N) rounds
+    for size in [s + e for s in (1 << k for k in range(13)) for e in (0, 1)]:
+        shuffled = np.random.default_rng(size).permutation(size)
+        for points in (np.arange(size), shuffled):
+            table = np.empty(size, dtype=np.int64)
+            table[points] = np.roll(points, -1)
+            assert C._is_even_table(table) == (size % 2 == 1) == parity_from_cycles(table), size
+
+
 def test_projection_is_a_homomorphism_on_shifts():
     sigma = G.make_named("sigma")
     p1 = C.project_formula(sigma, 6)

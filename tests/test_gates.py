@@ -286,6 +286,17 @@ def test_word_swap_basics():
         G.make_word_swap("01", "011")
 
 
+def test_word_swap_is_built_canonical():
+    # make_word_swap skips canonicalize: its window [0, n - 1] is already canonical
+    for n in range(1, 7):
+        for iu in range(1 << n):
+            for iv in range(1 << n):
+                table = np.arange(1 << n)
+                table[[iu, iv]] = iv, iu
+                swap = G.make_word_swap(int_to_word(iu, n), int_to_word(iv, n))
+                assert swap == G.GroupElement(0, G.canonicalize(0, n - 1, table)), (iu, iv)
+
+
 def test_eca_57_table():
     e57 = G.make_eca(57)
     assert e57.inert.window == (-1, 1)

@@ -1,5 +1,9 @@
+import tracemalloc
+
+import numpy as np
 import pytest
 
+from gatecalc import cyclic as C
 from gatecalc import grammar as GR
 from gatecalc import gates as G
 from gatecalc.analysis import RULE57_FLIP_PROGRAM
@@ -88,6 +92,54 @@ def test_ring_spot_checks():
 def test_ring_detects_wrong_target():
     anchor = GR.measure_anchor()
     assert not GR.verify_on_ring("N3", G.make_named("c1"), 6, anchor)
+
+
+def letter_fold(string, n):
+    # the ring permutation of a digit string, leftmost letter acting first
+    e57 = G.make_eca(57)
+    cells = {ch: C.project_formula(e57.shift_conjugate(int(ch)), n).perm for ch in set(string)}
+    acc = np.arange(1 << n)
+    for ch in string:
+        acc = cells[ch][acc]
+    return acc
+
+
+def test_ring_program_equals_letter_by_letter_fold():
+    for n in range(4, 17):
+        for start in GR.START_SYMBOLS:
+            assert np.array_equal(GR._ring_program(start, n), letter_fold(GR.expand(start), n))
+
+
+def test_ring_program_keeps_the_order_of_factors(monkeypatch):
+    # every symbol of the built-in grammar is an involution, so reading its
+    # rules in the wrong order goes unseen there; these symbols are not
+    grammar = {"A": ("1", "2"), "B": ("A", "3", "A", "4"), "C": ("B", "5", "A")}
+    monkeypatch.setattr(GR, "PRODUCTIONS", grammar)
+    monkeypatch.setattr(GR, "TOPOLOGICAL_ORDER", tuple(GR.validate_acyclic()))
+    strings = {"A": "12", "B": "412312", "C": "125412312"}
+    for n in (5, 8):
+        for start, string in strings.items():
+            acc = letter_fold(string, n)
+            assert np.array_equal(GR._ring_program(start, n), acc), (start, n)
+            assert not np.array_equal(letter_fold(string[::-1], n), acc)
+
+
+def test_ring_check_frees_its_permutations():
+    anchor = GR.measure_anchor()
+    target = G.make_named("c2")
+    perm_bytes = (1 << 16) * np.dtype(np.int64).itemsize
+    assert GR.verify_on_ring("T3", target, 16, anchor)  # warm every cache
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        assert GR.verify_on_ring("T3", target, 16, anchor)
+        left, peak = (m - base for m in tracemalloc.get_traced_memory())
+    finally:
+        tracemalloc.stop()
+    # the letter-by-letter fold peaked at 11 permutations
+    assert peak <= 13 * perm_bytes, peak / perm_bytes
+    # anything a reference cycle kept alive would still be here
+    assert left < perm_bytes, left / perm_bytes
 
 
 def test_adjacent_repeat_report():

@@ -170,9 +170,15 @@ def test_hashing_has_no_false_merges():
     assert len(seen) == searcher.ball.states
 
 
-def two_bit_hash(monkeypatch):
+# masks that make the real hash collide: the low 2 bits alone make every
+# index key 0, so lookups never reorder their needles; with the top 2
+# bits too the keys take four values, so they do
+COLLIDING_MASKS = {True: 0x3, "four-keys": 0xC000_0000_0000_0003}
+
+
+def colliding_hash(monkeypatch, mask):
     real_hash = S._hash_rows
-    monkeypatch.setattr(S, "_hash_rows", lambda rows: real_hash(rows) & np.uint64(0x3))
+    monkeypatch.setattr(S, "_hash_rows", lambda rows: real_hash(rows) & np.uint64(mask))
 
 
 def fnv_reference(row):
@@ -199,10 +205,10 @@ def test_hash_rows_do_not_depend_on_blocks(dtype, width):
         assert S._hash_rows(rows[i : i + 1])[0] == together[i] == fnv_reference(rows[i])
 
 
-@pytest.mark.parametrize("collide", [False, True])
+@pytest.mark.parametrize("collide", [False, *COLLIDING_MASKS])
 def test_depth_of_matches_a_dict_of_rows(monkeypatch, collide):
     if collide:
-        two_bit_hash(monkeypatch)
+        colliding_hash(monkeypatch, COLLIDING_MASKS[collide])
     searcher = S._Searcher(S.SearchConfig(flip_generators(), G.make_named("c0"), 10))
     searcher.grow(10)
     ball = searcher.ball
@@ -223,10 +229,10 @@ def test_depth_of_matches_a_dict_of_rows(monkeypatch, collide):
     ]
 
 
-@pytest.mark.parametrize("collide", [False, True])
+@pytest.mark.parametrize("collide", [False, *COLLIDING_MASKS])
 def test_dedup_does_not_depend_on_input_order(monkeypatch, collide):
     if collide:
-        two_bit_hash(monkeypatch)
+        colliding_hash(monkeypatch, COLLIDING_MASKS[collide])
     searcher = S._Searcher(S.SearchConfig(flip_generators(), G.make_named("c0"), 9))
     searcher.grow(9)
     frontier = searcher.ball.levels[-1]
