@@ -391,7 +391,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--certify-min",
         action="store_true",
-        help="mitm: certify the exact distance by scanning split pairs in length order",
+        help="mitm only, as BFS lengths are already exact: certify that the word's "
+        "length is the exact distance, up to 2 x max-depth, from the levels where "
+        "a shortest word splits",
     )
     p.set_defaults(fn=_cmd_search)
 

@@ -10,21 +10,35 @@ its keys first (growth hands them over sorted already), so that it
 walks the index once from left to right.  Duplicates are found by
 sorting candidates on the hash and comparing equal-hash rows in full,
 and every index hit is confirmed on the full table, so a hash can never
-merge two distinct states.  Hashing, row comparison and probe
-construction each work through one block of rows at a time, so their
-temporaries stay in cache and do not grow with the level.
+merge two distinct states.  Hashing, row comparison, candidate
+gathering and probe construction each work through one block of rows at
+a time, so their temporaries stay in cache and do not grow with the
+level.
 
 Words are tuples of generator indices, first index applied last, as in
 GateExpr.  BFS returns the lexicographically least shortest word.
-Meet-in-the-middle stores the forward ball only.  For each level it
-builds the probes target . h^-1 of all its states h and looks them up
-in the index once; a probe stored at depth |g| splits the target as
-g . h.  Within a level the least |g| wins, then the h stored first.
-Certified mode takes the least |g| + |h| over all levels, the smallest
-|h| on ties.  That is the exact distance when it is at most
-2 * max_depth, since every shorter word splits into two halves of at
-most max_depth letters, both stored.  Otherwise the first level with a
-hit is used.
+Meet-in-the-middle stores the forward ball only.  Probing a level builds
+the probes target . h^-1 of all its states h and looks them up in the
+index once; a probe stored at depth |g| splits the target as g . h.
+Within a level the least |g| wins, then the h stored first.  Without
+certification the levels are probed in turn up to the first with a hit.
+
+Certified mode returns a split of least |g| + |h|, then least |h|, and
+certifies that its length D is the exact distance whenever D <= 2T,
+with T the deepest stored level.  It probes at most three levels, since
+every prefix and every suffix of a shortest word is a shortest word.
+Level 0 is the target itself and decides every D <= T.  A shortest word
+longer than T splits into the T letters applied first, a state at depth
+exactly T, and D - T <= T further letters, also stored; so the least
+|g| + T over level T is D, and level D - T holds the split of least
+|h|, each of its hits with |g| = T.  No hit on levels 0 and T proves
+D > 2T.  When the ball closed early every element is stored, and level
+0 decides.
+
+Growth skips each state's back edge.  A state stored as parent . g for
+an involution g has its parent as its g-candidate, so the generator
+that produced each frontier state is kept, for the frontier only, and
+that candidate is not built, hashed or looked up.
 
 Every Found result is re-evaluated through the gate algebra before it
 is returned; memory use is estimated before each expansion so that an
@@ -41,8 +55,8 @@ from .gates import GroupElement, compose_many, embed
 
 _FNV_OFFSET = np.uint64(0xCBF29CE484222325)
 _FNV_PRIME = np.uint64(0x100000001B3)
-# table entries per block of rows that hashing, row comparison and probe
-# construction work through at a time (256k: 8k rows of 32 entries, 512
+# table entries per block of rows that hashing, row comparison, candidate
+# gathering and probe construction work through at a time (256k: 8k rows of 32 entries, 512
 # of 512).  The probes' intp index for a block (2 MB) still fits a 2 MB
 # L2 cache; much smaller blocks pay numpy's per-call cost once per
 # column of a wide row when hashing.
@@ -56,8 +70,8 @@ class SearchConfig:
     max_depth: int
     memory_budget: int = 512 * 1024 * 1024
     strategy: str = "bfs"
-    # mitm only: take the shortest split over all levels and certify
-    # that the returned length is the exact distance to the target
+    # mitm only: return a shortest split and certify that its length is
+    # the exact distance to the target (BFS lengths are exact already)
     certify_minimum: bool = False
 
     def __post_init__(self):
@@ -65,6 +79,8 @@ class SearchConfig:
             raise ValueError("max_depth must be >= 1")
         if self.strategy not in ("bfs", "mitm"):
             raise ValueError("strategy must be 'bfs' or 'mitm'")
+        if self.certify_minimum and self.strategy != "mitm":
+            raise ValueError("certify_minimum needs strategy 'mitm'; BFS lengths are exact")
         for g in self.generators:
             if g.shift != 0:
                 raise ValueError(
@@ -182,8 +198,8 @@ class _Ball:
         return out
 
 
-def _dedup_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Distinct rows ordered by (hash, row), and their hashes.
+def _dedup_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Distinct rows ordered by (hash, row), their hashes and input indices.
 
     Adjacent rows with equal hashes are compared in full; a run of equal
     hashes that holds distinct rows is sorted exactly on its own.
@@ -206,7 +222,7 @@ def _dedup_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         keep[lo:hi] = False
         keep[lo : lo + first.size] = True
     order = order[keep]
-    return rows[order], hashes[keep]
+    return rows[order], hashes[keep], order
 
 
 class _Searcher:
@@ -226,6 +242,12 @@ class _Searcher:
             embed(g.inert, self.lo, self.hi).astype(self.dtype) for g in cfg.generators
         ]
         self.gen_inverses = [np.argsort(t).astype(self.dtype) for t in self.gen_tables]
+        self.involutions = np.array(
+            [np.array_equal(t[t], np.arange(self.size)) for t in self.gen_tables], dtype=bool
+        )
+        # for each frontier row, the generator k of the candidate that
+        # stored it (row = parent . g_k); len(generators) for the identity
+        self.via = np.full(1, len(self.gen_tables), np.min_scalar_type(len(self.gen_tables)))
         self.target_table = embed(cfg.target.inert, self.lo, self.hi).astype(self.dtype)
         self.target_reachable = self._target_in_hull()
         self.ball = _Ball()
@@ -260,23 +282,49 @@ class _Searcher:
         per_state = self.size * self.dtype.itemsize + 8
         budget = self.cfg.memory_budget
         for depth in range(len(self.ball.levels), depth_limit + 1):
-            frontier = self.ball.levels[-1]
-            n = frontier.shape[0]
+            n = self.ball.levels[-1].shape[0]
             # the candidates, the distinct and the fresh rows and their
-            # index arrays peak below 3x the candidates' stored size
+            # index arrays peak below 3x the candidates' stored size; the
+            # skipped back edges only lower that peak
             projected = self.ball.nbytes + 3 * n * len(self.gen_tables) * per_state
             if projected > budget:
                 return {"level": depth, "projected_bytes": projected, "budget": budget}
-            candidates = np.empty((n * len(self.gen_tables), self.size), dtype=self.dtype)
-            for k, t in enumerate(self.gen_tables):
-                np.take(frontier, t, axis=1, out=candidates[k * n : (k + 1) * n])
-            rows, hashes = _dedup_rows(candidates)
+            candidates, starts = self.candidates()
+            rows, hashes, picked = _dedup_rows(candidates)
             del candidates
             fresh = self.ball.depth_of(rows, hashes) < 0
             if not fresh.any():
                 return None  # ball closed: the whole group is enumerated
             self.ball.add_level(rows[fresh], hashes[fresh])
+            via = np.searchsorted(starts, picked[fresh], side="right") - 1
+            self.via = via.astype(self.via.dtype)
         return None
+
+    def candidates(self) -> tuple[np.ndarray, np.ndarray]:
+        """Frontier rows times each generator, and where each generator's block starts.
+
+        Generator k's block holds frontier . g_k for every frontier row,
+        in frontier order, except where g_k is an involution and the row
+        was stored as parent . g_k: that candidate is the parent again.
+        The rows are gathered one block of _CHUNK entries at a time, so
+        that selecting them costs no index as large as the candidates.
+        """
+        frontier = self.ball.levels[-1]
+        n = frontier.shape[0]
+        back = np.bincount(self.via, minlength=len(self.gen_tables) + 1)[:-1]
+        sizes = n - back * self.involutions
+        starts = np.concatenate([[0], np.cumsum(sizes)[:-1]])
+        out = np.empty((int(sizes.sum()), self.size), dtype=self.dtype)
+        step = max(1, _CHUNK // self.size)
+        for k, t in enumerate(self.gen_tables):
+            at = starts[k]
+            for lo in range(0, n, step):
+                block = frontier[lo : lo + step]
+                if self.involutions[k]:
+                    block = np.compress(self.via[lo : lo + step] != k, block, axis=0)
+                np.take(block, t, axis=1, out=out[at : at + block.shape[0]])
+                at += block.shape[0]
+        return out, starts
 
     # -- word reconstruction ----------------------------------------------
 
@@ -334,35 +382,56 @@ class _Searcher:
                 return SearchResult("found", word, self.stats({"length": depth}))
         return SearchResult("not-found", stats=self.stats())
 
+    def split(self, h_depth: int) -> tuple[int, int, np.ndarray] | None:
+        """Least |g| with target = g . h over the states h of one level.
+
+        Returns |g|, the position of the first such h and the probe
+        target . h^-1, or None when no probe of the level is stored.
+        """
+        probes = self.probes(self.ball.levels[h_depth])
+        g_depth = self.ball.depth_of(probes)
+        hits = np.nonzero(g_depth >= 0)[0]
+        if not hits.size:
+            return None
+        k = hits[np.argmin(g_depth[hits])]
+        return int(g_depth[k]), int(k), probes[k].copy()
+
     def mitm(self) -> SearchResult:
         failure = self.grow(self.cfg.max_depth)
         if failure is not None:
             return SearchResult("budget-exceeded", stats=self.stats(failure))
+        top = len(self.ball.levels) - 1
         certify = self.cfg.certify_minimum
-        best = None  # (|g| + |h|, |h|, position of h, |g|, probe row)
-        for h_depth, level in enumerate(self.ball.levels):
-            probes = self.probes(level)
-            g_depth = self.ball.depth_of(probes)
-            hits = np.nonzero(g_depth >= 0)[0]
-            if not hits.size:
-                continue
-            k = hits[np.argmin(g_depth[hits])]
-            total = h_depth + int(g_depth[k])
-            if best is None or total < best[0]:
-                best = (total, h_depth, k, int(g_depth[k]), probes[k].copy())
-            if not certify:
-                break
-        if best is None:
-            depths = len(self.ball.levels)
-            extra = {"minimal_length_exceeds": 2 * depths - 2} if certify else None
+        if certify:
+            # the levels that certify a distance D (module docstring): 0
+            # when D <= top or the ball closed early, else top when
+            # D <= 2 * top, and then D - top for the split of least |h|
+            h_depth, hit = 0, self.split(0)
+            probed = [0]
+            if hit is None and top == self.cfg.max_depth:
+                h_depth, hit = top, self.split(top)
+                probed.append(top)
+                if hit is not None and hit[0] < top:
+                    h_depth, hit = hit[0], self.split(hit[0])  # D - top = |g|
+                    probed.append(h_depth)
+                    if hit is None:
+                        raise AssertionError("ball levels are inconsistent")
+        else:
+            for h_depth in range(top + 1):
+                hit = self.split(h_depth)
+                if hit is not None:
+                    break
+        if hit is None:
+            extra = {"minimal_length_exceeds": 2 * top, "probed_levels": probed} if certify else None
             return SearchResult("not-found", stats=self.stats(extra))
-        total, h_depth, k, g_depth, probe = best
+        g_depth, k, probe = hit
         word = self.reconstruct(probe, g_depth) + self.reconstruct(
             self.ball.levels[h_depth][k], h_depth
         )
         extra = {"length": len(word)}
         if certify:
-            extra["minimal_length"] = total
+            extra["minimal_length"] = g_depth + h_depth
+            extra["probed_levels"] = probed
         return SearchResult("found", word, self.stats(extra))
 
 

@@ -55,6 +55,16 @@ def test_affine_invariant_under_conjugation():
         assert A.is_affine(f.reverse_conjugate().inert) == value
 
 
+def test_every_gate_of_width_two_is_affine():
+    # |AGL(2,2)| = 4! = 24, so no gate of width <= 2 is universal with the
+    # shift; with rules 57 and 99 (criterion 8), 3 is the least width of a
+    # universal gate.  Width-1 gates are the ones among these that ignore a cell.
+    tables = list(itertools.permutations(range(4)))
+    assert len(tables) == 24
+    for table in tables:
+        assert A.is_affine(G.canonicalize(0, 1, np.array(table)))
+
+
 # -- wires and lamps ----------------------------------------------------------
 
 

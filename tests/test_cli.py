@@ -138,6 +138,21 @@ def test_search_budget(capsys):
     assert "budget-exceeded" in out
 
 
+def test_certify_min_with_bfs_is_a_usage_error(capsys):
+    code, out, err = run(
+        capsys,
+        "search",
+        "--gen", "c0,swap",
+        "--target", "c1",
+        "--strategy", "bfs",
+        "--max-depth", "6",
+        "--certify-min",
+    )
+    assert code == 2
+    assert "certify_minimum needs strategy 'mitm'" in err
+    assert out == ""
+
+
 def test_verify_all_subset(capsys):
     code, out, _ = run(capsys, "verify-all", "--only", "2,9")
     assert code == 0

@@ -3,6 +3,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gatecalc import gates as G
 from gatecalc import search as S
@@ -223,7 +225,8 @@ def test_depth_of_matches_a_dict_of_rows(monkeypatch, collide):
     assert -1 in want and len(set(want)) > 5
     assert ball.depth_of(rows).tolist() == want
     # rows in hash order with their hashes, as growth passes them
-    distinct, hashes = S._dedup_rows(rows)
+    distinct, hashes, picked = S._dedup_rows(rows)
+    assert np.array_equal(rows[picked], distinct)
     assert ball.depth_of(distinct, hashes).tolist() == [
         depth.get(row.tobytes(), -1) for row in distinct
     ]
@@ -237,13 +240,16 @@ def test_dedup_does_not_depend_on_input_order(monkeypatch, collide):
     searcher.grow(9)
     frontier = searcher.ball.levels[-1]
     candidates = np.concatenate([frontier[:, t] for t in searcher.gen_tables])
-    rows, hashes = S._dedup_rows(candidates)
+    rows, hashes, picked = S._dedup_rows(candidates)
     assert {row.tobytes() for row in rows} == {row.tobytes() for row in candidates}
     assert rows.shape[0] < candidates.shape[0]
+    assert np.array_equal(candidates[picked], rows)
     rng = np.random.default_rng(4)
     for _ in range(3):
-        again, again_hashes = S._dedup_rows(candidates[rng.permutation(candidates.shape[0])])
+        shuffled = candidates[rng.permutation(candidates.shape[0])]
+        again, again_hashes, again_picked = S._dedup_rows(shuffled)
         assert np.array_equal(again, rows) and np.array_equal(again_hashes, hashes)
+        assert np.array_equal(shuffled[again_picked], rows)
 
 
 def test_probe_temporaries_stay_within_a_block():
@@ -311,8 +317,9 @@ def test_flip_word_search_mitm():
 
 
 def test_flip_distance_certified_exactly_50():
-    # stretch check: scanning split pairs in length order proves that no
-    # shorter word over these generators evaluates to the flip
+    # stretch check: a shortest word of at most 50 letters splits at depth
+    # 25 into two stored halves, so probing level 25 proves that no shorter
+    # word over these generators evaluates to the flip
     gens = flip_generators()
     c0 = G.make_named("c0")
     cfg = S.SearchConfig(
@@ -344,3 +351,122 @@ def test_controlled_flip_distances_certified_at_depth_26(name, found, bound):
     assert r.stats["states"] == 1072454
     if found == "found":
         assert len(r.word) == 52 and S.evaluate_word(r.word, gens) == target
+
+
+def all_levels_split(searcher, target_table):
+    """Scan every stored level: least |g| + |h|, then least |h|, then first h."""
+    depth = {row.tobytes(): d for d, level in enumerate(searcher.ball.levels) for row in level}
+    best = None
+    for h_depth, level in enumerate(searcher.ball.levels):
+        for k, h in enumerate(level):
+            probe = np.empty_like(h)
+            probe[h] = target_table  # target . h^-1
+            g_depth = depth.get(probe.tobytes())
+            if g_depth is not None and (best is None or g_depth + h_depth < best[0]):
+                best = (g_depth + h_depth, h_depth, k, g_depth, probe)
+    if best is None:
+        return None, None
+    total, h_depth, k, g_depth, probe = best
+    word = searcher.reconstruct(probe, g_depth) + searcher.reconstruct(
+        searcher.ball.levels[h_depth][k], h_depth
+    )
+    return total, word
+
+
+def bfs_over_bytes(generators, target, limit):
+    """Level sizes to depth limit and the target's distance, by plain BFS on [-1, 2]."""
+    tables = [G.embed(g.inert, -1, 2).tolist() for g in generators]
+    identity = bytes(range(16))
+    goal = bytes(G.embed(target.inert, -1, 2).tolist())
+    seen, frontier, levels = {identity}, [identity], [1]
+    distance = 0 if goal == identity else None
+    while len(levels) <= limit:
+        fresh = []
+        for row in frontier:
+            for t in tables:
+                new = bytes(row[j] for j in t)
+                if new not in seen:
+                    seen.add(new)
+                    fresh.append(new)
+        if not fresh:
+            break
+        if distance is None and goal in fresh:
+            distance = len(levels)
+        levels.append(len(fresh))
+        frontier = fresh
+    return levels, distance
+
+
+@st.composite
+def small_gates(draw):
+    """A gate with its window inside [-1, 2]: any table, an involution or of order 3."""
+    lo = draw(st.integers(-1, 2))
+    hi = draw(st.integers(lo, min(2, lo + 2)))
+    size = 1 << (hi - lo + 1)
+    kind = draw(st.sampled_from(["any", "involution", "involution", "order-3"]))
+    if kind == "order-3" and size >= 4:
+        table = [1, 2, 0, 3] + list(range(4, size))
+    else:
+        perm = draw(st.permutations(range(size)))
+        table = list(perm)
+        if kind != "any":
+            table = list(range(size))
+            for i in range(draw(st.integers(1, size // 2))):
+                a, b = perm[2 * i], perm[2 * i + 1]
+                table[a], table[b] = b, a
+    return G.GroupElement(0, G.canonicalize(lo, hi, np.array(table)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    generators=st.lists(small_gates(), min_size=2, max_size=4),
+    max_depth=st.integers(1, 3),
+    word=st.lists(st.integers(0, 3), min_size=3, max_size=7),
+    outsider=small_gates(),
+    reachable=st.booleans(),
+)
+def test_certified_mitm_matches_the_all_levels_scan_and_bfs(
+    generators, max_depth, word, outsider, reachable
+):
+    generators = tuple(generators)
+    word = tuple(i % len(generators) for i in word)
+    target = S.evaluate_word(word, generators) if reachable else outsider
+    if target.is_identity:
+        return
+    cfg = S.SearchConfig(generators, target, max_depth, strategy="mitm", certify_minimum=True)
+    r = S.search(cfg)
+    levels, distance = bfs_over_bytes(generators, target, 2 * max_depth)
+    if "reason" in r.stats:  # the target acts outside the generators' cells
+        assert r.status == "not-found" and distance is None
+        return
+    assert r.stats["levels"] == levels[: max_depth + 1]
+    searcher = S._Searcher(cfg)
+    assert searcher.grow(max_depth) is None
+    total, want = all_levels_split(searcher, searcher.target_table)
+    top = len(r.stats["levels"]) - 1
+    if distance is None:
+        assert total is None and r.status == "not-found"
+        assert r.stats["minimal_length_exceeds"] == 2 * top
+    else:
+        assert r.status == "found"
+        assert r.stats["minimal_length"] == total == distance == len(r.word)
+        assert r.word == want
+
+
+def test_certified_split_below_the_deepest_level():
+    # a prefix of a shortest word is a shortest word: the first n letters
+    # of FLIP_WORD reach a state at distance exactly n.  At depth 12,
+    # level 12 gives that distance and level n - 12 holds the split of
+    # least |h|
+    gens = flip_generators()
+    target = S.evaluate_word(tuple("abc".index(c) for c in FLIP_WORD[:20]), gens)
+    assert len(S.search(S.SearchConfig(gens, target, 20)).word) == 20
+    for n in range(13, 25):
+        target = S.evaluate_word(tuple("abc".index(c) for c in FLIP_WORD[:n]), gens)
+        cfg = S.SearchConfig(gens, target, 12, strategy="mitm", certify_minimum=True)
+        r = S.search(cfg)
+        assert r.stats["minimal_length"] == n
+        assert r.stats["probed_levels"] == [0, 12, n - 12][: 2 if n == 24 else 3]
+        searcher = S._Searcher(cfg)
+        searcher.grow(12)
+        assert all_levels_split(searcher, searcher.target_table) == (n, r.word)
