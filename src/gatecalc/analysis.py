@@ -6,7 +6,13 @@ wire permutations, shift-plus-constant maps, linear/affine maps, the
 one-sided groups where information can travel only left or only right,
 and the coset-preserving groups attached to a shift-invariant span of a
 vector.  This module implements those membership tests on canonical
-tables and uses them to classify
+tables and uses them to classify.  All tests but the coset one read the
+flip differences of each cell, table(u) xor table(u with the cell
+flipped): a gate is affine iff each is constant, linear iff affine and
+0 is fixed, a wire permutation iff linear and each constant is one bit,
+and a lamplighter map iff each cell's constant flips just that cell;
+one-sided flow reads which output cells each input cell can reach.
+The classifiers:
 
 * word swaps: the swap of patterns u, v (with the flip and the shift)
   is universal iff u and v differ in exactly one position which is not
@@ -25,13 +31,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bitcore import check_word, diff_set, gf2_divides
+from .bitcore import Gf2Poly, check_word, diff_set, gf2_divides
 from .gates import (
     GateExpr,
     GroupElement,
     InertGate,
     NotInvertibleError,
     evaluate_expr,
+    flip_difference,
     make_eca,
     make_named,
     make_word_swap,
@@ -46,82 +53,54 @@ RULE57_FLIP_PROGRAM = "abcabcbababacbabababcbcabacbabcbcbcbcabcbcbabacbcb"
 FLIP_PROGRAM_LETTERS = {"a": ("e", -1), "b": ("e", 0), "c": ("e", 1)}
 
 
-# -- linear structure ----------------------------------------------------
+# -- flip differences ------------------------------------------------------
 
 
-def _difference_map(g: InertGate) -> np.ndarray:
-    # L(u) = table(u) xor table(0); linear part candidate
-    return g.table ^ int(g.table[0])
+def _flip_constants(g: InertGate) -> list[int] | None:
+    """Each cell's flip difference, or None if one of them is not constant."""
+    out = []
+    for p in range(g.width):
+        diff = flip_difference(g.table, p)
+        if (diff != diff[0]).any():
+            return None
+        out.append(int(diff[0]))
+    return out
+
+
+def _reach(g: InertGate):
+    """For each cell p in turn, the mask of output bits that flipping p can change."""
+    return (int(np.bitwise_or.reduce(flip_difference(g.table, p))) for p in range(g.width))
+
+
+# -- linear and wire structure --------------------------------------------
 
 
 def is_affine(g: InertGate) -> bool:
     """Is the gate a linear map plus a constant (over GF(2))?
 
-    Checked by superposition on the canonical window: the difference
-    table(u) xor table(0) must be the bitwise XOR of its values on the
-    basis vectors.
+    Exactly when flipping any one cell changes the output by a constant,
+    whatever the other cells hold.
     """
-    if g.is_identity:
-        return True
-    width = g.width
-    size = 1 << width
-    lin = _difference_map(g)
-    idx = np.arange(size, dtype=np.int64)
-    predicted = np.zeros(size, dtype=np.int64)
-    for p in range(width):
-        basis_value = int(lin[1 << p])
-        predicted ^= np.where((idx >> p) & 1 == 1, basis_value, 0)
-    return bool(np.array_equal(predicted, lin))
+    return _flip_constants(g) is not None
 
 
 def is_linear(g: InertGate) -> bool:
     """Affine with zero constant term."""
-    if g.is_identity:
-        return True
-    return int(g.table[0]) == 0 and is_affine(g)
-
-
-# -- wire structure ------------------------------------------------------
+    return g.is_identity or (int(g.table[0]) == 0 and is_affine(g))
 
 
 def is_wire_permutation(f: GroupElement) -> bool:
     """Does f only rearrange cells (a finite permutation plus a shift)?"""
     g = f.inert
-    if g.is_identity:
-        return True
-    width = g.width
-    idx = np.arange(1 << width, dtype=np.int64)
-    sources = []
-    for p_out in range(width):
-        out_bits = (g.table >> p_out) & 1
-        source = None
-        for p_in in range(width):
-            if np.array_equal(out_bits, (idx >> p_in) & 1):
-                source = p_in
-                break
-        if source is None:
-            return False
-        sources.append(source)
-    return len(set(sources)) == width
+    return is_linear(g) and all(c & (c - 1) == 0 for c in _flip_constants(g))
 
 
 def is_lamplighter(f: GroupElement) -> bool:
     """Is f a shift followed by flipping a fixed finite set of cells?"""
-    g = f.inert
-    if g.is_identity:
-        return True
-    idx = np.arange(1 << g.width, dtype=np.int64)
-    return bool(np.array_equal(g.table, idx ^ int(g.table[0])))
+    return _flip_constants(f.inert) == [1 << p for p in range(f.inert.width)]
 
 
 # -- one-sided information flow ------------------------------------------
-
-
-def _depends_on(g: InertGate, p_out: int, p_in: int) -> bool:
-    # does output bit p_out ever change when input bit p_in flips?
-    idx = np.arange(1 << g.width, dtype=np.int64)
-    diff = (g.table[idx ^ (1 << p_in)] ^ g.table) >> p_out & 1
-    return bool(diff.any())
 
 
 def in_GR(g: InertGate) -> bool:
@@ -131,24 +110,12 @@ def in_GR(g: InertGate) -> bool:
     change can only propagate rightward.  Window cell at bit p depends
     only on bits >= p (bit 0 is the rightmost cell).
     """
-    if g.is_identity:
-        return True
-    for p_out in range(g.width):
-        for p_in in range(p_out):
-            if _depends_on(g, p_out, p_in):
-                return False
-    return True
+    return all(mask >> (p + 1) == 0 for p, mask in enumerate(_reach(g)))
 
 
 def in_GL(g: InertGate) -> bool:
     """Mirror of in_GR: changes can only propagate leftward."""
-    if g.is_identity:
-        return True
-    for p_out in range(g.width):
-        for p_in in range(p_out + 1, g.width):
-            if _depends_on(g, p_out, p_in):
-                return False
-    return True
+    return all(mask & ((1 << p) - 1) == 0 for p, mask in enumerate(_reach(g)))
 
 
 def in_GV(g: InertGate, w: str) -> bool:
@@ -163,36 +130,16 @@ def in_GV(g: InertGate, w: str) -> bool:
         raise ValueError("w must be a nonzero vector")
     if g.is_identity:
         return True
-    width = g.width
-    idx = np.arange(1 << width, dtype=np.int64)
-    rel = g.table ^ idx ^ int(g.table[0])
-    poly_w = int(w[::-1], 2)
+    rel = g.table ^ np.arange(1 << g.width) ^ int(g.table[0])
+    # window bit p is the cell hi - p, so a value read from its low bit
+    # lists cells from the right; w is read from the right too, and
+    # reversing both operands keeps divisibility
+    poly_w = Gf2Poly.normalize(int(w, 2))
     for value in np.unique(rel):
         value = int(value)
-        if value == 0:
-            continue
-        # window bit p is the cell at hi - p; cell order vs exponent
-        # order is a reversal, harmless for divisibility as long as both
-        # operands use the same reading
-        if not gf2_divides(
-            _poly_from_int(poly_w), _poly_from_int(_reverse_bits(value, width))
-        ):
+        if value and not gf2_divides(poly_w, Gf2Poly.normalize(value)):
             return False
     return True
-
-
-def _reverse_bits(value: int, width: int) -> int:
-    out = 0
-    for _ in range(width):
-        out = (out << 1) | (value & 1)
-        value >>= 1
-    return out
-
-
-def _poly_from_int(mask: int):
-    from .bitcore import Gf2Poly
-
-    return Gf2Poly.normalize(mask)
 
 
 # -- word-swap classification ---------------------------------------------

@@ -43,7 +43,7 @@ class RingTooSmallError(ValueError):
 class CyclicPerm:
     """A permutation of the binary words of length n (MSB-first codes)."""
 
-    __slots__ = ("n", "perm", "_hash")
+    __slots__ = ("n", "perm")
 
     def __init__(self, n: int, perm: np.ndarray):
         if n < 1 or n > RING_CAP:
@@ -58,7 +58,6 @@ class CyclicPerm:
         perm.setflags(write=False)
         self.n = n
         self.perm = perm
-        self._hash = hash((n, perm.tobytes()))
 
     @classmethod
     def identity(cls, n: int) -> "CyclicPerm":
@@ -93,7 +92,7 @@ class CyclicPerm:
         return self.n == other.n and np.array_equal(self.perm, other.perm)
 
     def __hash__(self):
-        return self._hash
+        return hash((self.n, self.perm.tobytes()))
 
     def __repr__(self):
         return f"CyclicPerm(n={self.n})"

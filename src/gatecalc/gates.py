@@ -309,6 +309,12 @@ def _compose_indexed(elements: dict[int, "GroupElement"], seq: list[int]) -> "Gr
     return GroupElement(shift, _IDENTITY_GATE.compose(*map(parts.__getitem__, reversed(seq))))
 
 
+def flip_difference(table: np.ndarray, p: int) -> np.ndarray:
+    """table[u] ^ table[u | 1 << p] for every word u with bit p clear, in order of u."""
+    pairs = table.reshape(-1, 2, 1 << p)  # images of words without, with bit p
+    return (pairs[:, 0] ^ pairs[:, 1]).reshape(-1)
+
+
 def canonicalize(lo: int, hi: int, table: Iterable[int] | np.ndarray) -> InertGate:
     """Canonical gate for a permutation table on window [lo, hi].
 
@@ -334,8 +340,7 @@ def canonicalize(lo: int, hi: int, table: Iterable[int] | np.ndarray) -> InertGa
 
     def in_support(p: int) -> bool:
         bit = 1 << p
-        pairs = table.reshape(-1, 2, bit)  # images of words without, with bit p
-        return bool(changed_mask & bit or ((pairs[:, 0] ^ pairs[:, 1]) & ~bit).any())
+        return bool(changed_mask & bit or (flip_difference(table, p) & ~bit).any())
 
     # only the outermost cells of the support matter: scan in from both ends
     p_min = next((p for p in range(width) if in_support(p)), None)

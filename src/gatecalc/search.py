@@ -20,13 +20,13 @@ GateExpr.  BFS returns the lexicographically least shortest word.
 Meet-in-the-middle stores the forward ball only.  Probing a level builds
 the probes target . h^-1 of all its states h and looks them up in the
 index once; a probe stored at depth |g| splits the target as g . h.
-Within a level the least |g| wins, then the h stored first.  Without
-certification the levels are probed in turn up to the first with a hit.
+Within a level the least |g| wins, then the h stored first.
 
-Certified mode returns a split of least |g| + |h|, then least |h|, and
-certifies that its length D is the exact distance whenever D <= 2T,
-with T the deepest stored level.  It probes at most three levels, since
-every prefix and every suffix of a shortest word is a shortest word.
+The search returns a split of least |g| + |h|, then least |h|; its
+length D is the exact distance whenever D <= 2T, with T the deepest
+stored level, and certified mode reports it as such.  It probes at most
+three levels, since every prefix and every suffix of a shortest word is
+a shortest word.
 Level 0 is the target itself and decides every D <= T.  A shortest word
 longer than T splits into the T letters applied first, a state at depth
 exactly T, and D - T <= T further letters, also stored; so the least
@@ -70,8 +70,8 @@ class SearchConfig:
     max_depth: int
     memory_budget: int = 512 * 1024 * 1024
     strategy: str = "bfs"
-    # mitm only: return a shortest split and certify that its length is
-    # the exact distance to the target (BFS lengths are exact already)
+    # mitm only: report that the length of the split found is the exact
+    # distance to the target (BFS lengths are exact already)
     certify_minimum: bool = False
 
     def __post_init__(self):
@@ -228,13 +228,16 @@ def _dedup_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 class _Searcher:
     def __init__(self, cfg: SearchConfig):
         self.cfg = cfg
+        # the generators' hull; with no cells acted on, one idle cell
         windows = [g.inert.window for g in cfg.generators if not g.inert.is_identity]
-        if not cfg.target.inert.is_identity:
-            windows.append(cfg.target.inert.window)
-        if not windows:
-            windows = [(0, 0)]
-        self.lo = min(w[0] for w in windows)
-        self.hi = max(w[1] for w in windows)
+        self.lo = min((w[0] for w in windows), default=0)
+        self.hi = max((w[1] for w in windows), default=0)
+        target = cfg.target.inert.window
+        # decided before any table is embedded, so that a far-off target
+        # cannot widen the window
+        self.target_reachable = target is None or (
+            bool(windows) and self.lo <= target[0] and target[1] <= self.hi
+        )
         self.size = 1 << (self.hi - self.lo + 1)
         self.dtype = np.min_scalar_type(self.size - 1)
         # embed raises WindowCapError if the common window is too wide
@@ -248,20 +251,12 @@ class _Searcher:
         # for each frontier row, the generator k of the candidate that
         # stored it (row = parent . g_k); len(generators) for the identity
         self.via = np.full(1, len(self.gen_tables), np.min_scalar_type(len(self.gen_tables)))
-        self.target_table = embed(cfg.target.inert, self.lo, self.hi).astype(self.dtype)
-        self.target_reachable = self._target_in_hull()
+        self.target_table = (
+            embed(cfg.target.inert, self.lo, self.hi).astype(self.dtype)
+            if self.target_reachable
+            else None
+        )
         self.ball = _Ball()
-
-    def _target_in_hull(self) -> bool:
-        gw = self.cfg.target.inert.window
-        if gw is None:
-            return True
-        hulls = [g.inert.window for g in self.cfg.generators if g.inert.window]
-        if not hulls:
-            return False
-        lo = min(w[0] for w in hulls)
-        hi = max(w[1] for w in hulls)
-        return lo <= gw[0] and gw[1] <= hi
 
     # -- ball construction ------------------------------------------------
 
@@ -401,26 +396,20 @@ class _Searcher:
         if failure is not None:
             return SearchResult("budget-exceeded", stats=self.stats(failure))
         top = len(self.ball.levels) - 1
+        # the levels that decide a distance D (module docstring): 0 when
+        # D <= top or the ball closed early, else top when D <= 2 * top,
+        # and then D - top for the split of least |h|
+        h_depth, hit = 0, self.split(0)
+        probed = [0]
+        if hit is None and top == self.cfg.max_depth:
+            h_depth, hit = top, self.split(top)
+            probed.append(top)
+            if hit is not None and hit[0] < top:
+                h_depth, hit = hit[0], self.split(hit[0])  # D - top = |g|
+                probed.append(h_depth)
+                if hit is None:
+                    raise AssertionError("ball levels are inconsistent")
         certify = self.cfg.certify_minimum
-        if certify:
-            # the levels that certify a distance D (module docstring): 0
-            # when D <= top or the ball closed early, else top when
-            # D <= 2 * top, and then D - top for the split of least |h|
-            h_depth, hit = 0, self.split(0)
-            probed = [0]
-            if hit is None and top == self.cfg.max_depth:
-                h_depth, hit = top, self.split(top)
-                probed.append(top)
-                if hit is not None and hit[0] < top:
-                    h_depth, hit = hit[0], self.split(hit[0])  # D - top = |g|
-                    probed.append(h_depth)
-                    if hit is None:
-                        raise AssertionError("ball levels are inconsistent")
-        else:
-            for h_depth in range(top + 1):
-                hit = self.split(h_depth)
-                if hit is not None:
-                    break
         if hit is None:
             extra = {"minimal_length_exceeds": 2 * top, "probed_levels": probed} if certify else None
             return SearchResult("not-found", stats=self.stats(extra))
@@ -443,7 +432,8 @@ def evaluate_word(word: tuple[int, ...], generators) -> GroupElement:
 def search(cfg: SearchConfig) -> SearchResult:
     """Run the configured search; any Found word is re-verified first."""
     if cfg.target.is_identity:
-        return SearchResult("found", (), {"length": 0})
+        stats = {"length": 0, "minimal_length": 0} if cfg.certify_minimum else {"length": 0}
+        return SearchResult("found", (), stats)
     searcher = _Searcher(cfg)
     if not searcher.target_reachable:
         return SearchResult("not-found", stats={"reason": "target outside hull"})

@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gatecalc import analysis as A
 from gatecalc import gates as G
@@ -117,6 +119,95 @@ def _sampled_perms(size, count):
         yield tuple(RNG.permutation(size))
 
 
+# -- every predicate against its definition ---------------------------------------
+
+
+def check_definitions(table, lo=0):
+    """Each predicate on the table over [lo, ...] against its definition, by brute force."""
+    table = [int(t) for t in table]
+    width = (len(table) - 1).bit_length()
+    words = range(len(table))
+    g = G.canonicalize(lo, lo + width - 1, np.array(table))
+    f = G.GroupElement(0, g)
+    # (p_in, p_out): flipping input bit p_in changes output bit p_out for some word
+    reach = {
+        (p_in, p_out)
+        for u in words
+        for p_in in range(width)
+        for p_out in range(width)
+        if ((table[u] ^ table[u ^ (1 << p_in)]) >> p_out) & 1
+    }
+    assert A.in_GR(g) == all(p_in >= p_out for p_in, p_out in reach)
+    assert A.in_GL(g) == all(p_in <= p_out for p_in, p_out in reach)
+    affine = all(table[u ^ v] == table[u] ^ table[v] ^ table[0] for u in words for v in words)
+    assert A.is_affine(g) == affine
+    assert A.is_linear(g) == (affine and table[0] == 0)
+    wires = any(
+        all(table[u] == sum(((u >> p) & 1) << pi[p] for p in range(width)) for u in words)
+        for pi in itertools.permutations(range(width))
+    )
+    assert A.is_wire_permutation(f) == wires
+    assert A.is_lamplighter(f) == all(table[u] == u ^ table[0] for u in words)
+
+
+def window_table(g):
+    return G.embed(g, g.lo, g.hi)
+
+
+def test_predicates_match_definitions_on_small_and_structured_gates():
+    tables = [[0]]  # the identity, on no cells
+    for width in (1, 2):
+        tables += itertools.permutations(range(1 << width))
+    for rule in range(256):
+        try:
+            tables.append(window_table(G.make_eca(rule).inert))
+        except G.NotInvertibleError:
+            pass
+    for n in range(1, 6):
+        for iu, iv in itertools.combinations(range(1 << n), 2):
+            swap = G.make_word_swap(int_to_word(iu, n), int_to_word(iv, n)).inert
+            tables.append(window_table(swap))
+    for k in range(4):
+        ck = G.make_named("ck", k)
+        tables += [window_table(ck.inert), window_table(ck.reverse_conjugate().inert)]
+    u = np.arange(8)
+    for pi in itertools.permutations(range(3)):
+        moved = sum(((u >> p) & 1) << pi[p] for p in range(3))
+        tables += [moved ^ c for c in range(8)]
+    for table in tables:
+        check_definitions(table)
+
+
+@st.composite
+def drawn_tables(draw):
+    """A table of width 3..5: any permutation, or a wire permutation then controlled flips.
+
+    The flips' controls may all lie above or all below the flipped bit,
+    so that one-sided, affine, wire and lamplighter tables all occur.
+    """
+    width = draw(st.integers(3, 5))
+    size = 1 << width
+    if draw(st.booleans()):
+        return draw(st.permutations(range(size)))
+    pi = draw(st.permutations(range(width))) if draw(st.booleans()) else range(width)
+    table = [sum(((u >> p) & 1) << pi[p] for p in range(width)) for u in range(size)]
+    side = draw(st.sampled_from(["above", "below", "either"]))
+    max_controls = draw(st.integers(0, 2))
+    for _ in range(draw(st.integers(0, 4))):
+        i = draw(st.integers(0, width - 1))
+        others = [p for p in range(width) if p != i and (side == "either" or (p > i) == (side == "above"))]
+        controls = draw(st.lists(st.sampled_from(others), max_size=max_controls, unique=True)) if others else []
+        mask = sum(1 << p for p in controls)
+        table = [t ^ (((t & mask) == mask) << i) for t in table]
+    return table
+
+
+@settings(max_examples=300, deadline=None)
+@given(table=drawn_tables(), lo=st.integers(-3, 3))
+def test_predicates_match_definitions_on_drawn_tables(table, lo):
+    check_definitions(table, lo)
+
+
 # -- coset preservation ---------------------------------------------------------
 
 
@@ -131,6 +222,15 @@ def test_in_GV_examples():
     for w in ("11", "101", "110"):
         assert not A.in_GV(c1, w)
     assert A.in_GV(G.identity_gate(), "101")
+    # asymmetric spans: 1101 and its mirror 1011 are distinct irreducibles,
+    # so reading w and the displacements in opposite directions is seen
+    f = G.make_word_swap("0000", "1101").inert
+    assert A.in_GV(f, "1101") and A.in_GV(f, "01101")
+    assert not A.in_GV(f, "1011")
+    # difference 10111 = (1 + x)(1 + x + x^3), as word index i is x^i
+    f = G.make_word_swap("00000", "10111").inert
+    assert A.in_GV(f, "1101") and A.in_GV(f, "11")
+    assert not A.in_GV(f, "1011")
     with pytest.raises(ValueError):
         A.in_GV(c1, "000")
 

@@ -138,6 +138,15 @@ def test_search_budget(capsys):
     assert "budget-exceeded" in out
 
 
+def test_search_target_outside_hull(capsys):
+    # c0@30 lies 30 cells off the only generator's window
+    code, out, _ = run(
+        capsys, "search", "--gen", "c0", "--target", "c0@30", "--max-depth", "3"
+    )
+    assert code == 0
+    assert "not-found" in out and "target outside hull" in out
+
+
 def test_certify_min_with_bfs_is_a_usage_error(capsys):
     code, out, err = run(
         capsys,

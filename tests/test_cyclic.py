@@ -216,6 +216,7 @@ def test_projection_is_a_homomorphism_on_shifts():
     p1 = C.project_formula(sigma, 6)
     p3 = C.project_formula(G.GroupElement(3, G.identity_gate()), 6)
     assert p1.compose(p1).compose(p1) == p3
+    assert hash(p1.compose(p1).compose(p1)) == hash(p3)
 
 
 def test_necklace_counts():

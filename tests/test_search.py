@@ -53,6 +53,14 @@ def test_target_outside_generator_hull():
     c0 = G.make_named("c0")
     r = S.search(S.SearchConfig((c0,), G.make_named("swap"), 10))
     assert r.status == "not-found"
+    # however far off: with c0@30 the window would be 31 cells wide,
+    # past the window cap
+    for cell in (3, 30, -40):
+        for strategy in ("bfs", "mitm"):
+            cfg = S.SearchConfig((c0,), c0.shift_conjugate(cell), 3, strategy=strategy)
+            r = S.search(cfg)
+            assert r.status == "not-found"
+            assert r.stats == {"reason": "target outside hull"}
 
 
 def test_ball_closes_on_finite_group():
@@ -431,10 +439,12 @@ def test_certified_mitm_matches_the_all_levels_scan_and_bfs(
     generators = tuple(generators)
     word = tuple(i % len(generators) for i in word)
     target = S.evaluate_word(word, generators) if reachable else outsider
-    if target.is_identity:
-        return
     cfg = S.SearchConfig(generators, target, max_depth, strategy="mitm", certify_minimum=True)
     r = S.search(cfg)
+    if target.is_identity:
+        assert r.status == "found" and r.word == ()
+        assert r.stats["minimal_length"] == 0
+        return
     levels, distance = bfs_over_bytes(generators, target, 2 * max_depth)
     if "reason" in r.stats:  # the target acts outside the generators' cells
         assert r.status == "not-found" and distance is None
