@@ -10,23 +10,26 @@ swaps and of one-cell cellular-automaton updates, program synthesis for
 the standard gate library, a straight-line program grammar with golden
 data, and a bounded word search.
 
-All public value types (InertGate, GroupElement, CyclicPerm, GateExpr)
-are immutable and safe to share between threads.
+All public value types (InertGate, GroupElement, CyclicPerm, GateExpr,
+Program) are immutable and safe to share between threads.
 """
 
 from .bitcore import Gf2Poly, diff_set, gf2_divides, int_to_word, word_to_int
 from .gates import (
+    ExpansionCapError,
     GateExpr,
     GroupElement,
     IDENTITY,
     InertGate,
     NotInvertibleError,
+    Program,
     WindowCapError,
     apply,
     canonicalize,
     compose,
     compose_many,
     evaluate_expr,
+    evaluate_program,
     identity_gate,
     inverse,
     make_eca,

@@ -31,7 +31,7 @@ import itertools
 import math
 import re
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Callable, Hashable, Iterable, Mapping
 
 import numpy as np
 
@@ -44,6 +44,10 @@ WINDOW_CAP = 24
 # Words of embedded gate tables one product evaluation may keep (8 MiB).
 _EMBED_BUDGET = 1 << 20
 
+# Longest flat expression Program.expand builds: 2^20 atoms, some 100 MB
+# of atom tuples.  A fixed limit: a longer program can still be evaluated.
+MAX_EXPANDED_ATOMS = 1 << 20
+
 
 class WindowCapError(ValueError):
     """Raised when an operation would need a wider window than allowed."""
@@ -53,6 +57,17 @@ class WindowCapError(ValueError):
             f"window cap exceeded: need width {required_width}, cap is {cap}"
         )
         self.required_width = required_width
+        self.cap = cap
+
+
+class ExpansionCapError(ValueError):
+    """Raised before expanding a straight-line program past MAX_EXPANDED_ATOMS."""
+
+    def __init__(self, length: int, cap: int):
+        super().__init__(
+            f"expansion cap exceeded: the program expands to {length} atoms, cap is {cap}"
+        )
+        self.length = length
         self.cap = cap
 
 
@@ -309,6 +324,147 @@ def _compose_indexed(elements: dict[int, "GroupElement"], seq: list[int]) -> "Gr
     return GroupElement(shift, _IDENTITY_GATE.compose(*map(parts.__getitem__, reversed(seq))))
 
 
+class Program:
+    """A straight-line program over named generators, read from its start rules.
+
+    rules maps each rule to its factors (symbol, k), in function order like
+    GateExpr atoms: the first factor acts last.  A symbol that names a rule
+    stands for that rule moved k cells to the right; any other symbol is a
+    generator at cell k.  A rule may mention only rules before it, so every
+    (rule, cell) that the starts reach can be computed once, in order, and
+    the expanded lengths are exact without expanding.  Starts may share
+    rules, and then share their computation too.
+    """
+
+    def __init__(self, rules: Mapping[Hashable, tuple[tuple[Hashable, int], ...]], starts: Iterable[Hashable]):
+        self.rules = rules = dict(rules)  # a copy, which callers cannot change
+        self.starts = tuple(starts)
+        position = {name: i for i, name in enumerate(rules)}
+        # the cells each reachable rule is read at, and the reads of every
+        # (symbol, cell) when each (rule, cell) is computed once, plus one
+        # final read per start
+        self.cells: dict = {}
+        self.uses: dict = {}
+        for start in self.starts:
+            if start not in rules:
+                raise ValueError(f"unknown start rule {start!r}")
+            self.cells[start] = {0: None}
+            self.uses[start, 0] = self.uses.get((start, 0), 0) + 1
+        for name in reversed(rules):  # parents before children
+            if name not in self.cells:
+                continue
+            factors = rules[name]
+            if not factors:
+                raise ValueError(f"rule {name!r} is empty")
+            if max(position.get(sym, -1) for sym, _ in factors) >= position[name]:
+                raise ValueError(f"rule {name!r} mentions itself or a rule after it")
+            for k in self.cells[name]:
+                for sym, dk in factors:
+                    key = (sym, k + dk)
+                    self.uses[key] = self.uses.get(key, 0) + 1
+                    if sym in position:
+                        self.cells.setdefault(sym, {})[k + dk] = None
+
+    def lengths(self) -> list[int]:
+        """The exact length of each start's expansion."""
+        lengths: dict = {}
+        for name, factors in self.rules.items():
+            if name in self.cells:
+                lengths[name] = sum(lengths.get(sym, 1) for sym, _ in factors)
+        return [lengths[start] for start in self.starts]
+
+    def expand(self, cancels: Callable[[Hashable], bool] | None = None) -> list["GateExpr"]:
+        """Each start's flat expression.
+
+        With cancels given, two adjacent equal atoms of a generator x with
+        cancels(x) true are dropped, again and again, as x x = 1 allows for
+        an involution; cancels is asked once per generator, at its first
+        adjacent pair.  Cancelling within each rule and then where its
+        factors meet gives the words that cancelling each whole expansion
+        would: cancellation reaches one normal form in any order.  Raises
+        ExpansionCapError, before expanding anything, when an expansion
+        would be longer than MAX_EXPANDED_ATOMS.
+        """
+        longest = max(self.lengths())
+        if longest > MAX_EXPANDED_ATOMS:
+            raise ExpansionCapError(longest, MAX_EXPANDED_ATOMS)
+        allowed: dict = {}
+        flat: dict = {}
+        for name, factors in self.rules.items():
+            if name not in self.cells:
+                continue
+            atoms: list = []
+            for sym, k in factors:
+                sub = flat.get(sym)
+                part = [(sym, k)] if sub is None else [(n, j + k) for n, j in sub] if k else sub
+                i = 0  # pairs cancelled where part meets atoms
+                while cancels and i < len(part) and atoms and atoms[-1] == part[i]:
+                    x = part[i][0]
+                    if x not in allowed:
+                        allowed[x] = cancels(x)
+                    if not allowed[x]:
+                        break
+                    atoms.pop()
+                    i += 1
+                atoms += part[i:] if i else part
+            flat[name] = atoms
+        return [GateExpr(tuple(flat[start])) for start in self.starts]
+
+    def tables(self, leaf: Callable[[Hashable, int], np.ndarray]) -> list[np.ndarray]:
+        """Each start's table, from leaf(generator, cell) tables composed by gather.
+
+        t[acc] applies t after acc.  Each reachable (rule, cell) is gathered
+        once from its factors, which by associativity gives the table of its
+        expansion.  A leaf table is made at its first use, and every table is
+        freed after its last use, so the live tables are bounded by the width
+        of the program, not by its length.
+        """
+        uses = dict(self.uses)
+        memo: dict = {}
+        for name, factors in self.rules.items():
+            for k in self.cells.get(name, ()):
+                acc = None
+                for sym, dk in reversed(factors):  # application order
+                    key = (sym, k + dk)
+                    t = memo.get(key)
+                    if t is None:
+                        t = memo[key] = leaf(*key)
+                    acc = t if acc is None else t[acc]
+                    uses[key] -= 1
+                    if not uses[key]:
+                        del memo[key]
+                memo[name, k] = acc
+        return [memo[start, 0] for start in self.starts]
+
+
+def evaluate_program(program: Program, generators: Mapping[str, GroupElement]) -> list[GroupElement]:
+    """The value of each start of a straight-line program over inert generators.
+
+    Each distinct (generator, cell) leaf is embedded once in the hull of
+    all the leaves, the tables are gathered along the rules (see
+    Program.tables) and each start's table is canonicalized once.  Raises
+    WindowCapError when that hull is wider than WINDOW_CAP.
+    """
+    leaves = {}
+    for sym, k in program.uses:
+        if sym in program.rules:
+            continue
+        if sym not in generators:
+            raise ValueError(f"unknown generator {sym!r}")
+        if generators[sym].shift:
+            raise ValueError(f"generator {sym!r} is not inert")
+        leaves[sym, k] = generators[sym].inert.shift_by(k)
+    used = [g for g in leaves.values() if not g.is_identity]
+    if not used:
+        return [IDENTITY for _ in program.starts]
+    lo = min(g.lo for g in used)
+    hi = max(g.hi for g in used)
+    if hi - lo + 1 > WINDOW_CAP:
+        raise WindowCapError(hi - lo + 1, WINDOW_CAP)
+    tables = program.tables(lambda *leaf: embed(leaves[leaf], lo, hi))
+    return [GroupElement(0, canonicalize(lo, hi, table)) for table in tables]
+
+
 def flip_difference(table: np.ndarray, p: int) -> np.ndarray:
     """table[u] ^ table[u | 1 << p] for every word u with bit p clear, in order of u."""
     pairs = table.reshape(-1, 2, 1 << p)  # images of words without, with bit p
@@ -514,6 +670,8 @@ def make_word_swap(u: str, v: str) -> GroupElement:
     if u == v:
         return IDENTITY
     n = len(u)
+    if n > WINDOW_CAP:
+        raise WindowCapError(n, WINDOW_CAP)
     table = np.arange(1 << n, dtype=np.int64)
     iu, iv = int(u, 2), int(v, 2)
     table[iu], table[iv] = iv, iu
@@ -632,15 +790,6 @@ class GateExpr:
 
     def to_string(self) -> str:
         return " ".join(n if k == 0 else f"{n}@{k}" for n, k in self.atoms)
-
-    def shifted(self, dk: int) -> "GateExpr":
-        return GateExpr(tuple((n, k + dk) for n, k in self.atoms))
-
-    def reversed(self) -> "GateExpr":
-        return GateExpr(self.atoms[::-1])
-
-    def __add__(self, other: "GateExpr") -> "GateExpr":
-        return GateExpr(self.atoms + other.atoms)
 
     def __len__(self):
         return len(self.atoms)

@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
@@ -41,7 +40,15 @@ from importlib import resources
 import numpy as np
 
 from .cyclic import CyclicPerm, project_formula
-from .gates import GateExpr, GroupElement, evaluate_expr, make_eca, make_named, shift_conjugate
+from .gates import (
+    GateExpr,
+    GroupElement,
+    Program,
+    evaluate_expr,
+    make_eca,
+    make_named,
+    shift_conjugate,
+)
 # kept in this namespace: perfbench's tracer test rebinds grammar.compose_many
 from .gates import compose_many  # noqa: F401
 
@@ -216,29 +223,27 @@ def verify_on_ring(start: str, target: GroupElement, n: int, anchor: int | None 
     return CyclicPerm(n, program) == expected
 
 
+def _programs() -> dict[str, Program]:
+    # the grammar as straight-line programs over e57 at cells 1..6, one
+    # per nonterminal; factors are in function order (the first acts
+    # last), so each expands to expand(symbol) read backwards
+    rules = {
+        symbol: tuple(
+            ("e57", int(t)) if t in "123456" else (t, 0) for t in reversed(_factors(symbol))
+        )
+        for symbol in TOPOLOGICAL_ORDER
+    }
+    return {symbol: Program(rules, [symbol]) for symbol in rules}
+
+
+_PROGRAMS = _programs()
+
+
 def _ring_program(start: str, n: int) -> np.ndarray:
     # ring permutation of expand(start), each reachable nonterminal
-    # composed once; a table entry is freed after its last use, which
-    # bounds the live permutations by the width of the grammar
-    uses = Counter({start: 1})  # factor occurrences, plus the final read
-    for symbol in reversed(TOPOLOGICAL_ORDER):  # parents before children
-        if uses[symbol]:
-            uses.update(PRODUCTIONS[symbol])
+    # composed once and freed after its last use (see gates.Program.tables)
     e57 = make_eca(57)
-    perms: dict[str, np.ndarray] = {}
-    for symbol in TOPOLOGICAL_ORDER:
-        if not uses[symbol]:
-            continue
-        acc = None
-        for token in _factors(symbol):
-            if token not in perms:  # a digit, projected at its first use
-                perms[token] = project_formula(shift_conjugate(e57, int(token)), n).perm
-            acc = perms[token] if acc is None else perms[token][acc]
-            uses[token] -= 1
-            if not uses[token]:
-                del perms[token]
-        perms[symbol] = acc
-    return perms.pop(start)
+    return _PROGRAMS[start].tables(lambda _, k: project_formula(shift_conjugate(e57, k), n).perm)[0]
 
 
 def adjacent_repeat_report(start: str) -> dict:
@@ -249,17 +254,11 @@ def adjacent_repeat_report(start: str) -> dict:
     """
     string = expand(start)
     direct = sum(1 for i in range(len(string) - 1) if string[i] == string[i + 1])
-    stack: list[str] = []
-    removed = 0
-    for ch in string:
-        if stack and stack[-1] == ch:
-            stack.pop()
-            removed += 2
-        else:
-            stack.append(ch)
+    # every digit is an involution, so every adjacent pair may cancel
+    left = len(_PROGRAMS[start].expand(lambda _: True)[0])
     return {
         "start": start,
         "length": len(string),
         "adjacent_pairs": direct,
-        "cascading_removable": removed,
+        "cascading_removable": len(string) - left,
     }

@@ -19,26 +19,41 @@ until only the two- or three-cell core remains, and finally dress the
 core with flips and swaps.  Shift conjugations are flattened into the
 per-atom cells, so emitted programs contain no bare shift atoms.
 
-No program is returned unverified: every expression is evaluated and
-compared against the canonical target gate before it leaves this
-module.  Programs are deterministic functions of the input pair; the
-only cleanup is cancelling adjacent duplicate atoms, which is sound
-because both generators are involutions.
+The construction is built once as a straight-line program
+(gates.Program): each strip step is one rule over the step before, and
+the four programs share their rules.  Both what is returned and what is
+verified come from it.  No program is returned unverified: the
+straight-line program is evaluated step by step, each rule's table
+gathered once, and each of the four values is compared against the
+canonical target gate.  What is returned is the expansion of the same
+rules with adjacent equal atoms cancelled, and it has the same value:
+substituting each rule's expansion for its use is associativity, and
+x x = 1 holds for every cancelled generator x, because x.x is checked to
+be the identity before its first pair is cancelled.  Programs are
+deterministic functions of the input pair.
 """
 
 from __future__ import annotations
+
+from typing import Mapping
 
 from .bitcore import check_word, diff_set
 from .gates import (
     GateExpr,
     GroupElement,
+    Program,
     compose_many,
-    evaluate_expr,
+    evaluate_program,
     make_named,
     make_word_swap,
     shift_conjugate,
 )
+# kept in this namespace: perfbench's tracer test rebinds synth.evaluate_expr
+from .gates import evaluate_expr  # noqa: F401
 from .analysis import SwapClass, SwapVerdict, classify_swap
+
+# the canonical gate each synthesized program must equal
+TARGETS = {"c1": "c1", "rc1": "rc1", "s": "swap", "c2": "c2"}
 
 
 class NotUniversalError(ValueError):
@@ -49,27 +64,50 @@ class NotUniversalError(ValueError):
         self.verdict = verdict
 
 
-def peephole(expr: GateExpr) -> GateExpr:
-    """Cancel adjacent equal atoms (valid for involution generators)."""
-    stack: list[tuple[str, int]] = []
-    for atom in expr.atoms:
-        if stack and stack[-1] == atom:
-            stack.pop()
-        else:
-            stack.append(atom)
-    return GateExpr(tuple(stack))
+def peephole(program: Program, generators: Mapping[str, GroupElement]) -> list[GateExpr]:
+    """Each start's expansion with adjacent equal atoms cancelled.
+
+    x x = 1 only for an involution x, so before the first pair of a
+    generator is cancelled, x.x is checked to be the identity, and
+    ValueError raised if it is not.
+    """
+    def involution(name: str) -> bool:
+        if name not in generators:
+            raise ValueError(f"unknown generator {name!r}")
+        g = generators[name]
+        if not g.compose(g).is_identity:
+            raise ValueError(f"generator {name!r} is not an involution: cannot cancel")
+        return True
+
+    return program.expand(involution)
 
 
-def _strip_left(expr: GateExpr) -> GateExpr:
-    # f_{0^n, 0v}  ->  f_{0^(n-1), v}, pattern kept anchored at cell 0
-    body = GateExpr((("c0", 0),)) + expr + GateExpr((("c0", 0),)) + expr
-    return body.shifted(-1)
+def _rule(rules: dict, *factors: tuple) -> int:
+    # a new rule, numbered after every rule it can mention
+    rules[len(rules)] = factors
+    return len(rules) - 1
 
 
-def _strip_right(expr: GateExpr, n: int) -> GateExpr:
+def _strip_left(rules: dict, f) -> int:
+    # f_{0^n, 0v}  ->  f_{0^(n-1), v}, pattern kept anchored at cell 0:
+    # shift(-1) of c0@0 f c0@0 f
+    return _rule(rules, ("c0", -1), (f, -1), ("c0", -1), (f, -1))
+
+
+def _strip_right(rules: dict, f, n: int) -> int:
     # f_{0^n, v0}  ->  f_{0^(n-1), v}
-    flip = GateExpr((("c0", n - 1),))
-    return flip + expr + flip + expr
+    return _rule(rules, ("c0", n - 1), (f, 0), ("c0", n - 1), (f, 0))
+
+
+def _reversed(rules: dict, name: int, done: dict | None = None) -> int:
+    # a rule expanding to the expansion of name read backwards
+    done = {} if done is None else done
+    if name not in done:
+        done[name] = _rule(rules, *(
+            (_reversed(rules, sym, done) if sym in rules else sym, k)
+            for sym, k in reversed(rules[name])
+        ))
+    return done[name]
 
 
 def eliminate_bit(v: str, side: str) -> GateExpr:
@@ -84,48 +122,64 @@ def eliminate_bit(v: str, side: str) -> GateExpr:
     n = len(v)
     if n < 2:
         raise ValueError("pattern too short: nothing left after eliminating")
+    rules: dict = {}
     if side == "left":
         if v[0] != "0":
             raise ValueError("left border bit is not 0, cannot eliminate")
-        expr = _strip_left(GateExpr((("f", 0),)))
+        top = _strip_left(rules, "f")
         reduced = v[1:]
     elif side == "right":
         if v[-1] != "0":
             raise ValueError("right border bit is not 0, cannot eliminate")
-        expr = _strip_right(GateExpr((("f", 0),)), n)
+        top = _strip_right(rules, "f", n)
         reduced = v[:-1]
     else:
         raise ValueError("side must be 'left' or 'right'")
-    expr = peephole(expr)
+    program = Program(rules, [top])
     gens = {"c0": make_named("c0"), "f": make_word_swap("0" * n, v)}
-    target = make_word_swap("0" * (n - 1), reduced)
-    if evaluate_expr(expr, gens) != target:
+    expr = peephole(program, gens)[0]
+    if evaluate_program(program, gens) != [make_word_swap("0" * (n - 1), reduced)]:
         raise AssertionError("elimination program failed verification")
     return expr
 
 
-def _core_program(u: str, v: str, keep: str) -> tuple[GateExpr, str]:
-    """Program over {c0, fuv} for the swap (0^m, core) around the 1.
+def _core_program(rules: dict, u: str, v: str, keep: str) -> int:
+    """Rule over {c0, fuv} for the swap (0^m, core) around the 1.
 
     keep selects which neighbourhood of the single difference bit
-    survives: '01', '10' or '010'.  Returns (program, core pattern).
+    survives: '01', '10' or '010'.
     """
     d = diff_set(u, v)
     n = len(d)
     i = d.index("1")
     # conjugate (u, v) to (all zeros, d) by flipping the cells where u is 1
-    flips = GateExpr(tuple(("c0", j) for j, ch in enumerate(u) if ch == "1"))
-    expr = flips + GateExpr((("fuv", 0),)) + flips
-    pattern = d
+    flips = tuple(("c0", j) for j, ch in enumerate(u) if ch == "1")
+    f = _rule(rules, *flips, ("fuv", 0), *flips)
     left_strips = i - (1 if keep in ("01", "010") else 0)
     right_strips = (n - 1 - i) - (1 if keep in ("10", "010") else 0)
     for _ in range(left_strips):
-        expr = _strip_left(expr)
-        pattern = pattern[1:]
-    for _ in range(right_strips):
-        expr = _strip_right(expr, len(pattern))
-        pattern = pattern[:-1]
-    return peephole(expr), pattern
+        f = _strip_left(rules, f)
+    for m in range(n - left_strips, n - left_strips - right_strips, -1):
+        f = _strip_right(rules, f, m)
+    return f
+
+
+def _nct_program(u: str, v: str) -> Program:
+    # straight-line program over {c0, fuv} with one start per TARGETS
+    # entry, for a pair differing in exactly one interior cell
+    rules: dict = {}
+    # f_{00,10} conjugated by a flip at cell 1 is the controlled flip
+    c1 = _rule(rules, ("c0", 1), (_core_program(rules, u, v, "10"), 0), ("c0", 1))
+    # f_{00,01} conjugated by a flip at cell 0 sits one cell right of rc1
+    rc1_at_1 = _rule(rules, ("c0", 0), (_core_program(rules, u, v, "01"), 0), ("c0", 0))
+    rc1 = _rule(rules, (rc1_at_1, -1))
+    # the classic three-gate identity: s = c1 . (rc1 one cell right) . c1
+    s = _rule(rules, (c1, 0), (rc1_at_1, 0), (c1, 0))
+    # conjugate f_{000,010} by (swap cells 0,1 then flips at 1, 2)
+    wrap = _rule(rules, ("c0", 1), ("c0", 2), (s, 0))
+    core = _core_program(rules, u, v, "010")
+    c2 = _rule(rules, (wrap, 0), (core, 0), (_reversed(rules, wrap), 0))
+    return Program(rules, (c1, rc1, s, c2))
 
 
 def synthesize_nct(u: str, v: str) -> dict[str, GateExpr]:
@@ -133,39 +187,21 @@ def synthesize_nct(u: str, v: str) -> dict[str, GateExpr]:
 
     fuv is the swap of the given patterns at cells [0, n-1].  Raises
     NotUniversalError (carrying the classification) unless the pair is
-    universal.  Every returned program has been evaluated and matched
-    against the canonical gate it names; all four land at cell 0.
+    universal, and gates.ExpansionCapError when a program would expand
+    past gates.MAX_EXPANDED_ATOMS atoms.  Each program's straight-line
+    form has been evaluated and matched against the canonical gate it
+    names; all four land at cell 0.
     """
     verdict = classify_swap(u, v, verify=False)
     if verdict.verdict is not SwapVerdict.UNIVERSAL:
         raise NotUniversalError(u, v, classify_swap(u, v))
-
+    program = _nct_program(u, v)
     gens = {"c0": make_named("c0"), "fuv": make_word_swap(u, v)}
-
-    # f_{00,10} conjugated by a flip at cell 1 is the controlled flip
-    prog_10, _ = _core_program(u, v, "10")
-    flip1 = GateExpr((("c0", 1),))
-    c1 = peephole(flip1 + prog_10 + flip1)
-
-    # f_{00,01} conjugated by a flip at cell 0 sits one cell right of rc1
-    prog_01, _ = _core_program(u, v, "01")
-    flip0 = GateExpr((("c0", 0),))
-    rc1_at_1 = peephole(flip0 + prog_01 + flip0)
-    rc1 = rc1_at_1.shifted(-1)
-
-    # the classic three-gate identity: s = c1 . (rc1 one cell right) . c1
-    s = peephole(c1 + rc1_at_1 + c1)
-
-    # conjugate f_{000,010} by (swap cells 0,1 then flips at 1, 2)
-    prog_010, _ = _core_program(u, v, "010")
-    wrap = GateExpr((("c0", 1), ("c0", 2))) + s
-    c2 = peephole(wrap + prog_010 + wrap.reversed())
-
-    programs = {"c1": c1, "rc1": rc1, "s": s, "c2": c2}
-    for name, expr in programs.items():
-        if evaluate_expr(expr, gens) != make_named({"s": "swap"}.get(name, name)):
+    flat = peephole(program, gens)  # raises before any table is gathered if too long
+    for name, value in zip(TARGETS, evaluate_program(program, gens)):
+        if value != make_named(TARGETS[name]):
             raise AssertionError(f"synthesized program for {name} failed verification")
-    return programs
+    return dict(zip(TARGETS, flat))
 
 
 def standard_generating_checks() -> list[dict]:

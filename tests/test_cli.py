@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -226,3 +230,29 @@ def test_malformed_window_cap_is_a_usage_error(capsys, monkeypatch, argv, env, m
     assert message in err
     assert out == ""
     assert gates.WINDOW_CAP == cap
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["synthesize", "--u", "0" * 25, "--v", "0" * 12 + "1" + "0" * 12], "window cap exceeded"),
+        (["synthesize", "--u", "0" * 20, "--v", "0" * 10 + "1" + "0" * 9], "expansion cap exceeded"),
+        (["classify", "swap", "--u", "0" * 25, "--v", "0" * 12 + "1" + "0" * 12, "--verify"],
+         "window cap exceeded"),
+    ],
+)
+def test_oversized_swap_input_exits_2_quickly(argv, message):
+    # a fresh process under a 2 GiB address-space limit and a timeout, so
+    # that a regression fails this test instead of exhausting memory
+    script = (
+        "import resource, sys; "
+        "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30)); "
+        "from gatecalc.cli import main; sys.exit(main(sys.argv[1:]))"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", script, *argv], env=env,
+                         capture_output=True, text=True, timeout=20)
+    assert out.returncode == 2, out.stderr
+    assert message in out.stderr

@@ -286,6 +286,14 @@ def test_word_swap_basics():
         G.make_word_swap("01", "011")
 
 
+def test_word_swap_wider_than_the_cap_is_refused(monkeypatch):
+    monkeypatch.setattr(G, "WINDOW_CAP", 8)
+    assert G.make_word_swap("0" * 8, "1" * 8).inert.width == 8
+    with pytest.raises(G.WindowCapError) as err:
+        G.make_word_swap("0" * 9, "1" * 9)
+    assert err.value.required_width == 9
+
+
 def test_word_swap_is_built_canonical():
     # make_word_swap skips canonicalize: its window [0, n - 1] is already canonical
     for n in range(1, 7):
@@ -397,6 +405,70 @@ def test_expr_empty_and_cancelling():
 def test_expr_unknown_generator():
     with pytest.raises(ValueError, match="unknown generator"):
         G.evaluate_expr(G.GateExpr.parse("mystery"), {})
+
+
+# -- straight-line programs -----------------------------------------------
+
+
+def order_sensitive_generators():
+    # no involutions among them, so a wrong factor order or a dropped
+    # shift changes the value
+    a = G.canonicalize(0, 1, [1, 2, 0, 3])  # a 3-cycle
+    b = G.canonicalize(0, 2, (np.arange(8) + 1) % 8)  # an 8-cycle
+    return {"a": G.GroupElement(0, a), "b": G.GroupElement(0, b)}
+
+
+def test_program_evaluation_equals_its_flat_expansion():
+    gens = order_sensitive_generators()
+    rules = {
+        "x": (("a", 0), ("b", 1), ("a", -1)),
+        "y": (("x", 2), ("b", 0), ("x", 0), ("x", 2)),
+        "z": (("y", -1), ("a", 3), ("x", 1)),
+    }
+    program = G.Program(rules, ["z", "y", "x", "z"])
+    flat = program.expand()
+    assert flat[2].to_string() == "a b@1 a@-1"
+    assert flat[1].to_string() == "a@2 b@3 a@1 b a b@1 a@-1 a@2 b@3 a@1"
+    assert program.lengths() == [len(e) for e in flat] == [14, 10, 3, 14]
+    values = G.evaluate_program(program, gens)
+    assert values == [G.evaluate_expr(e, gens) for e in flat]
+    assert len(set(values)) == 3
+
+
+def test_program_rejects_malformed_rules():
+    with pytest.raises(ValueError, match="unknown start"):
+        G.Program({"x": (("a", 0),)}, ["y"])
+    with pytest.raises(ValueError, match="empty"):
+        G.Program({"x": ()}, ["x"])
+    with pytest.raises(ValueError, match="after it"):
+        G.Program({"x": (("y", 0),), "y": (("a", 0),)}, ["x"])
+    with pytest.raises(ValueError, match="after it"):
+        G.Program({"x": (("a", 0), ("x", 1))}, ["x"])
+
+
+def test_program_evaluation_errors():
+    c0 = G.make_named("c0")
+    with pytest.raises(ValueError, match="unknown generator"):
+        G.evaluate_program(G.Program({"x": (("c1", 0),)}, ["x"]), {"c0": c0})
+    with pytest.raises(ValueError, match="not inert"):
+        G.evaluate_program(G.Program({"x": (("s", 0),)}, ["x"]), {"s": G.make_named("sigma")})
+    wide = G.Program({"x": (("c0", 0), ("c0", 30))}, ["x"])
+    with pytest.raises(G.WindowCapError) as err:
+        G.evaluate_program(wide, {"c0": c0})
+    assert err.value.required_width == 31
+    idle = G.Program({"x": (("i", 3), ("i", 5))}, ["x"])
+    assert G.evaluate_program(idle, {"i": G.IDENTITY}) == [G.IDENTITY]
+
+
+def test_expansion_past_the_cap_is_refused_before_expanding():
+    rules = {0: (("c0", 0),)}
+    for i in range(1, 22):
+        rules[i] = ((i - 1, 0), (i - 1, 1))
+    program = G.Program(rules, [20, 21])
+    assert program.lengths() == [1 << 20, 1 << 21]
+    with pytest.raises(G.ExpansionCapError) as err:
+        program.expand()
+    assert (err.value.length, err.value.cap) == (1 << 21, G.MAX_EXPANDED_ATOMS)
 
 
 def test_record_roundtrip():

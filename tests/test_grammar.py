@@ -116,6 +116,7 @@ def test_ring_program_keeps_the_order_of_factors(monkeypatch):
     grammar = {"A": ("1", "2"), "B": ("A", "3", "A", "4"), "C": ("B", "5", "A")}
     monkeypatch.setattr(GR, "PRODUCTIONS", grammar)
     monkeypatch.setattr(GR, "TOPOLOGICAL_ORDER", tuple(GR.validate_acyclic()))
+    monkeypatch.setattr(GR, "_PROGRAMS", GR._programs())
     strings = {"A": "12", "B": "412312", "C": "125412312"}
     for n in (5, 8):
         for start, string in strings.items():

@@ -1,3 +1,7 @@
+import functools
+import hashlib
+import random
+
 import pytest
 
 from gatecalc import gates as G
@@ -6,9 +10,26 @@ from gatecalc.analysis import SwapVerdict, classify_swap
 from gatecalc.bitcore import int_to_word
 
 
+def generators(u, v):
+    return {"c0": G.make_named("c0"), "fuv": G.make_word_swap(u, v)}
+
+
 def evaluate(expr, u, v):
-    gens = {"c0": G.make_named("c0"), "fuv": G.make_word_swap(u, v)}
-    return G.evaluate_expr(expr, gens)
+    return G.evaluate_expr(expr, generators(u, v))
+
+
+def universal_pairs(n):
+    for iu in range(1 << n):
+        for iv in range(1 << n):
+            u, v = int_to_word(iu, n), int_to_word(iv, n)
+            if classify_swap(u, v, verify=False).verdict is SwapVerdict.UNIVERSAL:
+                yield u, v
+
+
+@functools.cache
+def programs_to_length_6():
+    # (u, v, programs) for every universal pair of length 3..6, in (n, iu, iv) order
+    return [(u, v, S.synthesize_nct(u, v)) for n in range(3, 7) for u, v in universal_pairs(n)]
 
 
 def test_eliminate_bit_left_example():
@@ -77,14 +98,89 @@ def test_synthesize_every_universal_pair_up_to_length_5():
     assert count == sum((1 << n) * (n - 2) for n in range(3, 6))
 
 
+def cancelled(text, gens):
+    # peephole of a flat expression: a program of one rule
+    return S.peephole(G.Program({0: G.GateExpr.parse(text).atoms}, [0]), gens)[0]
+
+
 def test_peephole():
     # cancellation cascades: after the inner pair goes, the outer pair meets
-    expr = G.GateExpr.parse("c0@1 c0@1 fuv c0@2 c0@2 fuv")
-    assert S.peephole(expr).atoms == ()
-    expr = G.GateExpr.parse("c0@1 fuv fuv c0@2")
-    assert S.peephole(expr).atoms == (("c0", 1), ("c0", 2))
-    expr = G.GateExpr.parse("c0@1 fuv c0@1")
-    assert S.peephole(expr) == expr
+    gens = generators("010", "000")
+    assert cancelled("c0@1 c0@1 fuv c0@2 c0@2 fuv", gens).atoms == ()
+    assert cancelled("c0@1 fuv fuv c0@2", gens).atoms == (("c0", 1), ("c0", 2))
+    assert cancelled("c0@1 fuv c0@1", gens).to_string() == "c0@1 fuv c0@1"
+
+
+def test_peephole_cancels_across_rules_as_on_the_expansion():
+    gens = generators("010", "000")
+    rules = {
+        "x": (("c0", 1), ("fuv", 0), ("c0", 2)),
+        "y": (("x", 0), ("c0", 2), ("c0", 2), ("x", 0)),  # x x meet in the middle
+        "z": (("c0", 1), ("y", 0), ("c0", 3)),
+    }
+    program = G.Program(rules, ["z", "x"])
+    flat = program.expand()
+    assert [e.to_string() for e in S.peephole(program, gens)] == [
+        cancelled(e.to_string(), gens).to_string() for e in flat
+    ] == ["fuv c0@2 c0@1 fuv c0@2 c0@3", "c0@1 fuv c0@2"]
+
+
+def test_peephole_rejects_a_non_involution_before_cancelling():
+    cycle = G.GroupElement(0, G.canonicalize(0, 1, [1, 2, 0, 3]))  # order 3
+    gens = {**generators("010", "000"), "g": cycle, "sigma": G.make_named("sigma")}
+    for name in ("g", "sigma"):
+        with pytest.raises(ValueError, match=f"{name!r} is not an involution"):
+            cancelled(f"c0 {name} {name} c0", gens)
+        # a generator with no adjacent pair is never relied on
+        assert cancelled(f"{name} c0 c0 {name}@1", gens).to_string() == f"{name} {name}@1"
+    with pytest.raises(ValueError, match="unknown generator 'h'"):
+        cancelled("h h", gens)
+
+
+def test_outputs_match_their_pinned_digest():
+    # sha256 over every returned program to length 6: a change to any atom shows
+    digest = hashlib.sha256()
+    atoms = 0
+    for u, v, programs in programs_to_length_6():
+        for name in ("c1", "rc1", "s", "c2"):
+            atoms += len(programs[name])
+            digest.update(f"{u} {v} {name} {programs[name].to_string()}\n".encode())
+    assert len(programs_to_length_6()) == 392 and atoms == 422_078
+    assert digest.hexdigest() == "ea54165f17a756560388741f67336eaa091649a5454707838a2843aa88f16b97"
+
+
+@functools.cache
+def sample_to_length_8():
+    rng = random.Random(8)
+    return [pair for n in (7, 8) for pair in rng.sample(list(universal_pairs(n)), 12)]
+
+
+def test_step_evaluation_equals_flat_evaluation():
+    cases = list(programs_to_length_6())
+    cases += [(u, v, S.synthesize_nct(u, v)) for u, v in sample_to_length_8()]
+    for u, v, programs in cases:
+        gens = generators(u, v)
+        steps = G.evaluate_program(S._nct_program(u, v), gens)
+        for name, step in zip(S.TARGETS, steps):
+            assert G.evaluate_expr(programs[name], gens) == step, (u, v, name)
+            assert step == G.make_named(S.TARGETS[name]), (u, v, name)
+
+
+def test_program_lengths_are_exact_before_cancellation():
+    for u, v in [("00100", "00000"), ("0101", "0111"), *sample_to_length_8()[::6]]:
+        program = S._nct_program(u, v)
+        assert program.lengths() == [len(expr) for expr in program.expand()]
+        flat = S.synthesize_nct(u, v)
+        assert all(len(flat[name]) <= n for name, n in zip(S.TARGETS, program.lengths()))
+
+
+def test_synthesis_past_the_expansion_cap_is_refused():
+    u, v = "0" * 18, "0" * 9 + "1" + "0" * 8
+    assert max(S._nct_program(u, v).lengths()) > G.MAX_EXPANDED_ATOMS
+    with pytest.raises(G.ExpansionCapError):
+        S.synthesize_nct(u, v)
+    u, v = "0" * 17, "0" * 8 + "1" + "0" * 8  # the longest central pair that fits
+    assert len(S.synthesize_nct(u, v)["c2"]) == 638_978
 
 
 def test_standard_generating_checks_all_pass():
