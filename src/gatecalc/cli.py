@@ -187,6 +187,8 @@ def _cmd_project(args) -> int:
 
 
 def _cmd_parity(args) -> int:
+    if not 1 <= args.max_n <= 64:
+        raise ValueError(f"--max-n must be in [1, 64], got {args.max_n}")
     rows = []
     sigma = gates.make_named("sigma")
     for n in range(1, args.max_n + 1):

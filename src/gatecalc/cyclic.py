@@ -8,8 +8,8 @@ window words.  Two independent implementations are kept side by side:
 * project_formula: the tape substitution formula (gates.substitute)
   conjugated by a ring rotation that brings the window's first cell to
   the top bit, so a window across the seam needs no branch of its own;
-* project_periodic: literal simulation on a 3n-cell periodic buffer,
-  all 2^n words at once (one row each), the rule applied at each
+* project_periodic: literal simulation of all 2^n words at once, three
+  periods packed in one integer per word, the rule applied at each
   admissible cell in turn.  It is the oracle the formula is validated
   against, so it calls neither the tape substitution nor the rotations.
 
@@ -168,24 +168,23 @@ def _project_tight(f: GroupElement, n: int) -> CyclicPerm:
 def project_periodic(f: GroupElement, n: int) -> CyclicPerm:
     """Ring permutation via literal periodic simulation (the oracle).
 
-    Lays out three periods of every word at once, one row per word,
+    Packs three periods of every word into one integer per word, cell
+    j - n at bit 3n - 1 - j (3n <= 3 * RING_CAP bits fit an int64),
     applies the rule at every admissible cell congruent to the gate
-    offset, one cell after another, reads one period back and rotates
-    it by the shift part.  It shares no code with project_formula.
+    offset, one cell after another, by a shift and mask to read its
+    window and a masked OR to write it back, then reads the middle
+    period back and rotates it by the shift part.  It shares no code
+    with project_formula.
     """
     _check_ring(f, n)
     g = f.inert
-    words = np.arange(1 << n, dtype=np.int64)
-    # column j holds cell j - n; Fortran order keeps each column contiguous
-    buf = np.empty((1 << n, 3 * n), dtype=np.uint8, order="F")
-    for j in range(n):
-        buf[:, j] = (words >> (n - 1 - j)) & 1
-    buf[:, n : 2 * n] = buf[:, :n]
-    buf[:, 2 * n :] = buf[:, :n]
+    # w << 2n | w << n | w, as a product since the periods do not overlap
+    buf = np.arange(1 << n, dtype=np.int64) * (1 << 2 * n | 1 << n | 1)
     positions = []
     if not g.is_identity:
         start, table = g.padded_rule()
         radius = g.radius
+        window = (1 << 2 * radius + 1) - 1
         q0 = (start + radius) % n
         positions = [
             q
@@ -193,20 +192,17 @@ def project_periodic(f: GroupElement, n: int) -> CyclicPerm:
             if -n <= q - radius and q + radius <= 2 * n - 1
         ]
     for q in positions:
-        cells = range(q - radius + n, q + radius + n + 1)
-        u = np.zeros_like(words)
-        for c in cells:
-            u <<= 1
-            u |= buf[:, c]
-        out = table[u]
-        for t, c in enumerate(reversed(cells)):
-            buf[:, c] = (out >> t) & 1
-    k = f.shift % n
-    value = np.zeros_like(words)
-    for i in range(n):
-        value <<= 1
-        value |= buf[:, n + (i + k) % n]
-    return CyclicPerm(n, value)
+        # the window's last cell, q + radius, is bit 2n - 1 - q - radius
+        low = 2 * n - 1 - q - radius
+        out = table[buf >> low & window]
+        out <<= low
+        buf &= ~(window << low)
+        buf |= out
+    k, full = f.shift % n, (1 << n) - 1
+    middle = buf >> n & full
+    if k:
+        middle = (middle << k | middle >> n - k) & full
+    return CyclicPerm(n, middle)
 
 
 # -- necklaces and parity ------------------------------------------------

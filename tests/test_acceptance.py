@@ -26,6 +26,10 @@ TIME_BUDGETS = {
     11: 30.0,
 }
 
+# criterion index -> its exact detail, so that a faster check cannot pass
+# by checking fewer cases
+PINNED_DETAILS = {5: "500 gates, 3388 projections"}
+
 # criterion index -> (passed, detail) of its parametrized run, so that the
 # determinism check needs only one fresh run to compare against
 RECORDED: dict[int, tuple[bool, str]] = {}
@@ -41,6 +45,7 @@ def test_criterion(index, name, fn):
     RECORDED[index] = (passed, detail)
     print(f"[{'PASS' if passed else 'FAIL'}] {index:>2} {name} ({elapsed:.2f}s): {detail}")
     assert passed, f"criterion {index} ({name}): {detail}"
+    assert detail == PINNED_DETAILS.get(index, detail)
     assert elapsed < TIME_BUDGETS[index], (
         f"criterion {index} took {elapsed:.1f}s, budget {TIME_BUDGETS[index]}s"
     )

@@ -96,6 +96,14 @@ def test_parity(capsys):
     assert odd == [2]
 
 
+@pytest.mark.parametrize("max_n", ["0", "-5", "65"])
+def test_parity_rejects_max_n_outside_1_to_64(capsys, max_n):
+    code, out, err = run(capsys, "parity", "--max-n", max_n)
+    assert code == 2
+    assert f"--max-n must be in [1, 64], got {max_n}" in err
+    assert out == ""
+
+
 def test_grammar_expand(capsys):
     code, out, _ = run(capsys, "grammar", "expand", "--start", "N3")
     assert code == 0

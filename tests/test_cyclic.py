@@ -73,6 +73,25 @@ def test_wraparound_branch_specifically():
             assert C.project_formula(f, n) == C.project_periodic(f, n)
 
 
+def test_packed_oracle_fits_one_int64_per_word():
+    # three periods of an n-cell word share one int64, sign bit unused
+    assert 3 * C.RING_CAP <= 62
+
+
+@pytest.mark.parametrize("n", [18, 19, 20])
+def test_packed_oracle_near_the_int64_limit(n):
+    # 3n is 54..60 bits: the top period and the seam sit in the high bits
+    e57 = G.make_eca(57)
+    for j in (n - 1, n, n + 2, -5):
+        f = e57.shift_conjugate(j)
+        assert C.project_periodic(f, n) == C.project_formula(f, n), (n, j)
+    rng = np.random.default_rng(n)
+    gate = G.canonicalize(n - 2, n + 2, rng.permutation(32))
+    assert gate.width == 5
+    f = G.GroupElement(int(rng.integers(1, n)), gate)
+    assert C.project_periodic(f, n) == C.project_formula(f, n)
+
+
 @st.composite
 def gates_on_rings(draw, max_n=10):
     width = draw(st.integers(0, 5))  # even widths have padded rules
