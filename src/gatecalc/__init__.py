@@ -35,6 +35,7 @@ from .gates import (
     make_eca,
     make_named,
     make_word_swap,
+    program_matches,
     reverse_conjugate,
     shift_conjugate,
 )

@@ -27,6 +27,7 @@ The classifiers:
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -170,43 +171,63 @@ class SwapClass:
     verified: bool | None = None
 
 
+def _member(subgroup: str, g: InertGate, d: str | None) -> bool:
+    # looked up at each call, so that a rebinding of the predicates is seen
+    if subgroup == "GR":
+        return in_GR(g)
+    if subgroup == "GL":
+        return in_GL(g)
+    return in_GV(g, d)
+
+
+@functools.lru_cache(maxsize=4096)
+def _flip_and_shift_in(subgroup: str, d: str | None) -> bool:
+    """Do the flip and the shift's inert part lie in the subgroup?
+
+    subgroup is 'GR', 'GL' or 'GV'; d is the spanning word of G_V(d) and
+    None for the others.  Neither gate depends on a pair, so each
+    (subgroup, d) is checked once.
+    """
+    return all(_member(subgroup, make_named(name).inert, d) for name in ("c0", "sigma"))
+
+
 def classify_swap(u: str, v: str, verify: bool = True) -> SwapClass:
     """Classify the pattern swap by the positions where u and v differ.
 
     Universal iff they differ in exactly one position which is interior
     (so the difference word matches 0*0100*).  Non-universal verdicts
     name a containing proper subgroup; with verify=True the membership
-    of all three generators' inert parts is checked, not assumed.
+    of all three generators' inert parts is checked, not assumed: the
+    swap's for each pair, the flip's and the shift's once per subgroup
+    and difference word.
     """
     d = diff_set(u, v)
     ones = [i for i, ch in enumerate(d) if ch == "1"]
     n = len(d)
-    gates = None
-    if verify:
-        gates = [
-            make_named("c0").inert,
-            make_word_swap(u, v).inert,
-            make_named("sigma").inert,
-        ]
+    swap = make_word_swap(u, v) if verify else None
+
+    def verified(subgroup: str, witness: str | None = None) -> bool | None:
+        if not verify:
+            return None
+        return _member(subgroup, swap.inert, witness) and _flip_and_shift_in(subgroup, witness)
+
     if not ones:
-        verified = make_word_swap(u, v).is_identity if verify else None
-        return SwapClass(SwapVerdict.TRIVIAL, "trivial group", None, verified)
+        return SwapClass(
+            SwapVerdict.TRIVIAL, "trivial group", None, swap.is_identity if verify else None
+        )
     if len(ones) == 1:
         i = ones[0]
         if i == n - 1:
-            verified = all(in_GR(g) for g in gates) if verify else None
             return SwapClass(
-                SwapVerdict.RIGHT_ONE_SIDED, "right-flow subgroup", None, verified
+                SwapVerdict.RIGHT_ONE_SIDED, "right-flow subgroup", None, verified("GR")
             )
         if i == 0:
-            verified = all(in_GL(g) for g in gates) if verify else None
             return SwapClass(
-                SwapVerdict.LEFT_ONE_SIDED, "left-flow subgroup", None, verified
+                SwapVerdict.LEFT_ONE_SIDED, "left-flow subgroup", None, verified("GL")
             )
         return SwapClass(SwapVerdict.UNIVERSAL, None, None, None)
-    verified = all(in_GV(g, d) for g in gates) if verify else None
     return SwapClass(
-        SwapVerdict.COSET_PRESERVING, "coset-preserving subgroup", d, verified
+        SwapVerdict.COSET_PRESERVING, "coset-preserving subgroup", d, verified("GV", d)
     )
 
 

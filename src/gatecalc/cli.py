@@ -193,7 +193,7 @@ def _cmd_parity(args) -> int:
     sigma = gates.make_named("sigma")
     for n in range(1, args.max_n + 1):
         formula = cyclic.necklace_count(n)
-        orbits = cyclic.necklace_count_by_orbits(n) if n <= 26 else None
+        orbits = cyclic.necklace_count_by_orbits(n) if n <= cyclic.RING_CAP else None
         rotation_sign = (
             cyclic.sign(cyclic.project_formula(sigma, n))
             if 2 <= n <= cyclic.RING_CAP

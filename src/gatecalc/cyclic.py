@@ -233,9 +233,9 @@ def necklace_count(n: int) -> int:
 
 
 def necklace_count_by_orbits(n: int) -> int:
-    """Same count by enumerating rotation orbits (n <= 26)."""
-    if not 1 <= n <= 26:
-        raise ValueError("orbit enumeration supported for n in [1, 26]")
+    """Same count by enumerating rotation orbits (n <= RING_CAP)."""
+    if not 1 <= n <= RING_CAP:
+        raise ValueError(f"orbit enumeration supported for n in [1, {RING_CAP}]")
     mask = (1 << n) - 1
     w = np.arange(1 << n, dtype=np.int64)
     least = w.copy()

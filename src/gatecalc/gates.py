@@ -26,6 +26,7 @@ Conventions, fixed once and used everywhere:
 
 from __future__ import annotations
 
+import copy
 import functools
 import itertools
 import math
@@ -365,6 +366,27 @@ class Program:
                     if sym in position:
                         self.cells.setdefault(sym, {})[k + dk] = None
 
+    def substitute(self, rules: Mapping[Hashable, tuple[tuple[Hashable, int], ...]]) -> "Program":
+        """The same program with some generators defined as rules over others.
+
+        Each use of such a generator becomes a use of its rule, so both
+        programs have the same values wherever each rule equals the
+        generator it defines.  The new rules go first and mention only
+        generators; the walk over the rules already here is reused.
+        """
+        program = copy.copy(self)
+        program.rules = {**rules, **self.rules}
+        program.cells = dict(self.cells)
+        program.uses = dict(self.uses)
+        for name, factors in rules.items():
+            if name in self.rules or not factors or any(sym in program.rules for sym, _ in factors):
+                raise ValueError(f"rule {name!r} must define a generator over generators")
+            cells = program.cells[name] = {k: None for sym, k in self.uses if sym == name}
+            for k in cells:
+                for sym, dk in factors:
+                    program.uses[sym, k + dk] = program.uses.get((sym, k + dk), 0) + 1
+        return program
+
     def lengths(self) -> list[int]:
         """The exact length of each start's expansion."""
         lengths: dict = {}
@@ -437,14 +459,9 @@ class Program:
         return [memo[start, 0] for start in self.starts]
 
 
-def evaluate_program(program: Program, generators: Mapping[str, GroupElement]) -> list[GroupElement]:
-    """The value of each start of a straight-line program over inert generators.
-
-    Each distinct (generator, cell) leaf is embedded once in the hull of
-    all the leaves, the tables are gathered along the rules (see
-    Program.tables) and each start's table is canonicalized once.  Raises
-    WindowCapError when that hull is wider than WINDOW_CAP.
-    """
+def _program_tables(program: Program, generators: Mapping[str, GroupElement]):
+    # (lo, hi, each start's table on [lo, hi]), [lo, hi] the hull of all
+    # non-identity leaves, or None when every leaf is the identity
     leaves = {}
     for sym, k in program.uses:
         if sym in program.rules:
@@ -456,13 +473,52 @@ def evaluate_program(program: Program, generators: Mapping[str, GroupElement]) -
         leaves[sym, k] = generators[sym].inert.shift_by(k)
     used = [g for g in leaves.values() if not g.is_identity]
     if not used:
-        return [IDENTITY for _ in program.starts]
+        return None
     lo = min(g.lo for g in used)
     hi = max(g.hi for g in used)
     if hi - lo + 1 > WINDOW_CAP:
         raise WindowCapError(hi - lo + 1, WINDOW_CAP)
-    tables = program.tables(lambda *leaf: embed(leaves[leaf], lo, hi))
+    return lo, hi, program.tables(lambda *leaf: embed(leaves[leaf], lo, hi))
+
+
+def evaluate_program(program: Program, generators: Mapping[str, GroupElement]) -> list[GroupElement]:
+    """The value of each start of a straight-line program over inert generators.
+
+    Each distinct (generator, cell) leaf is embedded once in the hull of
+    all the leaves, the tables are gathered along the rules (see
+    Program.tables) and each start's table is canonicalized once.  Raises
+    WindowCapError when that hull is wider than WINDOW_CAP.
+    """
+    hull = _program_tables(program, generators)
+    if hull is None:
+        return [IDENTITY for _ in program.starts]
+    lo, hi, tables = hull
     return [GroupElement(0, canonicalize(lo, hi, table)) for table in tables]
+
+
+def program_matches(
+    program: Program, generators: Mapping[str, GroupElement], expected: Iterable[GroupElement]
+) -> list[bool]:
+    """Whether each start equals its expected element, without canonicalizing.
+
+    The same as comparing evaluate_program's values one by one: the hull
+    of the leaves holds the support of every start, so each expected
+    element is embedded in it and compared table to table, and one with
+    a shift part or a window outside the hull equals no start.
+    """
+    expected = list(expected)
+    if len(expected) != len(program.starts):
+        raise ValueError(f"{len(expected)} expected values for {len(program.starts)} starts")
+    hull = _program_tables(program, generators)
+    if hull is None:
+        return [e.is_identity for e in expected]
+    lo, hi, tables = hull
+    return [
+        e.shift == 0
+        and (e.inert.is_identity or lo <= e.inert.lo and e.inert.hi <= hi)
+        and np.array_equal(table, embed(e.inert, lo, hi))
+        for table, e in zip(tables, expected)
+    ]
 
 
 def flip_difference(table: np.ndarray, p: int) -> np.ndarray:

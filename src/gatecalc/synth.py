@@ -4,7 +4,7 @@ Given a pattern swap that is universal together with the flip and the
 shift, this module emits explicit programs over the two generators
 
     c0   the flip,
-    f    the given pattern swap, anchored at cell 0,
+    fuv  the given pattern swap, anchored at cell 0,
 
 each atom carrying the cell it is applied at (gate@k), that evaluate to
 the four standard gates c1, rc1 (its mirror), s (the cell swap) and c2
@@ -19,33 +19,47 @@ until only the two- or three-cell core remains, and finally dress the
 core with flips and swaps.  Shift conjugations are flattened into the
 per-atom cells, so emitted programs contain no bare shift atoms.
 
-The construction is built once as a straight-line program
-(gates.Program): each strip step is one rule over the step before, and
-the four programs share their rules.  Both what is returned and what is
-verified come from it.  No program is returned unverified: the
-straight-line program is evaluated step by step, each rule's table
-gathered once, and each of the four values is compared against the
-canonical target gate.  What is returned is the expansion of the same
-rules with adjacent equal atoms cancelled, and it has the same value:
-substituting each rule's expansion for its use is associativity, and
-x x = 1 holds for every cancelled generator x, because x.x is checked to
-be the identity before its first pair is cancelled.  Programs are
+The construction depends on the pair only through its difference word
+d = u xor v and the flips that conjugate (u, v) to (0^n, d), so it is
+built once per d as a straight-line program P_d (gates.Program) over c0
+and f = the swap of 0^n and d: each strip step is one rule over the step
+before, and the four programs share their rules.  No program is
+returned unverified, and the proof is split the same way:
+
+* once per d, P_d is evaluated step by step, each rule's table gathered
+  once, and each of its four values must equal its target gate; a
+  verified P_d is kept in a bounded cache, and a failed one raises and
+  is never kept;
+* per pair, the program is P_d with f made a rule, the given swap
+  conjugated by the flips of u (Program.substitute), and likewise the
+  symbol f_rev that marks where c2 reads f backwards.  Those two rules
+  alone are evaluated, and each must equal f exactly, so the pair's
+  program has P_d's values by substitution.
+
+What is returned is the expansion of the pair's rules with adjacent
+equal atoms cancelled, and it has the same value: substituting each
+rule's expansion for its use is associativity, and x x = 1 holds for
+every cancelled generator x, because x.x is checked to be the identity,
+for each pair, before its first pair is cancelled.  Programs are
 deterministic functions of the input pair.
 """
 
 from __future__ import annotations
 
+import functools
 from typing import Mapping
 
 from .bitcore import check_word, diff_set
 from .gates import (
+    MAX_EXPANDED_ATOMS,
+    ExpansionCapError,
     GateExpr,
     GroupElement,
     Program,
     compose_many,
-    evaluate_program,
     make_named,
     make_word_swap,
+    program_matches,
     shift_conjugate,
 )
 # kept in this namespace: perfbench's tracer test rebinds synth.evaluate_expr
@@ -99,12 +113,13 @@ def _strip_right(rules: dict, f, n: int) -> int:
     return _rule(rules, ("c0", n - 1), (f, 0), ("c0", n - 1), (f, 0))
 
 
-def _reversed(rules: dict, name: int, done: dict | None = None) -> int:
-    # a rule expanding to the expansion of name read backwards
-    done = {} if done is None else done
+def _reversed(rules: dict, name: int, done: dict) -> int:
+    # a rule expanding to the expansion of name read backwards; done maps
+    # each symbol already reversed to its reversal, and any other
+    # generator reads the same backwards
     if name not in done:
         done[name] = _rule(rules, *(
-            (_reversed(rules, sym, done) if sym in rules else sym, k)
+            (_reversed(rules, sym, done) if sym in rules else done.get(sym, sym), k)
             for sym, k in reversed(rules[name])
         ))
     return done[name]
@@ -138,23 +153,20 @@ def eliminate_bit(v: str, side: str) -> GateExpr:
     program = Program(rules, [top])
     gens = {"c0": make_named("c0"), "f": make_word_swap("0" * n, v)}
     expr = peephole(program, gens)[0]
-    if evaluate_program(program, gens) != [make_word_swap("0" * (n - 1), reduced)]:
+    if not all(program_matches(program, gens, [make_word_swap("0" * (n - 1), reduced)])):
         raise AssertionError("elimination program failed verification")
     return expr
 
 
-def _core_program(rules: dict, u: str, v: str, keep: str) -> int:
-    """Rule over {c0, fuv} for the swap (0^m, core) around the 1.
+def _core_program(rules: dict, d: str, keep: str) -> int:
+    """Rule over {c0, f} for the swap (0^m, core) around the 1 of d.
 
-    keep selects which neighbourhood of the single difference bit
-    survives: '01', '10' or '010'.
+    f is the swap of 0^n and d.  keep selects which neighbourhood of the
+    single difference bit survives: '01', '10' or '010'.
     """
-    d = diff_set(u, v)
     n = len(d)
     i = d.index("1")
-    # conjugate (u, v) to (all zeros, d) by flipping the cells where u is 1
-    flips = tuple(("c0", j) for j, ch in enumerate(u) if ch == "1")
-    f = _rule(rules, *flips, ("fuv", 0), *flips)
+    f = "f"
     left_strips = i - (1 if keep in ("01", "010") else 0)
     right_strips = (n - 1 - i) - (1 if keep in ("10", "010") else 0)
     for _ in range(left_strips):
@@ -164,22 +176,65 @@ def _core_program(rules: dict, u: str, v: str, keep: str) -> int:
     return f
 
 
-def _nct_program(u: str, v: str) -> Program:
-    # straight-line program over {c0, fuv} with one start per TARGETS
-    # entry, for a pair differing in exactly one interior cell
+def _program_d(d: str) -> Program:
+    # straight-line program over {c0, f, f_rev} with one start per TARGETS
+    # entry, for a difference word d with a single interior 1; f_rev marks
+    # where f is read backwards, and as a generator it is f
     rules: dict = {}
     # f_{00,10} conjugated by a flip at cell 1 is the controlled flip
-    c1 = _rule(rules, ("c0", 1), (_core_program(rules, u, v, "10"), 0), ("c0", 1))
+    c1 = _rule(rules, ("c0", 1), (_core_program(rules, d, "10"), 0), ("c0", 1))
     # f_{00,01} conjugated by a flip at cell 0 sits one cell right of rc1
-    rc1_at_1 = _rule(rules, ("c0", 0), (_core_program(rules, u, v, "01"), 0), ("c0", 0))
+    rc1_at_1 = _rule(rules, ("c0", 0), (_core_program(rules, d, "01"), 0), ("c0", 0))
     rc1 = _rule(rules, (rc1_at_1, -1))
     # the classic three-gate identity: s = c1 . (rc1 one cell right) . c1
     s = _rule(rules, (c1, 0), (rc1_at_1, 0), (c1, 0))
     # conjugate f_{000,010} by (swap cells 0,1 then flips at 1, 2)
     wrap = _rule(rules, ("c0", 1), ("c0", 2), (s, 0))
-    core = _core_program(rules, u, v, "010")
-    c2 = _rule(rules, (wrap, 0), (core, 0), (_reversed(rules, wrap), 0))
+    core = _core_program(rules, d, "010")
+    c2 = _rule(rules, (wrap, 0), (core, 0), (_reversed(rules, wrap, {"f": "f_rev"}), 0))
     return Program(rules, (c1, rc1, s, c2))
+
+
+@functools.lru_cache(maxsize=4096)
+def _verified_program_d(d: str) -> tuple[Program, GroupElement]:
+    """P_d = _program_d(d) and its generator f, once P_d is verified.
+
+    Each of P_d's four values over {c0, f, f_rev = f} is compared
+    against its target gate.  Raises gates.ExpansionCapError, before any
+    table is gathered, when P_d expands past the cap; every pair program
+    over it is at least as long.  A failed check raises, so it is never
+    cached.
+    """
+    program = _program_d(d)
+    longest = max(program.lengths())
+    if longest > MAX_EXPANDED_ATOMS:
+        raise ExpansionCapError(longest, MAX_EXPANDED_ATOMS)
+    f = make_word_swap("0" * len(d), d)
+    gens = {"c0": make_named("c0"), "f": f, "f_rev": f}
+    targets = [make_named(target) for target in TARGETS.values()]
+    for name, ok in zip(TARGETS, program_matches(program, gens, targets)):
+        if not ok:
+            raise AssertionError(f"synthesized program for {name} failed verification")
+    return program, f
+
+
+def _conjugations(u: str) -> dict:
+    # the rules f and f_rev over {c0, fuv}: conjugate (u, v) to (all zeros,
+    # d) by flipping the cells where u is 1, and the same read backwards
+    flips = tuple(("c0", j) for j, ch in enumerate(u) if ch == "1")
+    f = (*flips, ("fuv", 0), *flips)
+    return {"f": f, "f_rev": f[::-1]}
+
+
+def _nct_program(u: str, v: str, program_d: Program | None = None) -> Program:
+    """The pair's program over {c0, fuv}: P_d with f and f_rev made rules.
+
+    Both rules are fuv conjugated by the flips of u, so the pair program
+    has P_d's values whenever both equal the swap of 0^n and d.
+    """
+    if program_d is None:
+        program_d = _program_d(diff_set(u, v))
+    return program_d.substitute(_conjugations(u))
 
 
 def synthesize_nct(u: str, v: str) -> dict[str, GateExpr]:
@@ -190,17 +245,19 @@ def synthesize_nct(u: str, v: str) -> dict[str, GateExpr]:
     universal, and gates.ExpansionCapError when a program would expand
     past gates.MAX_EXPANDED_ATOMS atoms.  Each program's straight-line
     form has been evaluated and matched against the canonical gate it
-    names; all four land at cell 0.
+    names; all four land at cell 0.  The part of that check which
+    depends only on u xor v is done once per difference word.
     """
     verdict = classify_swap(u, v, verify=False)
     if verdict.verdict is not SwapVerdict.UNIVERSAL:
         raise NotUniversalError(u, v, classify_swap(u, v))
-    program = _nct_program(u, v)
     gens = {"c0": make_named("c0"), "fuv": make_word_swap(u, v)}
-    flat = peephole(program, gens)  # raises before any table is gathered if too long
-    for name, value in zip(TARGETS, evaluate_program(program, gens)):
-        if value != make_named(TARGETS[name]):
-            raise AssertionError(f"synthesized program for {name} failed verification")
+    program_d, f = _verified_program_d(diff_set(u, v))
+    program = _nct_program(u, v, program_d)
+    flat = peephole(program, gens)  # raises before the pair's rules are evaluated if too long
+    conjugations = {name: program.rules[name] for name in ("f", "f_rev")}
+    if not all(program_matches(Program(conjugations, ("f", "f_rev")), gens, [f, f])):
+        raise AssertionError("conjugated pattern swap failed verification")
     return dict(zip(TARGETS, flat))
 
 

@@ -124,9 +124,9 @@ def criterion_6_necklace_parity():
 
 
 def criterion_7_word_swap_exhaustive():
-    """Swap classification, both directions, exhaustively to length 6."""
+    """Swap classification, both directions, exhaustively to length 7."""
     total = universal = 0
-    for n in range(1, 7):
+    for n in range(1, 8):
         for iu in range(1 << n):
             u = int_to_word(iu, n)
             for iv in range(1 << n):

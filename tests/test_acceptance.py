@@ -28,7 +28,10 @@ TIME_BUDGETS = {
 
 # criterion index -> its exact detail, so that a faster check cannot pass
 # by checking fewer cases
-PINNED_DETAILS = {5: "500 gates, 3388 projections"}
+PINNED_DETAILS = {
+    5: "500 gates, 3388 projections",
+    7: "21844 pairs, 1032 universal, 4 programs each",
+}
 
 # criterion index -> (passed, detail) of its parametrized run, so that the
 # determinism check needs only one fresh run to compare against

@@ -269,6 +269,58 @@ def test_classify_swap_matches_pattern_exhaustively():
                 assert (cls.verdict is A.SwapVerdict.UNIVERSAL) == expect_universal
 
 
+def direct_classification(u, v):
+    # the verdict with all three generators checked on every call
+    d = "".join("01"[a != b] for a, b in zip(u, v))
+    ones = [i for i, ch in enumerate(d) if ch == "1"]
+    swap = G.make_word_swap(u, v)
+    gates = [G.make_named("c0").inert, swap.inert, G.make_named("sigma").inert]
+    if not ones:
+        return A.SwapClass(A.SwapVerdict.TRIVIAL, "trivial group", None, swap.is_identity)
+    if ones == [len(d) - 1]:
+        return A.SwapClass(A.SwapVerdict.RIGHT_ONE_SIDED, "right-flow subgroup", None,
+                           all(A.in_GR(g) for g in gates))
+    if ones == [0]:
+        return A.SwapClass(A.SwapVerdict.LEFT_ONE_SIDED, "left-flow subgroup", None,
+                           all(A.in_GL(g) for g in gates))
+    if len(ones) == 1:
+        return A.SwapClass(A.SwapVerdict.UNIVERSAL)
+    return A.SwapClass(A.SwapVerdict.COSET_PRESERVING, "coset-preserving subgroup", d,
+                       all(A.in_GV(g, d) for g in gates))
+
+
+def test_verified_classification_equals_a_direct_check_of_every_gate():
+    pairs = [
+        (int_to_word(iu, n), int_to_word(iv, n))
+        for n in range(1, 7) for iu in range(1 << n) for iv in range(1 << n)
+    ]
+    assert len(pairs) == 5460
+    for u, v in pairs:
+        assert A.classify_swap(u, v, verify=True) == direct_classification(u, v), (u, v)
+
+
+@pytest.fixture
+def cold_membership_cache():
+    A._flip_and_shift_in.cache_clear()
+    yield
+    A._flip_and_shift_in.cache_clear()
+
+
+@pytest.mark.parametrize(
+    "predicate,u,v", [("in_GR", "00", "01"), ("in_GL", "00", "10"), ("in_GV", "00", "11")]
+)
+def test_a_flip_outside_the_subgroup_is_reported(monkeypatch, cold_membership_cache,
+                                                 predicate, u, v):
+    # the flip's membership, read once per subgroup, still decides verified
+    c0 = G.make_named("c0").inert
+    real = getattr(A, predicate)
+    monkeypatch.setattr(A, predicate, lambda g, *w: g is not c0 and real(g, *w))
+    assert A.classify_swap(u, v).verified is False
+    monkeypatch.undo()
+    A._flip_and_shift_in.cache_clear()
+    assert A.classify_swap(u, v).verified is True
+
+
 def test_classify_swap_length_mismatch():
     with pytest.raises(ValueError):
         A.classify_swap("01", "011")

@@ -250,8 +250,24 @@ def test_malformed_window_cap_is_a_usage_error(capsys, monkeypatch, argv, env, m
     ],
 )
 def test_oversized_swap_input_exits_2_quickly(argv, message):
+    out = run_limited(argv)
+    assert out.returncode == 2, out.stderr
+    assert message in out.stderr
+
+
+def test_parity_orbit_column_stays_within_memory():
+    # orbits are enumerated to RING_CAP only; past it the column reads None
+    out = run_limited(["--json", "parity", "--max-n", "26"])
+    assert out.returncode == 0, out.stderr
+    rows = json.loads(out.stdout)["rows"]
+    assert [r["n"] for r in rows if r["orbits"] is not None] == list(range(1, 21))
+    assert all(r["orbits"] == r["formula"] for r in rows[:20])
+    assert len(rows) == 26
+
+
+def run_limited(argv):
     # a fresh process under a 2 GiB address-space limit and a timeout, so
-    # that a regression fails this test instead of exhausting memory
+    # that a regression fails its test instead of exhausting memory
     script = (
         "import resource, sys; "
         "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30)); "
@@ -260,7 +276,5 @@ def test_oversized_swap_input_exits_2_quickly(argv, message):
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "OPENBLAS_NUM_THREADS": "1"}
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    out = subprocess.run([sys.executable, "-c", script, *argv], env=env,
-                         capture_output=True, text=True, timeout=20)
-    assert out.returncode == 2, out.stderr
-    assert message in out.stderr
+    return subprocess.run([sys.executable, "-c", script, *argv], env=env,
+                          capture_output=True, text=True, timeout=20)

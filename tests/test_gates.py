@@ -435,6 +435,58 @@ def test_program_evaluation_equals_its_flat_expansion():
     assert len(set(values)) == 3
 
 
+def test_matching_equals_comparing_the_evaluated_values():
+    gens = {**order_sensitive_generators(), "c0": G.make_named("c0")}
+    rules = {
+        "x": (("a", 0), ("b", 1), ("a", -1)),
+        "y": (("x", 2), ("b", 0), ("x", 0)),
+        "i": (("c0", 4), ("c0", 4)),  # the identity, from non-identity leaves
+    }
+    program = G.Program(rules, ["y", "x", "i"])
+    values = G.evaluate_program(program, gens)
+    x = values[1]
+    candidates = [
+        values,
+        [values[0], x.shift_conjugate(1), G.IDENTITY],  # x one cell right
+        [x, values[0], x],
+        [G.GroupElement(1, values[0].inert), G.compose(x, x), G.make_named("c0")],
+        [G.make_named("c0").shift_conjugate(9), G.make_named("c0"), G.make_named("sigma")],
+    ]
+    for expected in candidates:
+        assert G.program_matches(program, gens, expected) == [
+            value == e for value, e in zip(values, expected)
+        ]
+    assert G.program_matches(program, gens, values) == [True, True, True]
+    idle = G.Program({"x": (("i", 3),)}, ["x"])
+    assert G.program_matches(idle, {"i": G.IDENTITY}, [G.IDENTITY]) == [True]
+    assert G.program_matches(idle, {"i": G.IDENTITY}, [G.make_named("c0")]) == [False]
+    with pytest.raises(ValueError, match="2 expected values for 3 starts"):
+        G.program_matches(program, gens, values[:2])
+
+
+def test_substitution_equals_the_program_written_out():
+    gens = order_sensitive_generators()
+    rules = {
+        "x": (("a", 0), ("g", 1), ("a", -1)),
+        "y": (("x", 2), ("g", 0), ("x", 0), ("h", 2)),
+    }
+    defined = {"g": (("b", 0), ("a", 1)), "h": (("a", 0),)}
+    program = G.Program(rules, ["y", "x"]).substitute(defined)
+    direct = G.Program({**defined, **rules}, ["y", "x"])
+    assert {k: set(v) for k, v in program.cells.items()} == {
+        k: set(v) for k, v in direct.cells.items()
+    }
+    assert program.uses == direct.uses
+    assert program.lengths() == direct.lengths() == [11, 4]
+    assert [e.to_string() for e in program.expand()] == [e.to_string() for e in direct.expand()]
+    assert G.evaluate_program(program, gens) == G.evaluate_program(direct, gens)
+    # a rule may define only a generator, over generators
+    for bad in ({"x": (("a", 0),)}, {"g": (("x", 0),)}, {"g": (("h", 0),), "h": (("a", 0),)},
+                {"g": ()}):
+        with pytest.raises(ValueError, match="must define a generator"):
+            G.Program(rules, ["y"]).substitute(bad)
+
+
 def test_program_rejects_malformed_rules():
     with pytest.raises(ValueError, match="unknown start"):
         G.Program({"x": (("a", 0),)}, ["y"])

@@ -166,6 +166,44 @@ def test_step_evaluation_equals_flat_evaluation():
             assert step == G.make_named(S.TARGETS[name]), (u, v, name)
 
 
+def test_a_wrong_conjugation_is_refused_with_its_difference_word_cached(monkeypatch):
+    u, v = "0110", "0100"
+    S.synthesize_nct("0000", "0010")  # the same difference word, so P_d is cached
+    real = S._conjugations
+
+    def one_flip_dropped(u):
+        # flips of u with one 1 dropped conjugate fuv to another swap
+        return real(u.replace("1", "0", 1))
+
+    wrong = [one_flip_dropped, lambda u: {**real(u), "f_rev": one_flip_dropped(u)["f_rev"]}]
+    for conjugations in wrong:
+        hits = S._verified_program_d.cache_info().hits
+        monkeypatch.setattr(S, "_conjugations", conjugations)
+        with pytest.raises(AssertionError, match="conjugated pattern swap failed"):
+            S.synthesize_nct(u, v)
+        assert S._verified_program_d.cache_info().hits == hits + 1
+    monkeypatch.undo()
+    for name, expr in S.synthesize_nct(u, v).items():
+        assert evaluate(expr, u, v) == G.make_named(S.TARGETS[name])
+
+
+def test_a_wrong_strip_rule_is_refused_and_never_cached(monkeypatch):
+    u, v = "00100", "00000"
+    S._verified_program_d.cache_clear()
+    real = S._strip_right
+    # flip the cell left of the border instead of the border
+    monkeypatch.setattr(S, "_strip_right", lambda rules, f, n: real(rules, f, n - 1))
+    try:
+        for _ in range(2):
+            with pytest.raises(AssertionError, match="synthesized program for c1 failed"):
+                S.synthesize_nct(u, v)
+        monkeypatch.undo()
+        for name, expr in S.synthesize_nct(u, v).items():
+            assert evaluate(expr, u, v) == G.make_named(S.TARGETS[name])
+    finally:
+        S._verified_program_d.cache_clear()
+
+
 def test_program_lengths_are_exact_before_cancellation():
     for u, v in [("00100", "00000"), ("0101", "0111"), *sample_to_length_8()[::6]]:
         program = S._nct_program(u, v)
