@@ -7,13 +7,16 @@ the identity is grown level by level with numpy.  A level is a matrix
 of distinct table rows, ordered by a 64-bit content hash; one sorted
 hash index over all levels maps a table to its depth; a lookup sorts
 its keys first (growth hands them over sorted already), so that it
-walks the index once from left to right.  Duplicates are found by
-sorting candidates on the hash and comparing equal-hash rows in full,
-and every index hit is confirmed on the full table, so a hash can never
-merge two distinct states.  Hashing, row comparison, candidate
-gathering and probe construction each work through one block of rows at
-a time, so their temporaries stay in cache and do not grow with the
-level.
+walks the index once from left to right.  A new level's keys, sorted
+already, are merged into the index by one stable sort of the two
+sorted runs.  Duplicates are found by sorting candidates on the hash
+and comparing equal-hash rows in full, and every index hit is confirmed
+on the full table, so a hash can never merge two distinct states.
+Dedup, growth and lookups gather each row as one item, a np.void view
+of its bytes, and compare gathered rows as the widest unsigned words
+that tile them.  Hashing, row comparison, candidate gathering and probe
+construction each work through one block of rows at a time, so their
+temporaries stay in cache and do not grow with the level.
 
 Words are tuples of generator indices, first index applied last, as in
 GateExpr.  BFS returns the lexicographically least shortest word.
@@ -61,6 +64,8 @@ _FNV_PRIME = np.uint64(0x100000001B3)
 # L2 cache; much smaller blocks pay numpy's per-call cost once per
 # column of a wide row when hashing.
 _CHUNK = 1 << 18
+# numpy's array objects and small temporaries in growing any level (~10 KB)
+_OBJECT_BYTES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -120,13 +125,28 @@ def _hash_rows(rows: np.ndarray) -> np.ndarray:
     return h
 
 
+def _items(rows: np.ndarray) -> np.ndarray:
+    """Each row of a 2-D array as one np.void item (a view if the rows are C-contiguous)."""
+    rows = np.ascontiguousarray(rows)
+    return rows.view(np.dtype((np.void, rows.shape[1] * rows.itemsize))).reshape(-1)
+
+
+def _take_rows(rows: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """rows[index], each row gathered as one item."""
+    return np.take(_items(rows), index).view(rows.dtype).reshape(-1, rows.shape[1])
+
+
 def _equal_rows(a: np.ndarray, ia: np.ndarray, b: np.ndarray, ib: np.ndarray) -> np.ndarray:
-    """a[ia] == b[ib] row by row, gathered in chunks of _CHUNK entries."""
+    """a[ia] == b[ib] row by row, gathered as items in chunks of _CHUNK entries."""
     out = np.empty(ia.size, dtype=bool)
     step = max(1, _CHUNK // a.shape[1])
+    a, b = _items(a), _items(b)
+    # compared as the widest unsigned words that tile a row: np.void == is slower
+    width = next(k for k in (8, 4, 2, 1) if a.itemsize % k == 0)
     for lo in range(0, ia.size, step):
         hi = lo + step
-        out[lo:hi] = (a[ia[lo:hi]] == b[ib[lo:hi]]).all(axis=1)
+        eq = np.take(a, ia[lo:hi]).view(f"u{width}") == np.take(b, ib[lo:hi]).view(f"u{width}")
+        out[lo:hi] = eq.reshape(-1, a.itemsize // width).all(axis=1)
     return out
 
 
@@ -141,7 +161,8 @@ class _Ball:
     ``keys`` holds the top 32 bits of the hash of every stored state in
     ascending order and ``ids`` the state's number in storage order,
     level after level; ``starts`` maps a number back to its depth and
-    its position within its level.
+    its position within its level.  A level is merged in by one stable
+    sort; ``depth_of`` confirms every equal key on the full row.
     """
 
     def __init__(self):
@@ -159,14 +180,17 @@ class _Ball:
         """Store distinct new states, given in storage order with their hashes."""
         if self.states + rows.shape[0] > np.iinfo(np.uint32).max:
             raise OverflowError("the ball index numbers states in 32 bits")
-        keys = _index_keys(hashes)
-        at = np.searchsorted(self.keys, keys)
         numbers = np.arange(self.states, self.states + rows.shape[0], dtype=np.uint32)
-        self.keys = np.insert(self.keys, at, keys)
-        self.ids = np.insert(self.ids, at, numbers)
+        new_keys = _index_keys(hashes)
+        # both runs are sorted, so the stable sort merges them in one pass
+        keys = np.concatenate([self.keys, new_keys])
+        order = np.argsort(keys, kind="stable")
+        self.keys = keys[order]
+        del keys
+        self.ids = np.concatenate([self.ids, numbers])[order]
         self.levels.append(rows)
         self.starts.append(self.states + rows.shape[0])
-        self.nbytes += rows.nbytes + keys.nbytes + numbers.nbytes
+        self.nbytes += rows.nbytes + new_keys.nbytes + numbers.nbytes
 
     def depth_of(self, rows: np.ndarray, hashes: np.ndarray | None = None) -> np.ndarray:
         """Stored depth of each row, or -1 where the row is not stored."""
@@ -222,7 +246,7 @@ def _dedup_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         keep[lo:hi] = False
         keep[lo : lo + first.size] = True
     order = order[keep]
-    return rows[order], hashes[keep], order
+    return _take_rows(rows, order), hashes[keep], order
 
 
 class _Searcher:
@@ -277,22 +301,28 @@ class _Searcher:
         per_state = self.size * self.dtype.itemsize + 8
         budget = self.cfg.memory_budget
         for depth in range(len(self.ball.levels), depth_limit + 1):
-            n = self.ball.levels[-1].shape[0]
+            n = self.ball.levels[-1].shape[0] * len(self.gen_tables)
             # the candidates, the distinct and the fresh rows and their
             # index arrays peak below 3x the candidates' stored size; the
-            # skipped back edges only lower that peak
-            projected = self.ball.nbytes + 3 * n * len(self.gen_tables) * per_state
+            # skipped back edges only lower that peak.  Merging the index
+            # holds its sort order and the merged keys and ids, 16 bytes
+            # per state old or new, and a merge buffer of 8 per new state
+            projected = self.ball.nbytes + 16 * self.ball.states + 3 * n * (per_state + 8)
+            projected += _OBJECT_BYTES
             if projected > budget:
                 return {"level": depth, "projected_bytes": projected, "budget": budget}
             candidates, starts = self.candidates()
             rows, hashes, picked = _dedup_rows(candidates)
             del candidates
-            fresh = self.ball.depth_of(rows, hashes) < 0
-            if not fresh.any():
+            fresh = np.flatnonzero(self.ball.depth_of(rows, hashes) < 0)
+            if not fresh.size:
                 return None  # ball closed: the whole group is enumerated
-            self.ball.add_level(rows[fresh], hashes[fresh])
             via = np.searchsorted(starts, picked[fresh], side="right") - 1
             self.via = via.astype(self.via.dtype)
+            del picked, via
+            # only the fresh rows stay alive while the index is merged
+            rows, hashes = _take_rows(rows, fresh), hashes[fresh]
+            self.ball.add_level(rows, hashes)
         return None
 
     def candidates(self) -> tuple[np.ndarray, np.ndarray]:

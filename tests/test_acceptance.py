@@ -23,7 +23,7 @@ TIME_BUDGETS = {
     8: 10.0,
     9: 1.0,
     10: 5.0,
-    11: 30.0,
+    11: 5.0,
 }
 
 # criterion index -> its exact detail, so that a faster check cannot pass

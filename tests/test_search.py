@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import tracemalloc
 
@@ -116,28 +117,52 @@ def test_budget_exceeded_is_predictable():
     assert r.stats["level"] == len(r.stats["levels"])
 
 
+def s8_generators():
+    # the 8-cycle of the words of three cells and the swap of words 0 and 1
+    # generate S_8: 40,320 states in 36 levels, the last ones far smaller
+    # than the ball
+    cycle = G.canonicalize(0, 2, np.roll(np.arange(8), -1))
+    swap = G.canonicalize(0, 2, np.array([1, 0, 2, 3, 4, 5, 6, 7]))
+    return (G.GroupElement(0, cycle), G.GroupElement(0, swap))
+
+
+def projected_bytes(searcher, depth):
+    """The peak that the budget check projects for growing the next level."""
+    cfg = searcher.cfg
+    searcher.cfg = dataclasses.replace(cfg, memory_budget=0)
+    try:
+        return searcher.grow(depth)["projected_bytes"]
+    finally:
+        searcher.cfg = cfg
+
+
 def test_growth_peak_stays_within_the_projection():
-    # the budget check projects ball bytes + 3 x (candidates x bytes per
-    # state); the traced peak of growing each level must stay below it
-    for shifts, first, last in [((-1, 0, 1), 12, 18), ((-3, -2, -1, 0, 1, 2, 3), 3, 6)]:
-        e57 = G.make_eca(57)
-        gens = tuple(e57.shift_conjugate(k) for k in shifts)
+    # the traced peak of growing each level must stay below the projection
+    # that the budget check makes, also at the tail of a finite group, where
+    # rebuilding the index of every stored state outweighs the candidates
+    e57 = G.make_eca(57)
+    cases = [
+        (tuple(e57.shift_conjugate(k) for k in (-1, 0, 1)), 12, 18),
+        (tuple(e57.shift_conjugate(k) for k in (-3, -2, -1, 0, 1, 2, 3)), 3, 6),
+        (s8_generators(), 2, 36),
+    ]
+    for gens, first, last in cases:
         searcher = S._Searcher(S.SearchConfig(gens, G.make_named("c0"), last))
         searcher.grow(first - 1)
-        per_state = searcher.size * searcher.dtype.itemsize + 8
         tracemalloc.start()
         try:
             for depth in range(first, last + 1):
                 before = searcher.ball.nbytes
-                frontier = searcher.ball.levels[-1].shape[0]
-                projected = before + 3 * frontier * len(gens) * per_state
+                projected = projected_bytes(searcher, depth)
                 base = tracemalloc.get_traced_memory()[0]
                 tracemalloc.reset_peak()
                 assert searcher.grow(depth) is None
                 peak = before + tracemalloc.get_traced_memory()[1] - base
-                assert peak <= projected, (shifts, depth, peak, projected)
+                assert peak <= projected, (len(gens), depth, peak, projected)
         finally:
             tracemalloc.stop()
+    # the last case closed: all of S_8 is stored
+    assert searcher.ball.states == 40320 and len(searcher.ball.levels) == 36
 
 
 def test_rows_use_the_narrowest_dtype():
@@ -258,6 +283,64 @@ def test_dedup_does_not_depend_on_input_order(monkeypatch, collide):
         again, again_hashes, again_picked = S._dedup_rows(shuffled)
         assert np.array_equal(again, rows) and np.array_equal(again_hashes, hashes)
         assert np.array_equal(shuffled[again_picked], rows)
+
+
+ROW_SHAPES = {
+    "1-cell": (np.uint8, 2),
+    "2-cell": (np.uint8, 4),
+    "5-cell": (np.uint8, 32),
+    "9-cell": (np.uint16, 512),
+    "17-cell": (np.uint32, 1 << 17),
+}
+
+
+@pytest.mark.parametrize("layout", ["C", "Fortran", "strided"])
+@pytest.mark.parametrize("shape", ROW_SHAPES)
+def test_row_items_gather_and_compare_as_rows(shape, layout):
+    dtype, width = ROW_SHAPES[shape]
+    step = max(1, S._CHUNK // width)  # rows per chunk of _equal_rows
+    n = min(300, 2 * step + 3)
+    rng = np.random.default_rng(5)
+    a = rng.integers(0, np.iinfo(dtype).max, (n, 2 * width), dtype=dtype)
+    b = a.copy()
+    # every third row of b differs from a in one entry, at either end too
+    for i in range(0, n, 3):
+        b[i, rng.choice([0, width - 1, rng.integers(width)])] ^= 1
+    if layout == "strided":  # every other column: rows are no contiguous runs
+        a, b = a[:, ::2], b[:, ::2]
+    else:
+        a, b = a[:, :width], b[:, :width]
+        if layout == "Fortran":
+            a, b = np.asfortranarray(a), np.asfortranarray(b)
+    assert not (a.flags.c_contiguous and layout != "C")
+    m = 2 * step + 3  # pairs across chunk boundaries
+    ia = rng.integers(0, n, m)
+    ib = np.where(rng.random(m) < 0.7, ia, rng.integers(0, n, m))
+    taken = S._take_rows(a, ia)
+    assert taken.dtype == dtype and np.array_equal(taken, a[ia])
+    assert S._take_rows(a, ia[:0]).shape == (0, width)
+    want = (a[ia] == b[ib]).all(axis=1)
+    assert want.any() and not want.all()
+    assert np.array_equal(S._equal_rows(a, ia, b, ib), want)
+
+
+@pytest.mark.parametrize("collide", [False, *COLLIDING_MASKS])
+def test_index_is_a_stable_sort_of_every_level(monkeypatch, collide):
+    if collide:
+        colliding_hash(monkeypatch, COLLIDING_MASKS[collide])
+    searcher = S._Searcher(S.SearchConfig(flip_generators(), G.make_named("c0"), 12))
+    ball = searcher.ball
+    for depth in range(1, 13):
+        assert searcher.grow(depth) is None and len(ball.levels) == depth + 1
+        keys = np.concatenate([S._index_keys(S._hash_rows(level)) for level in ball.levels])
+        assert np.array_equal(ball.keys, np.sort(keys, kind="stable"))
+        assert np.array_equal(np.sort(ball.ids), np.arange(ball.states))
+        assert np.array_equal(keys[ball.ids], ball.keys)
+        stored = np.concatenate(ball.levels)
+        depths = np.repeat(np.arange(depth + 1), [level.shape[0] for level in ball.levels])
+        assert np.array_equal(ball.depth_of(stored), depths)
+    if collide:  # equal keys span levels
+        assert np.unique(keys).size < 5
 
 
 def test_probe_temporaries_stay_within_a_block():
