@@ -230,7 +230,7 @@ def _cmd_grammar(args) -> int:
         return 0
     # verify
     target = gates.make_named(grammar.STANDARD_TARGETS[args.start])
-    if args.ring:
+    if args.ring is not None:
         ok = grammar.verify_on_ring(args.start, target, args.ring)
         payload = {
             "command": "grammar-verify",
@@ -412,6 +412,7 @@ def main(argv=None) -> int:
     cap = args.window_cap
     if cap is None:
         cap = os.environ.get("GATECALC_WINDOW_CAP") or None
+    old_cap = gates.WINDOW_CAP
     try:
         if cap is not None:
             gates.WINDOW_CAP = _parse_cap(cap)
@@ -419,6 +420,8 @@ def main(argv=None) -> int:
     except (ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        gates.WINDOW_CAP = old_cap
 
 
 if __name__ == "__main__":

@@ -27,7 +27,14 @@ from typing import Sequence
 
 import numpy as np
 
-from .gates import GroupElement, InertGate, compose_many, substitute, table_cycles
+from .gates import (
+    GroupElement,
+    InertGate,
+    check_permutation,
+    compose_many,
+    substitute,
+    table_cycles,
+)
 
 # Rings above this need >1M-entry permutations; raise deliberately.
 RING_CAP = 20
@@ -51,10 +58,7 @@ class CyclicPerm:
         perm = np.asarray(perm, dtype=np.int64)
         if perm.shape != (1 << n,):
             raise ValueError(f"permutation must have {1 << n} entries")
-        if perm.min() < 0 or perm.max() >= 1 << n:
-            raise ValueError("not a permutation: entry out of range")
-        if np.bincount(perm, minlength=1 << n).max() != 1:
-            raise ValueError("not a permutation")
+        check_permutation(perm)
         perm.setflags(write=False)
         self.n = n
         self.perm = perm

@@ -527,6 +527,14 @@ def flip_difference(table: np.ndarray, p: int) -> np.ndarray:
     return (pairs[:, 0] ^ pairs[:, 1]).reshape(-1)
 
 
+def check_permutation(table: np.ndarray) -> None:
+    """Raise ValueError unless table is a permutation of range(len(table))."""
+    if table.size and (table.min() < 0 or table.max() >= table.size):
+        raise ValueError("not a permutation: entry out of range")
+    if np.bincount(table, minlength=table.size).max(initial=1) != 1:
+        raise ValueError("not a permutation: repeated value")
+
+
 def canonicalize(lo: int, hi: int, table: Iterable[int] | np.ndarray) -> InertGate:
     """Canonical gate for a permutation table on window [lo, hi].
 
@@ -543,10 +551,7 @@ def canonicalize(lo: int, hi: int, table: Iterable[int] | np.ndarray) -> InertGa
     size = 1 << width
     if table.shape != (size,):
         raise ValueError(f"table must have {size} entries for window [{lo}, {hi}]")
-    if table.size and (table.min() < 0 or table.max() >= size):
-        raise ValueError("not a permutation: entry out of range")
-    if np.bincount(table, minlength=size).max(initial=1) != 1:
-        raise ValueError("not a permutation: repeated value")
+    check_permutation(table)
 
     changed_mask = int(np.bitwise_or.reduce(table ^ np.arange(size), initial=0))
 

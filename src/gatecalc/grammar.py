@@ -10,23 +10,26 @@ reported by the verifier rather than assumed).
 Conventions, fixed empirically against the vendored golden strings and
 recorded here rather than guessed:
 
-* Rules whose right-hand side mentions other symbols are compositions,
-  rightmost factor applied first; expansion therefore emits composite
-  rules right to left.  The digit strings N2..N5 are already in
-  application order and are emitted as they stand.
+* The productions are straight-line rules over e57, the rule-57 update,
+  at cells 1..6, and each rule mentions only rules before it.  A
+  composite rule is written in function order, like gates.Program
+  rules: its rightmost factor acts first.  A pure digit rule (N2..N5)
+  is written in application order and is reversed into function order.
 * An expanded string is read chronologically (leftmost gate applied
   first).  Since every digit denotes an involution, reading it in
   reverse denotes the inverse, which for these involution targets is
   the same element; the verifier checks both readings and reports.
+  The reversed reading is the grammar with every right-hand side
+  reversed.
 
 The golden strings live in data/programs/ as plain text with pinned
 checksums; they are test data, the productions below are the single
 source of truth.
 
-Ring checks are evaluated along the grammar: each nonterminal's ring
-permutation is composed once from the permutations of its factors, in
-the order expansion emits them, so by associativity the result is the
-permutation of the expanded string.
+Expansion, the tape check, the ring check and the repeat report all
+read one gates.Program per start symbol, built once from the
+productions; a rule shared by several factors is expanded or composed
+once.
 """
 
 from __future__ import annotations
@@ -36,15 +39,15 @@ import json
 from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
+from typing import Mapping
 
 import numpy as np
 
 from .cyclic import CyclicPerm, project_formula
 from .gates import (
-    GateExpr,
     GroupElement,
     Program,
-    evaluate_expr,
+    evaluate_program,
     make_eca,
     make_named,
     shift_conjugate,
@@ -53,19 +56,23 @@ from .gates import (
 from .gates import compose_many  # noqa: F401
 
 # Right-hand sides: uppercase tokens are nonterminals, digits terminals.
-# Composite rules are written as compositions (rightmost acts first).
+# Composite rules are written in function order (rightmost acts first),
+# digit rules in application order.  Each rule mentions only rules
+# before it, in the order a depth-first walk from T3 and then D3
+# finishes them: a ring check then holds fewer permutations at once
+# than with the digit rules first.
 PRODUCTIONS: dict[str, tuple[str, ...]] = {
-    "T3": ("S3", "N3", "E4", "N3", "S3"),
-    "S3": ("C3", "D4", "C3"),
-    "C3": ("E3", "N2", "E3", "N2"),
-    "D3": ("N2", "E3", "N4", "E3", "N2", "N4"),
-    "D4": ("N3", "E4", "N5", "E4", "N3", "N5"),
-    "E3": ("N3", "3"),
-    "E4": ("N4", "4"),
-    "N2": tuple("12312321212132121212323121321232323231232321213232"),
     "N3": tuple("23423432323243232323434232432343434342343432324343"),
+    "E3": ("N3", "3"),
+    "N2": tuple("12312321212132121212323121321232323231232321213232"),
+    "C3": ("E3", "N2", "E3", "N2"),
     "N4": tuple("34534543434354343434545343543454545453454543435454"),
+    "E4": ("N4", "4"),
     "N5": tuple("45645654545465454545656454654565656564565654546565"),
+    "D4": ("N3", "E4", "N5", "E4", "N3", "N5"),
+    "S3": ("C3", "D4", "C3"),
+    "T3": ("S3", "N3", "E4", "N3", "S3"),
+    "D3": ("N2", "E3", "N4", "E3", "N2", "N4"),
 }
 
 START_SYMBOLS = ("N3", "C3", "T3", "D3", "S3")
@@ -76,53 +83,44 @@ STANDARD_TARGETS = {"N3": "c0", "C3": "c1", "T3": "c2", "D3": "rc1", "S3": "swap
 # cells where shifted copies of the target are sought
 ANCHOR_RANGE = range(0, 9)
 
-
-def validate_acyclic() -> list[str]:
-    """Topological order of the nonterminals; raises on a cycle."""
-    order: list[str] = []
-    state: dict[str, int] = {}
-
-    def visit(symbol: str):
-        if symbol not in PRODUCTIONS:
-            if symbol not in "123456":
-                raise ValueError(f"unknown symbol {symbol!r}")
-            return
-        if state.get(symbol) == 1:
-            raise ValueError(f"grammar is cyclic at {symbol}")
-        if state.get(symbol) == 2:
-            return
-        state[symbol] = 1
-        for child in PRODUCTIONS[symbol]:
-            visit(child)
-        state[symbol] = 2
-        order.append(symbol)
-
-    for symbol in PRODUCTIONS:
-        visit(symbol)
-    return order
+DIGITS = frozenset("123456")
 
 
-# nonterminals, each after every symbol on its right-hand side
-TOPOLOGICAL_ORDER = tuple(validate_acyclic())
+def build_programs(productions: Mapping[str, tuple[str, ...]]) -> dict[str, Program]:
+    """Each nonterminal as the start of a straight-line program over e57.
+
+    The rules are the productions in function order: digit i becomes
+    ("e57", i), a nonterminal (symbol, 0), and a pure digit rule is
+    reversed.  Raises ValueError on a token that is neither a digit nor a
+    nonterminal, and (from Program) on a rule that mentions itself or a
+    rule after it, which rules out cycles.
+    """
+    rules = {}
+    for symbol, rhs in productions.items():
+        for token in rhs:
+            if token not in DIGITS and token not in productions:
+                raise ValueError(f"unknown symbol {token!r} in rule {symbol!r}")
+        factors = tuple((t, 0) if t in productions else ("e57", int(t)) for t in rhs)
+        rules[symbol] = factors[::-1] if DIGITS.issuperset(rhs) else factors
+    return {symbol: Program(rules, [symbol]) for symbol in rules}
 
 
-def _factors(symbol: str) -> tuple[str, ...]:
-    # right-hand side in the order expansion emits it: pure digit rules
-    # as written, composite rules right to left (see the module docstring)
-    rhs = PRODUCTIONS[symbol]
-    return rhs if all(token in "123456" for token in rhs) else rhs[::-1]
+_PROGRAMS = build_programs(PRODUCTIONS)
+# the reversed reading: every factor tuple reversed, all the way down
+_REVERSED = build_programs({symbol: rhs[::-1] for symbol, rhs in PRODUCTIONS.items()})
+
+
+def _program(start: str) -> Program:
+    if start not in _PROGRAMS:
+        raise ValueError(f"unknown start symbol {start!r}")
+    return _PROGRAMS[start]
 
 
 @lru_cache(maxsize=None)
 def expand(start: str) -> str:
-    """The unique terminal string derived from a nonterminal.
-
-    Pure digit rules are emitted verbatim; composite rules right to
-    left (see the module docstring for why).
-    """
-    if start not in PRODUCTIONS:
-        raise ValueError(f"unknown start symbol {start!r}")
-    return "".join(t if t in "123456" else expand(t) for t in _factors(start))
+    """The unique terminal string derived from a nonterminal, in application order."""
+    atoms = _program(start).expand()[0].atoms
+    return "".join(str(k) for _, k in reversed(atoms))
 
 
 # -- golden data ----------------------------------------------------------
@@ -162,7 +160,7 @@ class SemanticsReport:
 
 
 def verify_semantics(start: str, target: GroupElement) -> SemanticsReport:
-    """Evaluate the expansion on the tape and locate the target.
+    """Evaluate the program on the tape, along its rules, and locate the target.
 
     The composed gate is compared against every shifted copy of the
     target within the anchor range; the matching cell is measured, not
@@ -170,15 +168,10 @@ def verify_semantics(start: str, target: GroupElement) -> SemanticsReport:
     programs they denote the same element, and the report records that
     this actually held.
     """
-    expr = GateExpr.from_letters(expand(start), {d: ("e57", int(d)) for d in "123456"})
     generators = {"e57": make_eca(57)}
-    chrono = evaluate_expr(expr, generators, leftmost_first=True)
-    reverse = evaluate_expr(expr, generators)
-    anchor = None
-    for cell in ANCHOR_RANGE:
-        if chrono == shift_conjugate(target, cell):
-            anchor = cell
-            break
+    chrono = evaluate_program(_program(start), generators)[0]
+    reverse = evaluate_program(_REVERSED[start], generators)[0]
+    anchor = next((c for c in ANCHOR_RANGE if chrono == shift_conjugate(target, c)), None)
     return SemanticsReport(
         start=start,
         target=STANDARD_TARGETS.get(start, "?"),
@@ -205,45 +198,24 @@ def verify_on_ring(start: str, target: GroupElement, n: int, anchor: int | None 
     """Does the program still implement the target on a ring of n cells?
 
     Terminals become ring permutations of the rule-57 update at their
-    cells.  The program is evaluated along the grammar: each nonterminal
-    reachable from start is composed once, from its factors in expansion
-    order (leftmost acts first), which by associativity is the
-    permutation of the expanded string.  It is compared with the
-    projected target at the anchor (measured on the tape when not
-    supplied).
+    cells, composed along the rules (see _ring_program).  The result is
+    compared with the projected target at the anchor (measured on the
+    tape when not supplied).
     """
-    if start not in PRODUCTIONS:
-        raise ValueError(f"unknown start symbol {start!r}")
+    program = _program(start)
     if n < 4:
         raise ValueError("ring verification needs n >= 4")
     if anchor is None:
         anchor = measure_anchor()
-    program = _ring_program(start, n)
-    expected = project_formula(shift_conjugate(target, anchor), n)
-    return CyclicPerm(n, program) == expected
+    perm = _ring_program(program, n)
+    return CyclicPerm(n, perm) == project_formula(shift_conjugate(target, anchor), n)
 
 
-def _programs() -> dict[str, Program]:
-    # the grammar as straight-line programs over e57 at cells 1..6, one
-    # per nonterminal; factors are in function order (the first acts
-    # last), so each expands to expand(symbol) read backwards
-    rules = {
-        symbol: tuple(
-            ("e57", int(t)) if t in "123456" else (t, 0) for t in reversed(_factors(symbol))
-        )
-        for symbol in TOPOLOGICAL_ORDER
-    }
-    return {symbol: Program(rules, [symbol]) for symbol in rules}
-
-
-_PROGRAMS = _programs()
-
-
-def _ring_program(start: str, n: int) -> np.ndarray:
-    # ring permutation of expand(start), each reachable nonterminal
+def _ring_program(program: Program, n: int) -> np.ndarray:
+    # ring permutation of the program's start, each reachable (rule, cell)
     # composed once and freed after its last use (see gates.Program.tables)
     e57 = make_eca(57)
-    return _PROGRAMS[start].tables(lambda _, k: project_formula(shift_conjugate(e57, k), n).perm)[0]
+    return program.tables(lambda _, k: project_formula(shift_conjugate(e57, k), n).perm)[0]
 
 
 def adjacent_repeat_report(start: str) -> dict:
@@ -255,7 +227,7 @@ def adjacent_repeat_report(start: str) -> dict:
     string = expand(start)
     direct = sum(1 for i in range(len(string) - 1) if string[i] == string[i + 1])
     # every digit is an involution, so every adjacent pair may cancel
-    left = len(_PROGRAMS[start].expand(lambda _: True)[0])
+    left = len(_program(start).expand(lambda _: True)[0])
     return {
         "start": start,
         "length": len(string),

@@ -9,13 +9,6 @@ import pytest
 from gatecalc import cli, gates
 
 
-@pytest.fixture(autouse=True)
-def _restore_window_cap():
-    cap = gates.WINDOW_CAP
-    yield
-    gates.WINDOW_CAP = cap
-
-
 def run(capsys, *argv):
     code = cli.main(list(argv))
     out, err = capsys.readouterr()
@@ -122,6 +115,14 @@ def test_grammar_verify_ring(capsys):
     assert "pass" in out
 
 
+@pytest.mark.parametrize("ring", ["0", "3"])
+def test_grammar_verify_on_too_small_a_ring_is_a_usage_error(capsys, ring):
+    code, out, err = run(capsys, "grammar", "verify", "--start", "N3", "--ring", ring)
+    assert code == 2
+    assert out == ""
+    assert "n >= 4" in err
+
+
 def test_search_small(capsys):
     code, out, _ = run(
         capsys,
@@ -212,6 +213,21 @@ def test_window_cap_flag(capsys):
     )
     assert code == 2
     assert "window cap exceeded" in err
+
+
+@pytest.mark.parametrize("from_env", [False, True])
+def test_window_cap_lasts_only_for_its_command(capsys, monkeypatch, from_env):
+    if from_env:
+        monkeypatch.setenv("GATECALC_WINDOW_CAP", "5")
+        argv = ["gate", "--expr", "c0 c0@6"]
+    else:
+        argv = ["--window-cap", "5", "gate", "--expr", "c0 c0@6"]
+    cap = gates.WINDOW_CAP
+    code, _, err = run(capsys, *argv)
+    assert code == 2 and "window cap exceeded" in err
+    assert gates.WINDOW_CAP == cap
+    monkeypatch.delenv("GATECALC_WINDOW_CAP", raising=False)
+    assert not gates.make_word_swap("0" * 6, "1" * 6).is_identity
 
 
 def test_ring_size_is_bounded_by_the_ring_cap_not_the_window_cap(capsys):
