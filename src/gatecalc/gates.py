@@ -32,7 +32,7 @@ import itertools
 import math
 import re
 from dataclasses import dataclass
-from typing import Callable, Hashable, Iterable, Mapping
+from typing import Callable, Hashable, Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -42,7 +42,8 @@ from .bitcore import check_word
 # checks the projected hull against this before allocating anything.
 WINDOW_CAP = 24
 
-# Words of embedded gate tables one product evaluation may keep (8 MiB).
+# Words of embedded gate tables one product of gates may keep at once
+# (8 MiB); a product past it is composed in segments (InertGate.compose).
 _EMBED_BUDGET = 1 << 20
 
 # Longest flat expression Program.expand builds: 2^20 atoms, some 100 MB
@@ -164,11 +165,45 @@ class InertGate:
     # -- group structure ------------------------------------------------
 
     def compose(self, *others: "InertGate") -> "InertGate":
-        """self after others, the last applied first; see compose_many."""
-        gates = [*reversed(others), self]
-        # interned by identity, which needs no table compare; equal gates
-        # built apart just become two parts
-        return _product(gates, _intern(map(id, gates))[0])
+        """self after others, the last applied first: every product of gates.
+
+        The product is a Program of one rule over the distinct gates.  If
+        their hull is wider than WINDOW_CAP, or their tables on it would
+        take more than _EMBED_BUDGET words (two are always allowed), it is
+        composed in segments, each starting from the canonical product so
+        far; WindowCapError is raised only if that product is too wide with
+        the next gate, which is exactly when composing two at a time would.
+        """
+        gates = (self, *others)
+        # one rule over (id(gate), 0): interned by identity, which needs no
+        # table compare (equal gates built apart just become two parts)
+        program = Program._one_rule(tuple(zip(map(id, gates), itertools.repeat(0))))
+        leaves = {factor: gates[i] for factor, i in program._interned[None][0].items()}
+        if (id(_IDENTITY_GATE), 0) in leaves:
+            # the identity changes nothing, and a product of one gate is that gate
+            gates = [g for g in gates if g is not _IDENTITY_GATE]
+            if len(gates) <= 1:
+                return gates[0] if gates else _IDENTITY_GATE
+            return InertGate.compose(*gates)
+        hull = _hull(leaves.values())
+        if hull is None:
+            return _IDENTITY_GATE
+        lo, hi = hull
+        if hi - lo < WINDOW_CAP and (len(leaves) <= 2 or len(leaves) << (hi - lo + 1) <= _EMBED_BUDGET):
+            return canonicalize(lo, hi, _embedded_tables(program, leaves, lo, hi)[0])
+        segment: list = []  # the product so far, then each gate since, in application order
+        for g in reversed(gates):
+            if g.is_identity:
+                continue
+            lo, hi = (min(lo, g.lo), max(hi, g.hi)) if segment else (g.lo, g.hi)
+            tables = len(segment) + 1  # at least as many as the distinct ones
+            if segment and (hi - lo >= WINDOW_CAP or tables > 2 and tables << (hi - lo + 1) > _EMBED_BUDGET):
+                segment = [InertGate.compose(*reversed(segment))]  # within both limits
+                lo, hi = _hull(segment + [g])
+                if hi - lo >= WINDOW_CAP:
+                    raise WindowCapError(hi - lo + 1, WINDOW_CAP)
+            segment.append(g)
+        return InertGate.compose(*reversed(segment))
 
     def inverse(self) -> "InertGate":
         if self.is_identity:
@@ -251,15 +286,18 @@ def substitute(words: np.ndarray, g: InertGate, hi: int) -> np.ndarray:
     if g.is_identity:
         return words
     s = hi - g.hi
-    mask = (1 << g.width) - 1
+    mask = (1 << (g.hi - g.lo + 1)) - 1
     return (words & ~(mask << s)) | (g.table[(words >> s) & mask] << s)
 
 
 def embed(g: InertGate, lo: int, hi: int) -> np.ndarray:
-    """Table of g on [lo, hi], which must contain its window and fit the cap."""
+    """Table of g on [lo, hi], which must contain its window and fit the cap
+    (g's own read-only table when [lo, hi] is its window)."""
     width = hi - lo + 1
     if width > WINDOW_CAP:
         raise WindowCapError(width, WINDOW_CAP)
+    if g.lo == lo and g.hi == hi and width:
+        return g.table
     return substitute(np.arange(1 << width, dtype=np.int64), g, hi)
 
 
@@ -270,61 +308,6 @@ def _intern(items: Iterable) -> tuple[list[int], dict]:
     return list(map(first.setdefault, items, itertools.count())), first
 
 
-def _product(parts: list[InertGate], seq: list[int]) -> InertGate:
-    # parts[i] for i in seq, in application order: each distinct part is
-    # embedded once in the hull of all parts (substituted in place past
-    # the budget), the words are gathered through them and canonicalized
-    # once.  If the hull is too wide, the product so far is canonicalized
-    # before each part that would widen it past the cap, and WindowCapError
-    # raised only if that prefix is still too wide with the part
-    distinct = dict.fromkeys(seq)  # first-use order
-    used = [i for i in distinct if not parts[i].is_identity]
-    if len(used) < len(distinct):
-        live = set(used)
-        seq = [i for i in seq if i in live]
-    if len(seq) <= 1:
-        return parts[seq[0]] if seq else _IDENTITY_GATE
-    lo = min(parts[i].lo for i in used)
-    hi = max(parts[i].hi for i in used)
-    if hi - lo + 1 > WINDOW_CAP:
-        parts = [*parts, _IDENTITY_GATE]  # last slot: the prefix
-        start, lo, hi = 0, parts[seq[0]].lo, parts[seq[0]].hi
-        for end, i in enumerate(seq):
-            g = parts[i]
-            if max(hi, g.hi) - min(lo, g.lo) + 1 > WINDOW_CAP:
-                prefix = parts[-1] = _product(parts, [-1, *seq[start:end]])
-                start, lo, hi = end, g.lo, g.hi
-                if not prefix.is_identity:
-                    lo, hi = min(prefix.lo, lo), max(prefix.hi, hi)
-                    if hi - lo + 1 > WINDOW_CAP:
-                        raise WindowCapError(hi - lo + 1, WINDOW_CAP)
-            lo, hi = min(lo, g.lo), max(hi, g.hi)
-        return _product(parts, [-1, *seq[start:]])
-    words = embed(_IDENTITY_GATE, lo, hi)
-    tables: list[np.ndarray | None] = [None] * len(parts)
-    for i in used[: _EMBED_BUDGET // words.size]:
-        tables[i] = embed(parts[i], lo, hi)
-    for i in seq:
-        table = tables[i]
-        words = substitute(words, parts[i], hi) if table is None else table[words]
-    return canonicalize(lo, hi, words)
-
-
-def _compose_indexed(elements: dict[int, "GroupElement"], seq: list[int]) -> "GroupElement":
-    # elements[i] for i in seq, in application order; if any element
-    # shifts, each inert part is translated by the shift applied before it,
-    # as in GroupElement.compose, once per distinct (element, running shift)
-    shift, parts = 0, {i: e.inert for i, e in elements.items()}
-    if any(e.shift for e in elements.values()):
-        shifts = list(itertools.accumulate((elements[i].shift for i in seq), initial=0))
-        seq, first = _intern(zip(seq, shifts))
-        parts = {j: elements[i].inert.shift_by(k) for (i, k), j in first.items()}
-        shift = shifts[-1]
-    # every product enters the kernel through InertGate.compose, the one
-    # entry point a profiler or tracer needs to wrap
-    return GroupElement(shift, _IDENTITY_GATE.compose(*map(parts.__getitem__, reversed(seq))))
-
-
 class Program:
     """A straight-line program over named generators, read from its start rules.
 
@@ -332,67 +315,104 @@ class Program:
     GateExpr atoms: the first factor acts last.  A symbol that names a rule
     stands for that rule moved k cells to the right; any other symbol is a
     generator at cell k.  A rule may mention only rules before it, so every
-    (rule, cell) that the starts reach can be computed once, in order, and
-    the expanded lengths are exact without expanding.  Starts may share
-    rules, and then share their computation too.
+    (rule, cell) that the starts reach can be computed once and the
+    expanded lengths are exact without expanding.  Starts may share rules,
+    and then share their computation too.  A flat product is a program of
+    one rule.  order lists the rules the starts reach in depth-first
+    finishing order (children in factor order), which the listed order of
+    the rules cannot change.
     """
 
     def __init__(self, rules: Mapping[Hashable, tuple[tuple[Hashable, int], ...]], starts: Iterable[Hashable]):
         self.rules = rules = dict(rules)  # a copy, which callers cannot change
-        self.starts = tuple(starts)
-        position = {name: i for i, name in enumerate(rules)}
+        self.starts = starts = tuple(starts)
         # the cells each reachable rule is read at, and the reads of every
         # (symbol, cell) when each (rule, cell) is computed once, plus one
         # final read per start
-        self.cells: dict = {}
-        self.uses: dict = {}
-        for start in self.starts:
+        self.cells = cells = {}
+        self.uses = uses = {}
+        for start in starts:
             if start not in rules:
                 raise ValueError(f"unknown start rule {start!r}")
-            self.cells[start] = {0: None}
-            self.uses[start, 0] = self.uses.get((start, 0), 0) + 1
-        for name in reversed(rules):  # parents before children
-            if name not in self.cells:
-                continue
-            factors = rules[name]
-            if not factors:
-                raise ValueError(f"rule {name!r} is empty")
-            if max(position.get(sym, -1) for sym, _ in factors) >= position[name]:
-                raise ValueError(f"rule {name!r} mentions itself or a rule after it")
-            for k in self.cells[name]:
-                for sym, dk in factors:
-                    key = (sym, k + dk)
-                    self.uses[key] = self.uses.get(key, 0) + 1
-                    if sym in position:
-                        self.cells.setdefault(sym, {})[k + dk] = None
+            cells[start] = {0: None}
+            uses[start, 0] = uses.get((start, 0), 0) + 1
+        # each reachable rule's distinct factors, numbered by their first
+        # position, and the factor numbers in application order
+        self._interned = interned = {}
+        self.order = order = []
+        position = {name: i for i, name in enumerate(rules)}
+        stack = [(None, iter(starts))]  # a root, whose children are the starts
+        while stack:
+            for child in stack[-1][1]:
+                if child not in interned:
+                    stack.append((child, self._intern_rule(child, position)))
+                    break
+            else:
+                order.append(stack.pop()[0])
+        order.pop()  # the root
+        for name in reversed(order):  # parents before children
+            self._count_reads(name)
+
+    @classmethod
+    def _one_rule(cls, factors: tuple[tuple[Hashable, int], ...]) -> "Program":
+        # Program({None: factors}, [None]) for factors over generators only,
+        # built without the walk, since its one rule is read once, at cell
+        # 0, and reads each of its distinct factors once
+        seq, first = _intern(factors)
+        program = cls.__new__(cls)
+        program.rules, program.starts, program.order = {None: factors}, (None,), [None]
+        program._interned = {None: (first, seq[::-1])}
+        program.cells = {None: {0: None}}
+        program.uses = {(None, 0): 1, **dict.fromkeys(first, 1)}
+        return program
+
+    def _intern_rule(self, name: Hashable, position: Mapping) -> Iterator:
+        # interns the rule's factors once; returns the rules it mentions
+        if not self.rules[name]:
+            raise ValueError(f"rule {name!r} is empty")
+        seq, first = _intern(self.rules[name])
+        children = [sym for sym, _ in first if sym in position]
+        if children and max(map(position.__getitem__, children)) >= position[name]:
+            raise ValueError(f"rule {name!r} mentions itself or a rule after it")
+        self._interned[name] = first, seq[::-1]
+        return iter(children)
+
+    def _count_reads(self, name: Hashable) -> None:
+        uses, cells = self.uses, self.cells
+        for k in cells[name]:
+            for sym, dk in self._interned[name][0]:
+                key = (sym, k + dk)
+                uses[key] = uses.get(key, 0) + 1
+                if sym in self._interned:
+                    cells.setdefault(sym, {})[k + dk] = None
 
     def substitute(self, rules: Mapping[Hashable, tuple[tuple[Hashable, int], ...]]) -> "Program":
         """The same program with some generators defined as rules over others.
 
         Each use of such a generator becomes a use of its rule, so both
         programs have the same values wherever each rule equals the
-        generator it defines.  The new rules go first and mention only
-        generators; the walk over the rules already here is reused.
+        generator it defines.  The new rules mention only generators and
+        are computed first; the walk over the rules already here is reused.
         """
         program = copy.copy(self)
         program.rules = {**rules, **self.rules}
+        program._interned = dict(self._interned)
         program.cells = dict(self.cells)
         program.uses = dict(self.uses)
         for name, factors in rules.items():
             if name in self.rules or not factors or any(sym in program.rules for sym, _ in factors):
                 raise ValueError(f"rule {name!r} must define a generator over generators")
-            cells = program.cells[name] = {k: None for sym, k in self.uses if sym == name}
-            for k in cells:
-                for sym, dk in factors:
-                    program.uses[sym, k + dk] = program.uses.get((sym, k + dk), 0) + 1
+            program._intern_rule(name, {})
+            program.cells[name] = {k: None for sym, k in self.uses if sym == name}
+            program._count_reads(name)
+        program.order = [name for name in rules if program.cells[name]] + self.order
         return program
 
     def lengths(self) -> list[int]:
         """The exact length of each start's expansion."""
         lengths: dict = {}
-        for name, factors in self.rules.items():
-            if name in self.cells:
-                lengths[name] = sum(lengths.get(sym, 1) for sym, _ in factors)
+        for name in self.order:
+            lengths[name] = sum(lengths.get(sym, 1) for sym, _ in self.rules[name])
         return [lengths[start] for start in self.starts]
 
     def expand(self, cancels: Callable[[Hashable], bool] | None = None) -> list["GateExpr"]:
@@ -412,11 +432,9 @@ class Program:
             raise ExpansionCapError(longest, MAX_EXPANDED_ATOMS)
         allowed: dict = {}
         flat: dict = {}
-        for name, factors in self.rules.items():
-            if name not in self.cells:
-                continue
+        for name in self.order:
             atoms: list = []
-            for sym, k in factors:
+            for sym, k in self.rules[name]:
                 sub = flat.get(sym)
                 part = [(sym, k)] if sub is None else [(n, j + k) for n, j in sub] if k else sub
                 i = 0  # pairs cancelled where part meets atoms
@@ -436,32 +454,48 @@ class Program:
         """Each start's table, from leaf(generator, cell) tables composed by gather.
 
         t[acc] applies t after acc.  Each reachable (rule, cell) is gathered
-        once from its factors, which by associativity gives the table of its
-        expansion.  A leaf table is made at its first use, and every table is
-        freed after its last use, so the live tables are bounded by the width
-        of the program, not by its length.
+        once from its factors, in order, which by associativity gives the
+        table of its expansion; each distinct factor is looked up once per
+        gather.  A leaf table is made at its first use, and every table is
+        freed after the gather that uses it last, so the live tables are
+        bounded by the width of the program, not by its length.
         """
         uses = dict(self.uses)
         memo: dict = {}
-        for name, factors in self.rules.items():
-            for k in self.cells.get(name, ()):
-                acc = None
-                for sym, dk in reversed(factors):  # application order
+        for name in self.order:
+            first, order = self._interned[name]
+            for k in self.cells[name]:
+                local = [None] * len(self.rules[name])
+                for (sym, dk), i in first.items():
                     key = (sym, k + dk)
-                    t = memo.get(key)
-                    if t is None:
-                        t = memo[key] = leaf(*key)
-                    acc = t if acc is None else t[acc]
+                    t = local[i] = memo.pop(key) if key in memo else leaf(sym, k + dk)
                     uses[key] -= 1
-                    if not uses[key]:
-                        del memo[key]
+                    if uses[key]:
+                        memo[key] = t
+                factors = iter(order)
+                acc = local[next(factors)]
+                for i in factors:
+                    acc = local[i][acc]
                 memo[name, k] = acc
         return [memo[start, 0] for start in self.starts]
 
 
+def _hull(gates: Iterable[InertGate]) -> tuple[int, int] | None:
+    # the window hull of the gates that are not the identity
+    used = [g for g in gates if not g.is_identity]
+    return (min(g.lo for g in used), max(g.hi for g in used)) if used else None
+
+
+def _embedded_tables(program: Program, leaves: Mapping[tuple[Hashable, int], InertGate], lo: int, hi: int):
+    # each start's table on [lo, hi], which holds every leaf gate: each
+    # leaf is embedded once and the tables are gathered along the rules
+    return program.tables(lambda *leaf: embed(leaves[leaf], lo, hi))
+
+
 def _program_tables(program: Program, generators: Mapping[str, GroupElement]):
-    # (lo, hi, each start's table on [lo, hi]), [lo, hi] the hull of all
-    # non-identity leaves, or None when every leaf is the identity
+    # (lo, hi, each start's table on [lo, hi]), [lo, hi] the hull of the
+    # (generator, cell) leaves, or None when all are the identity; raises
+    # WindowCapError when the hull is too wide
     leaves = {}
     for sym, k in program.uses:
         if sym in program.rules:
@@ -471,14 +505,13 @@ def _program_tables(program: Program, generators: Mapping[str, GroupElement]):
         if generators[sym].shift:
             raise ValueError(f"generator {sym!r} is not inert")
         leaves[sym, k] = generators[sym].inert.shift_by(k)
-    used = [g for g in leaves.values() if not g.is_identity]
-    if not used:
+    hull = _hull(leaves.values())
+    if hull is None:
         return None
-    lo = min(g.lo for g in used)
-    hi = max(g.hi for g in used)
+    lo, hi = hull
     if hi - lo + 1 > WINDOW_CAP:
         raise WindowCapError(hi - lo + 1, WINDOW_CAP)
-    return lo, hi, program.tables(lambda *leaf: embed(leaves[leaf], lo, hi))
+    return lo, hi, _embedded_tables(program, leaves, lo, hi)
 
 
 def evaluate_program(program: Program, generators: Mapping[str, GroupElement]) -> list[GroupElement]:
@@ -647,16 +680,31 @@ def compose(f: GroupElement, g: GroupElement) -> GroupElement:
 def compose_many(gates: Iterable[GroupElement]) -> GroupElement:
     """Compose a sequence, first element applied last (function order).
 
-    The product is compiled once: each distinct element becomes one part
-    (one per running shift if any element shifts), embedded once in the
-    hull of all parts; the hull words are gathered through the parts in
-    order and canonicalized once.  A part that would widen the running
-    hull past WINDOW_CAP first has the product so far canonicalized;
-    WindowCapError is raised only if that is still too wide, which is
-    exactly when composing two at a time would raise.
+    Each element's inert part is translated by the shift applied before
+    it, as in GroupElement.compose, once per distinct (element, running
+    shift), and the parts are composed by InertGate.compose, as one
+    Program rule.  WindowCapError is raised only where composing two at
+    a time would.
     """
-    seq, first = _intern(list(gates)[::-1])
-    return _compose_indexed({i: g for g, i in first.items()}, seq)
+    gates = list(gates)
+    seq, first = _intern(map(id, gates))
+    return _compose_elements({i: gates[i] for i in first.values()}, seq)
+
+
+def _compose_elements(elements: Mapping[int, GroupElement], seq: list[int]) -> GroupElement:
+    # elements[i] for i in seq, in function order; if any element shifts,
+    # each inert part is translated by the shift applied before it, as in
+    # GroupElement.compose, once per distinct (element, running shift)
+    shift, parts = 0, {i: e.inert for i, e in elements.items()}
+    if any(e.shift for e in elements.values()):
+        shifts = list(itertools.accumulate((elements[i].shift for i in reversed(seq)), initial=0))
+        seq, first = _intern(zip(reversed(seq), shifts))
+        parts = {j: elements[i].inert.shift_by(k) for (i, k), j in first.items()}
+        seq, shift = seq[::-1], shifts[-1]
+    # every product of gates goes through InertGate.compose, the one entry
+    # point a profiler or tracer needs to wrap
+    inert = InertGate.compose(*map(parts.__getitem__, seq)) if seq else _IDENTITY_GATE
+    return GroupElement(shift, inert)
 
 
 def inverse(f: GroupElement) -> GroupElement:
@@ -863,12 +911,12 @@ def evaluate_expr(
 ) -> GroupElement:
     """Compose the atoms of expr; by default the first atom acts last.
 
-    Compiled like compose_many: each distinct atom is resolved once.
+    Each distinct atom is resolved once, and the product is composed like
+    compose_many's.
     """
-    order = expr.atoms if leftmost_first else expr.atoms[::-1]
-    seq, first = _intern(order)
+    seq, first = _intern(expr.atoms[::-1] if leftmost_first else expr.atoms)
     try:
         elements = {i: generators[name].shift_conjugate(k) for (name, k), i in first.items()}
     except KeyError as exc:
         raise ValueError(f"unknown generator {exc.args[0]!r}") from None
-    return _compose_indexed(elements, seq)
+    return _compose_elements(elements, seq)

@@ -58,9 +58,7 @@ from .gates import compose_many  # noqa: F401
 # Right-hand sides: uppercase tokens are nonterminals, digits terminals.
 # Composite rules are written in function order (rightmost acts first),
 # digit rules in application order.  Each rule mentions only rules
-# before it, in the order a depth-first walk from T3 and then D3
-# finishes them: a ring check then holds fewer permutations at once
-# than with the digit rules first.
+# before it.
 PRODUCTIONS: dict[str, tuple[str, ...]] = {
     "N3": tuple("23423432323243232323434232432343434342343432324343"),
     "E3": ("N3", "3"),

@@ -54,7 +54,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .gates import GroupElement, compose_many, embed
+from . import gates
+from .gates import GroupElement, WindowCapError, compose_many, embed
 
 _FNV_OFFSET = np.uint64(0xCBF29CE484222325)
 _FNV_PRIME = np.uint64(0x100000001B3)
@@ -66,6 +67,9 @@ _FNV_PRIME = np.uint64(0x100000001B3)
 _CHUNK = 1 << 18
 # numpy's array objects and small temporaries in growing any level (~10 KB)
 _OBJECT_BYTES = 1 << 16
+# int64 arrays of the hull alive at once while one table is embedded and
+# narrowed: embed's substitution holds four
+_EMBED_WORDS = 4
 
 
 @dataclass(frozen=True)
@@ -262,11 +266,24 @@ class _Searcher:
         self.target_reachable = target is None or (
             bool(windows) and self.lo <= target[0] and target[1] <= self.hi
         )
-        self.size = 1 << (self.hi - self.lo + 1)
+        width = self.hi - self.lo + 1
+        if width > gates.WINDOW_CAP:
+            raise WindowCapError(width, gates.WINDOW_CAP)
+        self.size = 1 << width
         self.dtype = np.min_scalar_type(self.size - 1)
-        # embed raises WindowCapError if the common window is too wide
+        # the tables made with level 0 and kept for the whole search: each
+        # generator, its inverse and the target
+        self.table_bytes = (2 * len(cfg.generators) + 1) * self.size * self.dtype.itemsize
+        self.ball = _Ball()
+
+    def embed_tables(self) -> None:
+        """The tables of the generators, their inverses and the target on the hull.
+
+        Each is first made as int64 words: embedding one holds at most
+        _EMBED_WORDS int64 arrays of the hull at once.
+        """
         self.gen_tables = [
-            embed(g.inert, self.lo, self.hi).astype(self.dtype) for g in cfg.generators
+            embed(g.inert, self.lo, self.hi).astype(self.dtype) for g in self.cfg.generators
         ]
         self.gen_inverses = [np.argsort(t).astype(self.dtype) for t in self.gen_tables]
         self.involutions = np.array(
@@ -276,11 +293,10 @@ class _Searcher:
         # stored it (row = parent . g_k); len(generators) for the identity
         self.via = np.full(1, len(self.gen_tables), np.min_scalar_type(len(self.gen_tables)))
         self.target_table = (
-            embed(cfg.target.inert, self.lo, self.hi).astype(self.dtype)
+            embed(self.cfg.target.inert, self.lo, self.hi).astype(self.dtype)
             if self.target_reachable
             else None
         )
-        self.ball = _Ball()
 
     # -- ball construction ------------------------------------------------
 
@@ -290,16 +306,23 @@ class _Searcher:
         Stops early (successfully) when the ball closes, i.e. the whole
         generated group has been enumerated below the limit.  When the
         next level could overrun the memory budget, returns that level,
-        the projected peak bytes and the budget instead.
+        the projected peak bytes and the budget instead; for level 0,
+        before any table is made.
         """
+        # a stored state costs its row, its key and its number in the index
+        per_state = self.size * self.dtype.itemsize + 8
+        budget = self.cfg.memory_budget
         if not self.ball.levels:
+            # the kept tables, the int64 words one of them is made from,
+            # and the identity row
+            projected = self.table_bytes + _EMBED_WORDS * 8 * self.size + per_state + _OBJECT_BYTES
+            if projected > budget:
+                return {"level": 0, "projected_bytes": projected, "budget": budget}
+            self.embed_tables()
             identity = np.arange(self.size, dtype=self.dtype)[None, :]
             self.ball.add_level(identity, _hash_rows(identity))
         if not self.gen_tables:
             return None
-        # a stored state costs its row, its key and its number in the index
-        per_state = self.size * self.dtype.itemsize + 8
-        budget = self.cfg.memory_budget
         for depth in range(len(self.ball.levels), depth_limit + 1):
             n = self.ball.levels[-1].shape[0] * len(self.gen_tables)
             # the candidates, the distinct and the fresh rows and their
@@ -308,7 +331,7 @@ class _Searcher:
             # holds its sort order and the merged keys and ids, 16 bytes
             # per state old or new, and a merge buffer of 8 per new state
             projected = self.ball.nbytes + 16 * self.ball.states + 3 * n * (per_state + 8)
-            projected += _OBJECT_BYTES
+            projected += self.table_bytes + _OBJECT_BYTES
             if projected > budget:
                 return {"level": depth, "projected_bytes": projected, "budget": budget}
             candidates, starts = self.candidates()

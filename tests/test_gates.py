@@ -2,6 +2,7 @@ import contextlib
 import itertools
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -435,6 +436,43 @@ def test_program_evaluation_equals_its_flat_expansion():
     assert len(set(values)) == 3
 
 
+@st.composite
+def straight_line_programs(draw):
+    # rules 0..n-1, rule i over the generators and rules below i, listed
+    # in a random order in which each rule still comes after every rule
+    # it mentions
+    rules = {}
+    for i in range(draw(st.integers(1, 5))):
+        symbols = ["a", "b", *range(i)]
+        factor = st.tuples(st.sampled_from(symbols), st.integers(-1, 1))
+        rules[i] = tuple(draw(st.lists(factor, min_size=1, max_size=4)))
+    listed: list = []
+    while len(listed) < len(rules):
+        ready = [
+            name for name in rules
+            if name not in listed and all(sym in listed for sym, _ in rules[name] if sym in rules)
+        ]
+        listed.append(draw(st.sampled_from(ready)))
+    starts = draw(st.lists(st.sampled_from(sorted(rules)), min_size=1, max_size=3))
+    return G.Program({name: rules[name] for name in listed}, starts)
+
+
+@settings(max_examples=100, deadline=None)
+@given(straight_line_programs())
+def test_random_programs_equal_their_flat_expansions(program):
+    gens = order_sensitive_generators()
+    flat = program.expand()
+    values = G.evaluate_program(program, gens)
+    assert values == [G.evaluate_expr(e, gens) for e in flat]
+    assert program.lengths() == [len(e) for e in flat]
+    for expr in flat:  # the walk-free build of a flat product's program
+        assert vars(G.Program._one_rule(expr.atoms)) == vars(G.Program({None: expr.atoms}, [None]))
+    for expected in (values, [v.shift_conjugate(1) for v in values], values[::-1]):
+        assert G.program_matches(program, gens, expected) == [
+            value == e for value, e in zip(values, expected)
+        ]
+
+
 def test_matching_equals_comparing_the_evaluated_values():
     gens = {**order_sensitive_generators(), "c0": G.make_named("c0")}
     rules = {
@@ -596,8 +634,8 @@ chains = st.lists(
 # opposite ends of the position range cross it
 PROPERTY_CAP = 9
 
-# the default embeds every gate; 64 words embeds some gates of a product
-# and substitutes the rest in place, none at all past a 6-cell hull
+# the default embeds every gate at once; 64 words composes a product in
+# segments whose tables fit in 64 words, or of two tables past 5 cells
 EMBED_BUDGETS = (G._EMBED_BUDGET, 64)
 
 
@@ -723,3 +761,21 @@ def test_chain_succeeds_through_cancellation_past_the_cap():
     with pytest.raises(G.WindowCapError) as err:
         G.compose_many([far, c0, far])
     assert err.value.required_width == 31
+
+
+def test_products_keep_no_more_leaf_tables_than_the_budget():
+    # c1 at cells 0..14: 15 distinct tables of 2^16 words on a 16-cell hull
+    parts = [G.make_named("c1").shift_conjugate(k) for k in range(15)]
+    table_bytes = (1 << 16) * np.dtype(np.int64).itemsize
+    expected = pairwise_chain(parts)
+    with patched(_EMBED_BUDGET=4 << 16):
+        assert G.compose_many(parts) == expected
+        tracemalloc.start()
+        try:
+            assert G.compose_many(parts) == expected
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    # four leaf tables, and room for the product so far, its gather and
+    # canonicalize's working arrays; all 15 tables at once would be 18
+    assert peak <= 9 * table_bytes, peak / table_bytes

@@ -166,12 +166,31 @@ def test_ring_check_frees_its_permutations():
         left, peak = (m - base for m in tracemalloc.get_traced_memory())
     finally:
         tracemalloc.stop()
-    # the letter-by-letter fold peaked at 11 permutations; with the rules
-    # in depth-first order 10 are live at once, and 11 with every digit
-    # rule first
+    # the letter-by-letter fold peaked at 11 permutations; the rules,
+    # computed in depth-first order, hold 9 at once
     assert peak <= 10.5 * perm_bytes, peak / perm_bytes
     # anything a reference cycle kept alive would still be here
     assert left < perm_bytes, left / perm_bytes
+
+
+def test_ring_check_peak_does_not_depend_on_the_listed_order():
+    # the four digit rules first is a valid listing too; the rules are
+    # computed depth-first from the start whatever the listing
+    digits_first = dict(
+        sorted(GR.PRODUCTIONS.items(), key=lambda rule: not GR.DIGITS.issuperset(rule[1]))
+    )
+    perm_bytes = (1 << 16) * np.dtype(np.int64).itemsize
+    peaks = []
+    for productions in (GR.PRODUCTIONS, digits_first):
+        program = GR.build_programs(productions)["T3"]
+        GR._ring_program(program, 16)  # warm every cache
+        tracemalloc.start()
+        try:
+            GR._ring_program(program, 16)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= peaks[0] + perm_bytes // 2, [peak / perm_bytes for peak in peaks]
 
 
 def test_adjacent_repeat_report():

@@ -136,6 +136,36 @@ def projected_bytes(searcher, depth):
         searcher.cfg = cfg
 
 
+def test_budget_counts_the_tables_made_with_level_0():
+    # two flips 15 cells apart: five tables of a 16-cell hull, each made
+    # from int64 words, before level 0 is stored
+    c0 = G.make_named("c0")
+    gens = (c0, c0.shift_conjugate(15))
+    searcher = S._Searcher(S.SearchConfig(gens, c0, 3))
+    projected = projected_bytes(searcher, 0)
+    assert projected > 5 * searcher.size * searcher.dtype.itemsize + 4 * 8 * searcher.size
+    tracemalloc.start()
+    try:
+        r = S.search(S.SearchConfig(gens, c0, 3, memory_budget=projected - 1))
+        refused_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        assert searcher.grow(0) is None
+        made_peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert r.status == "budget-exceeded"
+    assert (r.stats["level"], r.stats["levels"], r.stats["budget"]) == (0, [], projected - 1)
+    assert r.stats["projected_bytes"] == projected
+    # refused before a single int64 table of the hull was made
+    assert refused_peak < 8 * searcher.size, refused_peak
+    assert made_peak <= projected, (made_peak, projected)
+    assert S.search(S.SearchConfig(gens, c0, 3, memory_budget=projected)).status == "found"
+    # a hull past the window cap is refused as such, not as over budget
+    with pytest.raises(G.WindowCapError):
+        S.search(S.SearchConfig((c0, c0.shift_conjugate(39)), c0, 3))
+
+
 def test_growth_peak_stays_within_the_projection():
     # the traced peak of growing each level must stay below the projection
     # that the budget check makes, also at the tail of a finite group, where
