@@ -32,7 +32,7 @@ import itertools
 import math
 import re
 from dataclasses import dataclass
-from typing import Callable, Hashable, Iterable, Iterator, Mapping
+from typing import Callable, Hashable, Iterable, Mapping
 
 import numpy as np
 
@@ -42,8 +42,8 @@ from .bitcore import check_word
 # checks the projected hull against this before allocating anything.
 WINDOW_CAP = 24
 
-# Words of embedded gate tables one product of gates may keep at once
-# (8 MiB); a product past it is composed in segments (InertGate.compose).
+# Words of leaf tables one evaluation of a Program (so also one product of
+# gates) keeps at once, 8 MiB; past it a leaf is made again at each use.
 _EMBED_BUDGET = 1 << 20
 
 # Longest flat expression Program.expand builds: 2^20 atoms, some 100 MB
@@ -168,38 +168,34 @@ class InertGate:
         """self after others, the last applied first: every product of gates.
 
         The product is a Program of one rule over the distinct gates.  If
-        their hull is wider than WINDOW_CAP, or their tables on it would
-        take more than _EMBED_BUDGET words (two are always allowed), it is
-        composed in segments, each starting from the canonical product so
-        far; WindowCapError is raised only if that product is too wide with
-        the next gate, which is exactly when composing two at a time would.
+        their hull is wider than WINDOW_CAP, the product so far is
+        canonicalized before each gate that would widen it past the cap,
+        and WindowCapError raised only if it is still too wide with that
+        gate, which is exactly when composing two at a time would.
         """
+        if not others:
+            return self
         gates = (self, *others)
         # one rule over (id(gate), 0): interned by identity, which needs no
         # table compare (equal gates built apart just become two parts)
-        program = Program._one_rule(tuple(zip(map(id, gates), itertools.repeat(0))))
-        leaves = {factor: gates[i] for factor, i in program._interned[None][0].items()}
-        if (id(_IDENTITY_GATE), 0) in leaves:
-            # the identity changes nothing, and a product of one gate is that gate
+        program = Program({None: tuple(zip(map(id, gates), itertools.repeat(0)))}, [None])
+        first = program._interned[None][0]
+        leaves = dict(zip(first, map(gates.__getitem__, first.values())))
+        if (id(_IDENTITY_GATE), 0) in leaves:  # the identity changes nothing
             gates = [g for g in gates if g is not _IDENTITY_GATE]
-            if len(gates) <= 1:
-                return gates[0] if gates else _IDENTITY_GATE
-            return InertGate.compose(*gates)
-        hull = _hull(leaves.values())
-        if hull is None:
-            return _IDENTITY_GATE
-        lo, hi = hull
-        if hi - lo < WINDOW_CAP and (len(leaves) <= 2 or len(leaves) << (hi - lo + 1) <= _EMBED_BUDGET):
-            return canonicalize(lo, hi, _embedded_tables(program, leaves, lo, hi)[0])
+            return InertGate.compose(*gates) if gates else _IDENTITY_GATE
+        try:
+            lo, hi, (table,) = _program_tables(program, leaves)
+            return canonicalize(lo, hi, table)
+        except WindowCapError:  # too wide at once: composed in segments
+            pass
         segment: list = []  # the product so far, then each gate since, in application order
         for g in reversed(gates):
-            if g.is_identity:
-                continue
             lo, hi = (min(lo, g.lo), max(hi, g.hi)) if segment else (g.lo, g.hi)
-            tables = len(segment) + 1  # at least as many as the distinct ones
-            if segment and (hi - lo >= WINDOW_CAP or tables > 2 and tables << (hi - lo + 1) > _EMBED_BUDGET):
-                segment = [InertGate.compose(*reversed(segment))]  # within both limits
-                lo, hi = _hull(segment + [g])
+            if hi - lo >= WINDOW_CAP:
+                prefix = InertGate.compose(*reversed(segment))  # within the cap
+                segment = [prefix]
+                lo, hi = (g.lo, g.hi) if prefix.is_identity else (min(prefix.lo, g.lo), max(prefix.hi, g.hi))
                 if hi - lo >= WINDOW_CAP:
                     raise WindowCapError(hi - lo + 1, WINDOW_CAP)
             segment.append(g)
@@ -286,7 +282,7 @@ def substitute(words: np.ndarray, g: InertGate, hi: int) -> np.ndarray:
     if g.is_identity:
         return words
     s = hi - g.hi
-    mask = (1 << (g.hi - g.lo + 1)) - 1
+    mask = (1 << g.width) - 1
     return (words & ~(mask << s)) | (g.table[(words >> s) & mask] << s)
 
 
@@ -296,9 +292,14 @@ def embed(g: InertGate, lo: int, hi: int) -> np.ndarray:
     width = hi - lo + 1
     if width > WINDOW_CAP:
         raise WindowCapError(width, WINDOW_CAP)
-    if g.lo == lo and g.hi == hi and width:
+    if g.is_identity:
+        return np.arange(1 << width, dtype=np.int64)
+    if g.lo == lo and g.hi == hi:
         return g.table
-    return substitute(np.arange(1 << width, dtype=np.int64), g, hi)
+    # a word is (cells left of g, cells of g, cells right of g), and g
+    # permutes the middle part: the words in that shape, taken through g
+    words = np.arange(1 << width, dtype=np.int64).reshape(1 << (g.lo - lo), -1, 1 << (hi - g.hi))
+    return np.take(words, g.table, axis=1).reshape(-1)
 
 
 def _intern(items: Iterable) -> tuple[list[int], dict]:
@@ -318,73 +319,51 @@ class Program:
     (rule, cell) that the starts reach can be computed once and the
     expanded lengths are exact without expanding.  Starts may share rules,
     and then share their computation too.  A flat product is a program of
-    one rule.  order lists the rules the starts reach in depth-first
-    finishing order (children in factor order), which the listed order of
-    the rules cannot change.
+    one rule.  order lists the rules the starts reach, each after the rules
+    it mentions, in depth-first finishing order from the starts.
     """
 
     def __init__(self, rules: Mapping[Hashable, tuple[tuple[Hashable, int], ...]], starts: Iterable[Hashable]):
         self.rules = rules = dict(rules)  # a copy, which callers cannot change
         self.starts = starts = tuple(starts)
-        # the cells each reachable rule is read at, and the reads of every
-        # (symbol, cell) when each (rule, cell) is computed once, plus one
-        # final read per start
-        self.cells = cells = {}
+        # the reads of every (symbol, cell) when each (rule, cell) is computed
+        # once, plus one final read per start, and the cells each reachable
+        # rule is read at
         self.uses = uses = {}
+        self.cells = cells = {}
         for start in starts:
             if start not in rules:
                 raise ValueError(f"unknown start rule {start!r}")
-            cells[start] = {0: None}
             uses[start, 0] = uses.get((start, 0), 0) + 1
+            cells[start] = {0: None}
         # each reachable rule's distinct factors, numbered by their first
         # position, and the factor numbers in application order
         self._interned = interned = {}
         self.order = order = []
-        position = {name: i for i, name in enumerate(rules)}
+        position = dict(zip(rules, itertools.count()))
         stack = [(None, iter(starts))]  # a root, whose children are the starts
         while stack:
-            for child in stack[-1][1]:
-                if child not in interned:
-                    stack.append((child, self._intern_rule(child, position)))
-                    break
+            for name in stack[-1][1]:
+                if name in interned:
+                    continue
+                if not rules[name]:
+                    raise ValueError(f"rule {name!r} is empty")
+                seq, first = _intern(rules[name])
+                children = [sym for sym, _ in first if sym in position]
+                if children and max(map(position.__getitem__, children)) >= position[name]:
+                    raise ValueError(f"rule {name!r} mentions itself or a rule after it")
+                interned[name] = first, seq[::-1]
+                stack.append((name, iter(children)))
+                break
             else:
                 order.append(stack.pop()[0])
         order.pop()  # the root
         for name in reversed(order):  # parents before children
-            self._count_reads(name)
-
-    @classmethod
-    def _one_rule(cls, factors: tuple[tuple[Hashable, int], ...]) -> "Program":
-        # Program({None: factors}, [None]) for factors over generators only,
-        # built without the walk, since its one rule is read once, at cell
-        # 0, and reads each of its distinct factors once
-        seq, first = _intern(factors)
-        program = cls.__new__(cls)
-        program.rules, program.starts, program.order = {None: factors}, (None,), [None]
-        program._interned = {None: (first, seq[::-1])}
-        program.cells = {None: {0: None}}
-        program.uses = {(None, 0): 1, **dict.fromkeys(first, 1)}
-        return program
-
-    def _intern_rule(self, name: Hashable, position: Mapping) -> Iterator:
-        # interns the rule's factors once; returns the rules it mentions
-        if not self.rules[name]:
-            raise ValueError(f"rule {name!r} is empty")
-        seq, first = _intern(self.rules[name])
-        children = [sym for sym, _ in first if sym in position]
-        if children and max(map(position.__getitem__, children)) >= position[name]:
-            raise ValueError(f"rule {name!r} mentions itself or a rule after it")
-        self._interned[name] = first, seq[::-1]
-        return iter(children)
-
-    def _count_reads(self, name: Hashable) -> None:
-        uses, cells = self.uses, self.cells
-        for k in cells[name]:
-            for sym, dk in self._interned[name][0]:
-                key = (sym, k + dk)
-                uses[key] = uses.get(key, 0) + 1
-                if sym in self._interned:
-                    cells.setdefault(sym, {})[k + dk] = None
+            for k in cells[name]:
+                for sym, dk in interned[name][0]:
+                    uses[sym, k + dk] = uses.get((sym, k + dk), 0) + 1
+                    if sym in interned:
+                        cells.setdefault(sym, {})[k + dk] = None
 
     def substitute(self, rules: Mapping[Hashable, tuple[tuple[Hashable, int], ...]]) -> "Program":
         """The same program with some generators defined as rules over others.
@@ -402,9 +381,12 @@ class Program:
         for name, factors in rules.items():
             if name in self.rules or not factors or any(sym in program.rules for sym, _ in factors):
                 raise ValueError(f"rule {name!r} must define a generator over generators")
-            program._intern_rule(name, {})
-            program.cells[name] = {k: None for sym, k in self.uses if sym == name}
-            program._count_reads(name)
+            seq, first = _intern(factors)
+            program._interned[name] = first, seq[::-1]
+            cells = program.cells[name] = {k: None for sym, k in self.uses if sym == name}
+            for k in cells:
+                for sym, dk in first:
+                    program.uses[sym, k + dk] = program.uses.get((sym, k + dk), 0) + 1
         program.order = [name for name in rules if program.cells[name]] + self.order
         return program
 
@@ -455,74 +437,81 @@ class Program:
 
         t[acc] applies t after acc.  Each reachable (rule, cell) is gathered
         once from its factors, in order, which by associativity gives the
-        table of its expansion; each distinct factor is looked up once per
-        gather.  A leaf table is made at its first use, and every table is
-        freed after the gather that uses it last, so the live tables are
-        bounded by the width of the program, not by its length.
+        table of its expansion.  A leaf table is made at its first use and
+        kept until its last if the leaf tables kept hold fewer than
+        _EMBED_BUDGET words, and made again at each use if not.  Every table
+        is freed after the gather that uses it last, so the live tables are
+        bounded by the width of the program and the budget, not its length.
         """
         uses = dict(self.uses)
         memo: dict = {}
+        room = _EMBED_BUDGET  # words more leaf tables may be kept in
         for name in self.order:
             first, order = self._interned[name]
             for k in self.cells[name]:
-                local = [None] * len(self.rules[name])
+                local: list = [None] * len(self.rules[name])
+                freed = 0  # words of the leaf tables this gather uses last
                 for (sym, dk), i in first.items():
                     key = (sym, k + dk)
-                    t = local[i] = memo.pop(key) if key in memo else leaf(sym, k + dk)
                     uses[key] -= 1
+                    if key in memo:
+                        t = memo.pop(key)
+                    elif room <= 0:
+                        local[i] = key  # made again at each use
+                        continue
+                    else:
+                        t = leaf(*key)
+                        room -= t.size
+                    local[i] = t
                     if uses[key]:
                         memo[key] = t
-                factors = iter(order)
-                acc = local[next(factors)]
-                for i in factors:
-                    acc = local[i][acc]
+                    elif sym not in self.rules:
+                        freed += t.size
+                acc = None
+                for i in order:
+                    t = local[i]
+                    if type(t) is tuple:
+                        t = leaf(*t)
+                    acc = t if acc is None else t[acc]
                 memo[name, k] = acc
+                room += freed
         return [memo[start, 0] for start in self.starts]
 
 
-def _hull(gates: Iterable[InertGate]) -> tuple[int, int] | None:
-    # the window hull of the gates that are not the identity
-    used = [g for g in gates if not g.is_identity]
-    return (min(g.lo for g in used), max(g.hi for g in used)) if used else None
-
-
-def _embedded_tables(program: Program, leaves: Mapping[tuple[Hashable, int], InertGate], lo: int, hi: int):
-    # each start's table on [lo, hi], which holds every leaf gate: each
-    # leaf is embedded once and the tables are gathered along the rules
-    return program.tables(lambda *leaf: embed(leaves[leaf], lo, hi))
-
-
-def _program_tables(program: Program, generators: Mapping[str, GroupElement]):
+def _program_tables(program: Program, leaves: Mapping[tuple[Hashable, int], InertGate]):
     # (lo, hi, each start's table on [lo, hi]), [lo, hi] the hull of the
-    # (generator, cell) leaves, or None when all are the identity; raises
-    # WindowCapError when the hull is too wide
-    leaves = {}
-    for sym, k in program.uses:
-        if sym in program.rules:
-            continue
+    # leaf gate of each (generator, cell) read, or None when all are the
+    # identity; raises WindowCapError when the hull is too wide
+    used = [g for g in leaves.values() if not g.is_identity]
+    if not used:
+        return None
+    lo, hi = min(g.lo for g in used), max(g.hi for g in used)
+    if hi - lo + 1 > WINDOW_CAP:
+        raise WindowCapError(hi - lo + 1, WINDOW_CAP)
+    return lo, hi, program.tables(lambda *leaf: embed(leaves[leaf], lo, hi))
+
+
+def _generator_leaves(program: Program, generators: Mapping[str, GroupElement]) -> dict:
+    # the gate of each (generator, cell) the program reads
+    leaves = [(sym, k) for sym, k in program.uses if sym not in program.rules]
+    for sym in dict.fromkeys(sym for sym, _ in leaves):
         if sym not in generators:
             raise ValueError(f"unknown generator {sym!r}")
         if generators[sym].shift:
             raise ValueError(f"generator {sym!r} is not inert")
-        leaves[sym, k] = generators[sym].inert.shift_by(k)
-    hull = _hull(leaves.values())
-    if hull is None:
-        return None
-    lo, hi = hull
-    if hi - lo + 1 > WINDOW_CAP:
-        raise WindowCapError(hi - lo + 1, WINDOW_CAP)
-    return lo, hi, _embedded_tables(program, leaves, lo, hi)
+    return {(sym, k): generators[sym].inert.shift_by(k) for sym, k in leaves}
 
 
 def evaluate_program(program: Program, generators: Mapping[str, GroupElement]) -> list[GroupElement]:
     """The value of each start of a straight-line program over inert generators.
 
-    Each distinct (generator, cell) leaf is embedded once in the hull of
-    all the leaves, the tables are gathered along the rules (see
-    Program.tables) and each start's table is canonicalized once.  Raises
-    WindowCapError when that hull is wider than WINDOW_CAP.
+    Each distinct (generator, cell) leaf is embedded in the hull of all
+    the leaves, the tables are gathered along the rules (see
+    Program.tables, which keeps the leaf tables within _EMBED_BUDGET) and
+    each start's table is canonicalized once.  Raises WindowCapError when
+    that hull is wider than WINDOW_CAP.
     """
-    hull = _program_tables(program, generators)
+    hull = _program_tables(program, _generator_leaves(program, generators))
     if hull is None:
         return [IDENTITY for _ in program.starts]
     lo, hi, tables = hull
@@ -542,7 +531,7 @@ def program_matches(
     expected = list(expected)
     if len(expected) != len(program.starts):
         raise ValueError(f"{len(expected)} expected values for {len(program.starts)} starts")
-    hull = _program_tables(program, generators)
+    hull = _program_tables(program, _generator_leaves(program, generators))
     if hull is None:
         return [e.is_identity for e in expected]
     lo, hi, tables = hull

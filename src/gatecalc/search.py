@@ -68,8 +68,8 @@ _CHUNK = 1 << 18
 # numpy's array objects and small temporaries in growing any level (~10 KB)
 _OBJECT_BYTES = 1 << 16
 # int64 arrays of the hull alive at once while one table is embedded and
-# narrowed: embed's substitution holds four
-_EMBED_WORDS = 4
+# narrowed: embed holds two
+_EMBED_WORDS = 2
 
 
 @dataclass(frozen=True)

@@ -465,8 +465,6 @@ def test_random_programs_equal_their_flat_expansions(program):
     values = G.evaluate_program(program, gens)
     assert values == [G.evaluate_expr(e, gens) for e in flat]
     assert program.lengths() == [len(e) for e in flat]
-    for expr in flat:  # the walk-free build of a flat product's program
-        assert vars(G.Program._one_rule(expr.atoms)) == vars(G.Program({None: expr.atoms}, [None]))
     for expected in (values, [v.shift_conjugate(1) for v in values], values[::-1]):
         assert G.program_matches(program, gens, expected) == [
             value == e for value, e in zip(values, expected)
@@ -634,8 +632,9 @@ chains = st.lists(
 # opposite ends of the position range cross it
 PROPERTY_CAP = 9
 
-# the default embeds every gate at once; 64 words composes a product in
-# segments whose tables fit in 64 words, or of two tables past 5 cells
+# the default keeps every leaf table; 64 words keeps as many as fit in
+# 64 words, and the first in any case, and makes the others again at
+# each use
 EMBED_BUDGETS = (G._EMBED_BUDGET, 64)
 
 
@@ -764,18 +763,22 @@ def test_chain_succeeds_through_cancellation_past_the_cap():
 
 
 def test_products_keep_no_more_leaf_tables_than_the_budget():
-    # c1 at cells 0..14: 15 distinct tables of 2^16 words on a 16-cell hull
+    # c1 at cells 0..14: 15 distinct tables of 2^16 words on a 16-cell hull,
+    # as a flat product and as a one-rule program
     parts = [G.make_named("c1").shift_conjugate(k) for k in range(15)]
+    program = G.Program({"p": tuple(("c1", k) for k in range(15))}, ["p"])
+    gens = {"c1": G.make_named("c1")}
     table_bytes = (1 << 16) * np.dtype(np.int64).itemsize
     expected = pairwise_chain(parts)
-    with patched(_EMBED_BUDGET=4 << 16):
-        assert G.compose_many(parts) == expected
-        tracemalloc.start()
-        try:
-            assert G.compose_many(parts) == expected
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-    # four leaf tables, and room for the product so far, its gather and
-    # canonicalize's working arrays; all 15 tables at once would be 18
-    assert peak <= 9 * table_bytes, peak / table_bytes
+    for evaluate in (lambda: G.compose_many(parts), lambda: G.evaluate_program(program, gens)[0]):
+        with patched(_EMBED_BUDGET=4 << 16):
+            assert evaluate() == expected
+            tracemalloc.start()
+            try:
+                assert evaluate() == expected
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        # four leaf tables, a leaf made again for one use, the product so
+        # far and its gather; all 15 tables at once would be 17
+        assert peak <= 8 * table_bytes, peak / table_bytes

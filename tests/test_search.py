@@ -143,7 +143,7 @@ def test_budget_counts_the_tables_made_with_level_0():
     gens = (c0, c0.shift_conjugate(15))
     searcher = S._Searcher(S.SearchConfig(gens, c0, 3))
     projected = projected_bytes(searcher, 0)
-    assert projected > 5 * searcher.size * searcher.dtype.itemsize + 4 * 8 * searcher.size
+    assert projected > 5 * searcher.size * searcher.dtype.itemsize + 2 * 8 * searcher.size
     tracemalloc.start()
     try:
         r = S.search(S.SearchConfig(gens, c0, 3, memory_budget=projected - 1))
