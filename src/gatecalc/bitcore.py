@@ -55,7 +55,8 @@ def diff_set(u: str, v: str) -> str:
     check_word(v)
     if len(u) != len(v):
         raise ValueError(f"unequal lengths: {len(u)} vs {len(v)}")
-    return int_to_word(word_to_int(u) ^ word_to_int(v), len(u))
+    # checked above: int() rather than word_to_int, which would check again
+    return int_to_word(int(u, 2) ^ int(v, 2), len(u)) if u else ""
 
 
 @dataclass(frozen=True)

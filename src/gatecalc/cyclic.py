@@ -13,6 +13,10 @@ window words.  Two independent implementations are kept side by side:
   admissible cell in turn.  It is the oracle the formula is validated
   against, so it calls neither the tape substitution nor the rotations.
 
+Ring permutations from outside are checked by CyclicPerm(n, perm); those
+built here are not, and the two projections are checked against each
+other instead, so a projection that is not a permutation fails that.
+
 The module also carries the parity bookkeeping (projected gates are
 always even permutations; the ring rotation is even exactly when the
 binary necklace count is, i.e. for n >= 3), with cycles counted in
@@ -30,8 +34,8 @@ import numpy as np
 from .gates import (
     GroupElement,
     InertGate,
-    check_permutation,
     compose_many,
+    permutation_table,
     substitute,
     table_cycles,
 )
@@ -48,35 +52,48 @@ class RingTooSmallError(ValueError):
 
 
 class CyclicPerm:
-    """A permutation of the binary words of length n (MSB-first codes)."""
+    """A permutation of the binary words of length n (MSB-first codes).
+
+    CyclicPerm(n, perm) checks and copies a permutation from outside (see
+    gates.permutation_table); projections, compositions and rotations,
+    built from permutations, enter through _built unchecked.
+    """
 
     __slots__ = ("n", "perm")
 
     def __init__(self, n: int, perm: np.ndarray):
-        if n < 1 or n > RING_CAP:
-            raise ValueError(f"ring size must be in [1, {RING_CAP}]")
-        perm = np.asarray(perm, dtype=np.int64)
-        if perm.shape != (1 << n,):
-            raise ValueError(f"permutation must have {1 << n} entries")
-        check_permutation(perm)
+        _check_size(n)
+        perm = permutation_table(perm, 1 << n)
         perm.setflags(write=False)
         self.n = n
         self.perm = perm
 
     @classmethod
+    def _built(cls, n: int, perm: np.ndarray) -> "CyclicPerm":
+        # an int64 permutation of the 2^n words that the library made and
+        # no one changes after: kept as it is, without the check
+        p = object.__new__(cls)
+        perm.setflags(write=False)
+        p.n = n
+        p.perm = perm
+        return p
+
+    @classmethod
     def identity(cls, n: int) -> "CyclicPerm":
-        return cls(n, np.arange(1 << n, dtype=np.int64))
+        _check_size(n)
+        return cls._built(n, np.arange(1 << n, dtype=np.int64))
 
     @classmethod
     def rotation(cls, n: int, k: int = 1) -> "CyclicPerm":
         """Ring shift: cell i of the image reads cell i+k of the source."""
-        return cls(n, _rotate(np.arange(1 << n, dtype=np.int64), k, n))
+        _check_size(n)
+        return cls._built(n, _rotate(np.arange(1 << n, dtype=np.int64), k, n))
 
     def compose(self, other: "CyclicPerm") -> "CyclicPerm":
         """self after other."""
         if self.n != other.n:
             raise ValueError("ring size mismatch")
-        return CyclicPerm(self.n, self.perm[other.perm])
+        return CyclicPerm._built(self.n, self.perm[other.perm])
 
     def __mul__(self, other):
         if not isinstance(other, CyclicPerm):
@@ -127,12 +144,16 @@ def min_ring(f: GroupElement) -> int:
     return 2 * f.inert.radius + 2
 
 
+def _check_size(n: int) -> None:
+    if n < 1 or n > RING_CAP:
+        raise ValueError(f"ring size must be in [1, {RING_CAP}]")
+
+
 def _check_ring(f: GroupElement, n: int) -> None:
     need = min_ring(f)
     if n < need:
         raise RingTooSmallError(n, need)
-    if n < 1 or n > RING_CAP:
-        raise ValueError(f"ring size must be in [1, {RING_CAP}]")
+    _check_size(n)
 
 
 def _rotate(words: np.ndarray, k: int, n: int) -> np.ndarray:
@@ -166,7 +187,7 @@ def _project_tight(f: GroupElement, n: int) -> CyclicPerm:
     a = g.lo % n
     words = _rotate(np.arange(1 << n, dtype=np.int64), a, n)
     words = substitute(words, g, g.lo + n - 1)
-    return CyclicPerm(n, _rotate(words, f.shift - a, n))
+    return CyclicPerm._built(n, _rotate(words, f.shift - a, n))
 
 
 def project_periodic(f: GroupElement, n: int) -> CyclicPerm:
@@ -206,7 +227,7 @@ def project_periodic(f: GroupElement, n: int) -> CyclicPerm:
     middle = buf >> n & full
     if k:
         middle = (middle << k | middle >> n - k) & full
-    return CyclicPerm(n, middle)
+    return CyclicPerm._built(n, middle)
 
 
 # -- necklaces and parity ------------------------------------------------

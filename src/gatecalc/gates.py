@@ -22,6 +22,11 @@ Conventions, fixed once and used everywhere:
   significant bit of its table index.
 * in a composition f*g, g is applied first; expression strings list the
   last-applied atom first (function order).
+
+Tables are validated once, where they enter: canonicalize (so also
+GroupElement.from_record) refuses a table that is not a permutation of
+integers, while products and named generators, built from permutations,
+are canonicalized unchecked (tests compare products with a checked chain).
 """
 
 from __future__ import annotations
@@ -186,7 +191,7 @@ class InertGate:
             return InertGate.compose(*gates) if gates else _IDENTITY_GATE
         try:
             lo, hi, (table,) = _program_tables(program, leaves)
-            return canonicalize(lo, hi, table)
+            return _canonical(lo, hi, table)
         except WindowCapError:  # too wide at once: composed in segments
             pass
         segment: list = []  # the product so far, then each gate since, in application order
@@ -508,14 +513,15 @@ def evaluate_program(program: Program, generators: Mapping[str, GroupElement]) -
     Each distinct (generator, cell) leaf is embedded in the hull of all
     the leaves, the tables are gathered along the rules (see
     Program.tables, which keeps the leaf tables within _EMBED_BUDGET) and
-    each start's table is canonicalized once.  Raises WindowCapError when
-    that hull is wider than WINDOW_CAP.
+    each start's table is canonicalized once, without a check, as a
+    product of permutations.  Raises WindowCapError when that hull is
+    wider than WINDOW_CAP.
     """
     hull = _program_tables(program, _generator_leaves(program, generators))
     if hull is None:
         return [IDENTITY for _ in program.starts]
     lo, hi, tables = hull
-    return [GroupElement(0, canonicalize(lo, hi, table)) for table in tables]
+    return [GroupElement(0, _canonical(lo, hi, table)) for table in tables]
 
 
 def program_matches(
@@ -549,12 +555,32 @@ def flip_difference(table: np.ndarray, p: int) -> np.ndarray:
     return (pairs[:, 0] ^ pairs[:, 1]).reshape(-1)
 
 
-def check_permutation(table: np.ndarray) -> None:
-    """Raise ValueError unless table is a permutation of range(len(table))."""
-    if table.size and (table.min() < 0 or table.max() >= table.size):
+def _integer(name: str, value) -> int:
+    # value as an int; ValueError unless it is an integer (a bool is not)
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
+def permutation_table(values: Iterable[int] | np.ndarray, size: int) -> np.ndarray:
+    """values as a new int64 array; ValueError unless a permutation of range(size).
+
+    The one check of a table from outside the library: canonicalize and
+    CyclicPerm call it, and the copy it returns is theirs, so the caller's
+    array stays as it was.  Entries must be integers: floats, strings and
+    bools are refused, not converted.
+    """
+    table = np.asarray(values)
+    if table.shape != (size,):
+        raise ValueError(f"table must have {size} entries, got shape {table.shape}")
+    if table.dtype.kind not in "iu":
+        raise ValueError(f"table entries must be integers, got {table.dtype}")
+    table = table.astype(np.int64)  # a copy; uint64 past int64 wraps negative
+    if size and (table.min() < 0 or table.max() >= size):
         raise ValueError("not a permutation: entry out of range")
-    if np.bincount(table, minlength=table.size).max(initial=1) != 1:
+    if np.bincount(table, minlength=size).max(initial=1) != 1:
         raise ValueError("not a permutation: repeated value")
+    return table
 
 
 def canonicalize(lo: int, hi: int, table: Iterable[int] | np.ndarray) -> InertGate:
@@ -562,20 +588,28 @@ def canonicalize(lo: int, hi: int, table: Iterable[int] | np.ndarray) -> InertGa
 
     Shrinks the window to the hull of the strong support: a cell is
     dropped iff the table never changes it and no other output depends
-    on it.  Raises for tables that are not permutations.
+    on it.  This is the checked entry for tables from outside the
+    library (user tables, records): lo and hi must be integers, the
+    window within WINDOW_CAP and the table a permutation of integers
+    (see permutation_table), or it raises ValueError.  Tables the library
+    builds from permutations (products, named generators) skip the check
+    and go straight to _canonical.
     """
-    table = np.asarray(table, dtype=np.int64)
+    lo, hi = _integer("window_lo", lo), _integer("window_hi", hi)
     width = hi - lo + 1
     if width < 0:
         raise ValueError("empty window: use identity_gate()")
     if width > WINDOW_CAP:
         raise WindowCapError(width, WINDOW_CAP)
-    size = 1 << width
-    if table.shape != (size,):
-        raise ValueError(f"table must have {size} entries for window [{lo}, {hi}]")
-    check_permutation(table)
+    return _canonical(lo, hi, permutation_table(table, 1 << width))
 
-    changed_mask = int(np.bitwise_or.reduce(table ^ np.arange(size), initial=0))
+
+def _canonical(lo: int, hi: int, table: np.ndarray) -> InertGate:
+    # canonicalize without the check: table is an int64 permutation of the
+    # words of [lo, hi], within the cap, which the caller will not change
+    # and the gate may keep
+    width = hi - lo + 1
+    changed_mask = int(np.bitwise_or.reduce(table ^ np.arange(1 << width), initial=0))
 
     def in_support(p: int) -> bool:
         bit = 1 << p
@@ -587,7 +621,7 @@ def canonicalize(lo: int, hi: int, table: Iterable[int] | np.ndarray) -> InertGa
         return _IDENTITY_GATE
     p_max = next(p for p in range(width - 1, p_min - 1, -1) if in_support(p))
     if p_min == 0 and p_max == width - 1:
-        return InertGate(lo, hi, table.copy())  # the caller keeps its array
+        return InertGate(lo, hi, table)
     new_width = p_max - p_min + 1
     mask = (1 << new_width) - 1
     sub = np.arange(1 << new_width, dtype=np.int64)
@@ -637,13 +671,15 @@ class GroupElement:
 
     @classmethod
     def from_record(cls, record: Mapping) -> "GroupElement":
+        """The element of a to_record record, checked: ValueError unless the
+        shift power and window are integers and the table a permutation."""
         if record["window_lo"] is None:
             inert = identity_gate()
         else:
             inert = canonicalize(
                 record["window_lo"], record["window_hi"], record["table"]
             )
-        return cls(record["shift_power"], inert)
+        return cls(_integer("shift_power", record["shift_power"]), inert)
 
     def __hash__(self):
         # doubled for the same reason as InertGate's bounds
@@ -713,13 +749,14 @@ def reverse_conjugate(f: GroupElement) -> GroupElement:
 
 def _controlled_not(k: int) -> InertGate:
     # flip cell 0 iff cells 1..k all hold 1; window [0, k]
+    if k + 1 > WINDOW_CAP:  # before the table is allocated
+        raise WindowCapError(k + 1, WINDOW_CAP)
     if k == 0:
-        return canonicalize(0, 0, np.array([1, 0]))
+        return _canonical(0, 0, np.array([1, 0], dtype=np.int64))
     size = 1 << (k + 1)
     idx = np.arange(size, dtype=np.int64)
     low = (1 << k) - 1
-    table = np.where((idx & low) == low, idx ^ (1 << k), idx)
-    return canonicalize(0, k, table)
+    return _canonical(0, k, np.where((idx & low) == low, idx ^ (1 << k), idx))
 
 
 def make_named(name: str, k: int | None = None) -> GroupElement:
@@ -753,7 +790,7 @@ def _fixed_named(name: str) -> GroupElement:
     if name == "rc1":
         return GroupElement(0, _controlled_not(1)).reverse_conjugate()
     if name == "swap":
-        return GroupElement(0, canonicalize(0, 1, np.array([0, 2, 1, 3])))
+        return GroupElement(0, _canonical(0, 1, np.array([0, 2, 1, 3], dtype=np.int64)))
     raise ValueError(f"unknown generator {name!r}")
 
 
@@ -796,8 +833,7 @@ def make_eca(rule: int) -> GroupElement:
                 raise NotInvertibleError(rule, (left, right))
     words = np.arange(8, dtype=np.int64)
     centre = (rule >> words) & 1
-    table = (words & 0b101) | (centre << 1)
-    return GroupElement(0, canonicalize(-1, 1, table))
+    return GroupElement(0, _canonical(-1, 1, (words & 0b101) | (centre << 1)))
 
 
 def named_or_eca(name: str) -> GroupElement:

@@ -1,5 +1,6 @@
 import pytest
 
+from gatecalc import bitcore
 from gatecalc.bitcore import (
     Gf2Poly,
     diff_set,
@@ -25,6 +26,18 @@ def test_diff_set_symmetric_and_xor():
 def test_diff_set_length_mismatch():
     with pytest.raises(ValueError, match="unequal lengths"):
         diff_set("01", "011")
+
+
+def test_diff_set_checks_each_word_once(monkeypatch):
+    checked = []
+    check = bitcore.check_word
+    monkeypatch.setattr(bitcore, "check_word", lambda w: checked.append(w) or check(w))
+    assert diff_set("0101", "0110") == "0011"
+    assert diff_set("", "") == ""
+    assert checked == ["0101", "0110", "", ""]
+    for u, v in [("01", "0x"), ("012", "010"), (" 1", "01"), ("0_1", "011")]:
+        with pytest.raises(ValueError):
+            diff_set(u, v)
 
 
 def test_word_int_roundtrip():

@@ -299,6 +299,44 @@ def test_cyclic_perm_validation():
         C.CyclicPerm(0, [0])
 
 
+def test_cyclic_perm_leaves_the_callers_array_alone():
+    perm = np.arange(4)
+    p = C.CyclicPerm(2, perm)
+    assert perm.flags.writeable
+    perm[0] = 1  # the permutation kept its own copy
+    assert p == C.CyclicPerm.identity(2) and not p.perm.flags.writeable
+
+
+@pytest.mark.parametrize(
+    "perm",
+    [[0.9, 1.1], [0.0, 1.0], ["0", "1"], [False, True]],
+    ids=["float", "whole-float", "string", "bool"],
+)
+def test_cyclic_perm_refuses_entries_that_are_not_integers(perm):
+    with pytest.raises(ValueError, match="must be integers"):
+        C.CyclicPerm(1, perm)
+
+
+def assert_ring_permutation(p, n):
+    # what CyclicPerm(n, perm) would have checked, for a permutation the
+    # library built without it
+    assert p.n == n and p.perm.shape == (1 << n,) and p.perm.dtype == np.int64
+    assert not p.perm.flags.writeable
+    assert sorted(p.perm.tolist()) == list(range(1 << n))
+    assert C.CyclicPerm(n, p.perm) == p
+
+
+@settings(max_examples=100, deadline=None)
+@given(gates_on_rings(), st.integers(-12, 12))
+def test_library_built_ring_permutations_are_permutations(case, k):
+    f, n = case
+    formula, periodic = C.project_formula(f, n), C.project_periodic(f, n)
+    rotation = C.CyclicPerm.rotation(n, k)
+    for p in (formula, periodic, rotation, C.CyclicPerm.identity(n),
+              formula * rotation, rotation.compose(periodic)):
+        assert_ring_permutation(p, n)
+
+
 def test_cycles_structure():
     p = C.project_formula(G.make_named("sigma"), 3)
     lens = sorted(len(c) for c in p.cycles())

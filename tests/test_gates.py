@@ -76,6 +76,46 @@ def test_canonicalize_leaves_the_callers_array_alone():
     assert g == swap and hash(g) == hash(swap)
 
 
+RECORD = {"shift_power": 1, "window_lo": 0, "window_hi": 0, "table": [1, 0]}
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: G.canonicalize(0, 0, [1.7, 0.2]),
+        lambda: G.canonicalize(0, 0, ["1", "0"]),
+        lambda: G.canonicalize(0, 0, np.array([1.0, 0.0])),
+        lambda: G.GroupElement.from_record({**RECORD, "table": [True, False]}),
+        lambda: G.GroupElement.from_record({**RECORD, "shift_power": 1.5}),
+        lambda: G.GroupElement.from_record({**RECORD, "window_lo": 0.0, "window_hi": 0.0}),
+        lambda: G.GroupElement.from_record({**RECORD, "window_hi": "0"}),
+    ],
+    ids=["float-table", "string-table", "float-array", "bool-table", "float-shift",
+         "float-window", "string-window"],
+)
+def test_tables_and_records_that_are_not_integers_are_refused(build):
+    with pytest.raises(ValueError, match="must be an integer|must be integers"):
+        build()
+
+
+def test_integer_records_and_tables_of_any_integer_type_load():
+    flip = G.make_named("c0").inert
+    assert G.GroupElement.from_record(RECORD) == G.GroupElement(1, flip)
+    record = {**RECORD, "shift_power": np.int64(1), "window_lo": np.int32(0), "window_hi": 0}
+    assert G.GroupElement.from_record(record) == G.GroupElement(1, flip)
+    for dtype in (np.uint8, np.int32, np.uint64):
+        assert G.canonicalize(0, 0, np.array([1, 0], dtype=dtype)) == flip
+    with pytest.raises(ValueError, match="not a permutation"):
+        G.canonicalize(0, 0, np.array([2**64 - 1, 0], dtype=np.uint64))
+
+
+def test_controlled_flip_past_the_cap_is_refused_before_its_table_is_made():
+    # ck60 would need a 2^61-entry table
+    with pytest.raises(G.WindowCapError) as err:
+        G.make_named("ck", 60)
+    assert err.value.required_width == 61
+
+
 def test_canonicalize_idempotent_and_semantics_preserved():
     widths = [int(RNG.integers(1, 7)) for _ in range(40)] + [7, 7, 8, 8]
     for width in widths:
@@ -749,6 +789,48 @@ def test_order_is_the_least_power_giving_the_identity(f):
     while not power.is_identity:
         power, k = power.compose(g), k + 1
     assert g.order() == k
+
+
+def assert_canonical_permutation(g):
+    # what the check at canonicalize would have shown, for a gate the
+    # library built without it: a read-only int64 permutation table that
+    # the checked path leaves as it is
+    if g.is_identity:
+        return
+    assert g.table.dtype == np.int64 and not g.table.flags.writeable
+    assert sorted(g.table.tolist()) == list(range(1 << g.width))
+    again = G.canonicalize(g.lo, g.hi, g.table)
+    assert again.window == g.window and again == g and hash(again) == hash(g)
+
+
+def test_named_generators_are_canonical_permutations():
+    for name in ("c0", "c1", "c2", "rc1", "swap"):
+        assert_canonical_permutation(G.make_named(name).inert)
+    for k in range(6):
+        assert_canonical_permutation(G.make_named("ck", k).inert)
+    for rule in range(256):
+        try:
+            assert_canonical_permutation(G.make_eca(rule).inert)
+        except G.NotInvertibleError:
+            pass
+
+
+@settings(max_examples=200, deadline=None)
+@given(chains)
+def test_products_are_canonical_permutations(elements):
+    with patched(WINDOW_CAP=PROPERTY_CAP):
+        for product in (lambda: G.compose_many(elements), lambda: G.compose_many(elements[::-1])):
+            f = outcome(product)
+            if isinstance(f, G.GroupElement):
+                assert_canonical_permutation(f.inert)
+
+
+@settings(max_examples=100, deadline=None)
+@given(straight_line_programs())
+def test_program_values_are_canonical_permutations(program):
+    for f in G.evaluate_program(program, order_sensitive_generators()):
+        assert f.shift == 0
+        assert_canonical_permutation(f.inert)
 
 
 def test_chain_succeeds_through_cancellation_past_the_cap():
