@@ -144,16 +144,19 @@ def min_ring(f: GroupElement) -> int:
     return 2 * f.inert.radius + 2
 
 
-def _check_size(n: int) -> None:
+def _check_size(n: int, need: int | None = None) -> None:
+    # ValueError unless an integer (a bool is not) in [1, RING_CAP];
+    # RingTooSmallError below a gate's need
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
+        raise ValueError(f"ring size must be an integer, got {n!r}")
+    if need is not None and n < need:
+        raise RingTooSmallError(n, need)
     if n < 1 or n > RING_CAP:
         raise ValueError(f"ring size must be in [1, {RING_CAP}]")
 
 
 def _check_ring(f: GroupElement, n: int) -> None:
-    need = min_ring(f)
-    if n < need:
-        raise RingTooSmallError(n, need)
-    _check_size(n)
+    _check_size(n, min_ring(f))
 
 
 def _rotate(words: np.ndarray, k: int, n: int) -> np.ndarray:

@@ -672,8 +672,11 @@ class GroupElement:
     @classmethod
     def from_record(cls, record: Mapping) -> "GroupElement":
         """The element of a to_record record, checked: ValueError unless the
-        shift power and window are integers and the table a permutation."""
+        shift power and window are integers and the table a permutation,
+        or the window is None at both ends and the table empty."""
         if record["window_lo"] is None:
+            if record["window_hi"] is not None or len(record["table"]):
+                raise ValueError("an identity record has no window_hi and an empty table")
             inert = identity_gate()
         else:
             inert = canonicalize(

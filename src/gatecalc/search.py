@@ -38,10 +38,23 @@ exactly T, and D - T <= T further letters, also stored; so the least
 D > 2T.  When the ball closed early every element is stored, and level
 0 decides.
 
-Growth skips each state's back edge.  A state stored as parent . g for
-an involution g has its parent as its g-candidate, so the generator
-that produced each frontier state is kept, for the frontier only, and
-that candidate is not built, hashed or looked up.
+Growth skips candidates that cannot be new, by one table fixed before
+level 1.  The generator j of the candidate that stored each frontier
+state y = parent . g_j (its via) is kept, for the frontier only, and
+y . g_k is not built, hashed or looked up when
+  - k = j and g_k is an involution: y . g_k is the parent again; or
+  - g_k and g_j commute and g_k ranks below g_j.
+Generators are ranked by the leftmost cell of their window, the
+identity first, ties by position; commutation is tested on the
+embedded tables.  The skip is exact, as in the normal forms of trace
+monoids (Cartier & Foata 1969): let z be new at depth L + 1 and c the
+highest-ranked generator with z = y . g_c, |y| = L.  Were y . g_c
+skipped, y = y' . g_j with g_j above g_c and commuting with it, so
+z = (y' . g_c) . g_j; y' . g_c has depth at most L and, z being new,
+exactly L, so c was not the highest-ranked.  So every new state is
+still built once at least, for any via and any fixed ranking.  On the
+seven shifted rule-57 gates the window order builds one candidate per
+new state and no more.
 
 Every Found result is re-evaluated through the gate algebra before it
 is returned; memory use is estimated before each expansion so that an
@@ -110,7 +123,8 @@ class SearchResult:
 def _hash_rows(rows: np.ndarray) -> np.ndarray:
     """FNV-1a over the 64-bit words of each row, one block of rows at a time."""
     data = np.ascontiguousarray(rows).view(np.uint8)
-    data = data.reshape(rows.shape[0], -1)
+    # explicit, so that zero rows reshape too
+    data = data.reshape(rows.shape[0], rows.shape[1] * rows.itemsize)
     if data.shape[1] % 8:
         pad = 8 - data.shape[1] % 8
         data = np.concatenate(
@@ -286,9 +300,7 @@ class _Searcher:
             embed(g.inert, self.lo, self.hi).astype(self.dtype) for g in self.cfg.generators
         ]
         self.gen_inverses = [np.argsort(t).astype(self.dtype) for t in self.gen_tables]
-        self.involutions = np.array(
-            [np.array_equal(t[t], np.arange(self.size)) for t in self.gen_tables], dtype=bool
-        )
+        self.skip = self.skip_table()
         # for each frontier row, the generator k of the candidate that
         # stored it (row = parent . g_k); len(generators) for the identity
         self.via = np.full(1, len(self.gen_tables), np.min_scalar_type(len(self.gen_tables)))
@@ -297,6 +309,29 @@ class _Searcher:
             if self.target_reachable
             else None
         )
+
+    def skip_table(self) -> np.ndarray:
+        """skip[j, k]: whether a row stored as parent . g_j skips row . g_k.
+
+        True where k = j and g_k is an involution, or where g_k and g_j
+        commute and g_k ranks below g_j (module docstring); row
+        len(generators), for the identity, skips nothing.
+        """
+        tables, n = self.gen_tables, len(self.gen_tables)
+        commute = np.array(
+            [[np.array_equal(tk[tj], tj[tk]) for tk in tables] for tj in tables], dtype=bool
+        ).reshape(n, n)
+        involution = np.array(
+            [np.array_equal(t[t], np.arange(self.size)) for t in tables], dtype=bool
+        )
+        # by the leftmost cell of the window, the identity first; the
+        # stable sort breaks ties by position
+        left = [
+            self.lo - 1 if g.inert.is_identity else g.inert.window[0] for g in self.cfg.generators
+        ]
+        rank = np.argsort(np.argsort(left, kind="stable"))
+        skip = (commute & (rank[None, :] < rank[:, None])) | np.diag(involution)
+        return np.vstack([skip, np.zeros((1, n), dtype=bool)])
 
     # -- ball construction ------------------------------------------------
 
@@ -324,17 +359,22 @@ class _Searcher:
         if not self.gen_tables:
             return None
         for depth in range(len(self.ball.levels), depth_limit + 1):
-            n = self.ball.levels[-1].shape[0] * len(self.gen_tables)
+            # how many candidates each generator's block holds
+            skipped = np.bincount(self.via, minlength=len(self.gen_tables) + 1) @ self.skip
+            sizes = self.ball.levels[-1].shape[0] - skipped
+            n = int(sizes.sum())
+            if not n:
+                return None  # ball closed: no candidate can be new
             # the candidates, the distinct and the fresh rows and their
-            # index arrays peak below 3x the candidates' stored size; the
-            # skipped back edges only lower that peak.  Merging the index
-            # holds its sort order and the merged keys and ids, 16 bytes
-            # per state old or new, and a merge buffer of 8 per new state
+            # index arrays peak below 3x the candidates' stored size.
+            # Merging the index holds its sort order and the merged keys
+            # and ids, 16 bytes per state old or new, and a merge buffer
+            # of 8 per new state
             projected = self.ball.nbytes + 16 * self.ball.states + 3 * n * (per_state + 8)
             projected += self.table_bytes + _OBJECT_BYTES
             if projected > budget:
                 return {"level": depth, "projected_bytes": projected, "budget": budget}
-            candidates, starts = self.candidates()
+            candidates, starts = self.candidates(sizes)
             rows, hashes, picked = _dedup_rows(candidates)
             del candidates
             fresh = np.flatnonzero(self.ball.depth_of(rows, hashes) < 0)
@@ -348,28 +388,25 @@ class _Searcher:
             self.ball.add_level(rows, hashes)
         return None
 
-    def candidates(self) -> tuple[np.ndarray, np.ndarray]:
+    def candidates(self, sizes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Frontier rows times each generator, and where each generator's block starts.
 
-        Generator k's block holds frontier . g_k for every frontier row,
-        in frontier order, except where g_k is an involution and the row
-        was stored as parent . g_k: that candidate is the parent again.
+        Generator k's block holds frontier . g_k, in frontier order, for
+        the sizes[k] frontier rows whose via the skip table does not skip.
         The rows are gathered one block of _CHUNK entries at a time, so
         that selecting them costs no index as large as the candidates.
         """
         frontier = self.ball.levels[-1]
-        n = frontier.shape[0]
-        back = np.bincount(self.via, minlength=len(self.gen_tables) + 1)[:-1]
-        sizes = n - back * self.involutions
         starts = np.concatenate([[0], np.cumsum(sizes)[:-1]])
         out = np.empty((int(sizes.sum()), self.size), dtype=self.dtype)
         step = max(1, _CHUNK // self.size)
         for k, t in enumerate(self.gen_tables):
-            at = starts[k]
-            for lo in range(0, n, step):
+            at, skip = starts[k], self.skip[:, k]
+            for lo in range(0, frontier.shape[0], step):
                 block = frontier[lo : lo + step]
-                if self.involutions[k]:
-                    block = np.compress(self.via[lo : lo + step] != k, block, axis=0)
+                drop = skip[self.via[lo : lo + step]]
+                if drop.any():
+                    block = np.compress(~drop, block, axis=0)
                 np.take(block, t, axis=1, out=out[at : at + block.shape[0]])
                 at += block.shape[0]
         return out, starts

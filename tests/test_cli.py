@@ -151,6 +151,22 @@ def test_search_budget(capsys):
     assert "budget-exceeded" in out
 
 
+def test_search_for_a_generator_itself(capsys):
+    # the ball closes at level 1: level 2 has no candidate
+    code, out, err = run(
+        capsys,
+        "--json",
+        "search",
+        "--gen", "c0",
+        "--target", "c0",
+        "--strategy", "mitm",
+        "--max-depth", "3",
+    )
+    assert code == 0, err
+    record = json.loads(out)
+    assert record["status"] == "found" and record["word"] == [0]
+
+
 def test_search_target_outside_hull(capsys):
     # c0@30 lies 30 cells off the only generator's window
     code, out, _ = run(

@@ -56,6 +56,24 @@ def test_ring_too_small():
         C.project_periodic(e57, 3)
 
 
+@pytest.mark.parametrize("n", [4.0, np.float64(4), True, "4"], ids=repr)
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda n: C.CyclicPerm(n, np.arange(16)),
+        lambda n: C.CyclicPerm.identity(n),
+        lambda n: C.CyclicPerm.rotation(n),
+        lambda n: C.project_formula(G.make_named("c0"), n),
+        lambda n: C.project_periodic(G.make_named("c0"), n),
+    ],
+    ids=["CyclicPerm", "identity", "rotation", "project_formula", "project_periodic"],
+)
+def test_ring_sizes_that_are_not_integers_are_refused(build, n):
+    with pytest.raises(ValueError, match="ring size must be an integer"):
+        build(n)
+    assert build(np.int64(4)).n == build(4).n == 4
+
+
 def test_formula_matches_periodic_exhaustively():
     # includes windows across the seam via large offsets
     for _ in range(60):

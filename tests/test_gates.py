@@ -98,6 +98,21 @@ def test_tables_and_records_that_are_not_integers_are_refused(build):
         build()
 
 
+@pytest.mark.parametrize(
+    "record",
+    [
+        {"shift_power": 0, "window_lo": None, "window_hi": 3, "table": []},
+        {"shift_power": 0, "window_lo": None, "window_hi": None, "table": [1, 0]},
+        {"shift_power": 0, "window_lo": None, "window_hi": 3, "table": [1, 0]},
+    ],
+    ids=["window_hi", "table", "both"],
+)
+def test_inconsistent_identity_records_are_refused(record):
+    with pytest.raises(ValueError, match="identity record"):
+        G.GroupElement.from_record(record)
+    assert G.GroupElement.from_record(G.IDENTITY.to_record()) == G.IDENTITY
+
+
 def test_integer_records_and_tables_of_any_integer_type_load():
     flip = G.make_named("c0").inert
     assert G.GroupElement.from_record(RECORD) == G.GroupElement(1, flip)
@@ -781,12 +796,35 @@ def test_records_are_equal_exactly_when_tape_images_are(pair, seed):
     assert (f.to_record() == g.to_record()) == equal_images
 
 
+def landau(n):
+    """Landau's function: the greatest order of a permutation of n points."""
+    # best[s]: the greatest product of powers of distinct primes summing to at most s
+    best = [1] * (n + 1)
+    for p in range(2, n + 1):
+        if any(p % d == 0 for d in range(2, p)):
+            continue
+        for s in range(n, 1, -1):  # downwards, so that each prime is used once
+            q = p
+            while q <= s:
+                best[s] = max(best[s], best[s - q] * q)
+                q *= p
+    return best[n]
+
+
+def test_landau_function():
+    # OEIS A000793
+    assert [landau(n) for n in range(13)] == [1, 1, 2, 3, 4, 6, 6, 12, 15, 20, 30, 30, 60]
+
+
 @settings(max_examples=100, deadline=None)
 @given(random_table_gates())
 def test_order_is_the_least_power_giving_the_identity(f):
     g = f.inert
     power, k = g, 1
+    # no permutation of the table's words has a greater order
+    bound = landau(g.table.size)
     while not power.is_identity:
+        assert k < bound, f"no power up to {bound} of {g!r} is the identity"
         power, k = power.compose(g), k + 1
     assert g.order() == k
 

@@ -84,6 +84,69 @@ def test_ball_closes_without_inverse_generators():
     assert r.word == (0, 0) and r.stats["levels"] == [1, 1, 1]
 
 
+@pytest.mark.parametrize("strategy", ["bfs", "mitm"])
+def test_a_generator_that_is_the_target(strategy):
+    # after the back edge the flip's level 2 has no candidate: the ball closes
+    c0 = G.make_named("c0")
+    r = S.search(S.SearchConfig((c0,), c0, 3, strategy=strategy))
+    assert r.status == "found" and r.word == (0,)
+    assert r.stats["levels"] == [1, 1]
+    assert S._hash_rows(np.empty((0, 4), dtype=np.uint8)).shape == (0,)
+
+
+def counted_growth(gens, depth):
+    """Ball states and candidates built in growing the ball to depth."""
+    searcher = S._Searcher(S.SearchConfig(gens, G.make_named("c0"), depth))
+    built = []
+    candidates = searcher.candidates
+
+    def counted(*args):
+        out = candidates(*args)
+        built.append(out[0].shape[0])
+        return out
+
+    searcher.candidates = counted
+    assert searcher.grow(depth) is None
+    return searcher.ball.states, sum(built)
+
+
+def test_commuting_generators_are_skipped_in_window_order():
+    # copies of rule 57 two or more cells apart commute: ranked by window,
+    # growth builds one candidate per new state, in any generator order
+    e57 = G.make_eca(57)
+    rng = np.random.default_rng(18)
+    for _ in range(3):
+        shifts = rng.permutation(np.arange(-3, 4)).tolist()
+        states, built = counted_growth(tuple(e57.shift_conjugate(k) for k in shifts), 6)
+        assert states == sum([1, 7, 27, 82, 226, 597, 1545])
+        assert built == states - 1, shifts
+
+
+def test_skip_table():
+    # e57@-1 and e57@1 commute, e57 commutes with neither; all three are
+    # involutions, and the identity commutes with each.  Ranked by window:
+    # the identity, e57@-1, e57, e57@1
+    e57, ident = G.make_eca(57), G.IDENTITY
+    gens = (e57.shift_conjugate(1), ident, e57, e57.shift_conjugate(-1))
+    assert [g.inert.window for g in gens] == [(0, 2), None, (-1, 1), (-2, 0)]
+    searcher = S._Searcher(S.SearchConfig(gens, G.make_named("c0"), 3))
+    searcher.embed_tables()
+    # row j: the generator that stored the row; column k: the candidate's
+    assert searcher.skip.astype(int).tolist() == [
+        [1, 1, 0, 1],
+        [0, 1, 0, 0],
+        [0, 1, 1, 0],
+        [0, 1, 0, 1],
+        [0, 0, 0, 0],
+    ]
+    # an order-3 gate keeps its square; a repeated generator is skipped
+    # after its later copy only
+    g = G.GroupElement(0, G.canonicalize(0, 1, np.array([1, 2, 0, 3])))
+    searcher = S._Searcher(S.SearchConfig((g, g), G.make_named("c0"), 3))
+    searcher.embed_tables()
+    assert searcher.skip.astype(int).tolist() == [[0, 0], [1, 0], [0, 0]]
+
+
 MITM_WORDS = [(1, 0), (0, 1, 2, 1), (2, 2, 0, 1, 0, 2)]
 
 
@@ -519,10 +582,10 @@ def bfs_over_bytes(generators, target, limit):
 
 
 @st.composite
-def small_gates(draw):
-    """A gate with its window inside [-1, 2]: any table, an involution or of order 3."""
-    lo = draw(st.integers(-1, 2))
-    hi = draw(st.integers(lo, min(2, lo + 2)))
+def small_gates(draw, first=-1, last=2):
+    """A gate with its window inside [first, last]: any table, an involution or of order 3."""
+    lo = draw(st.integers(first, last))
+    hi = draw(st.integers(lo, min(last, lo + 2)))
     size = 1 << (hi - lo + 1)
     kind = draw(st.sampled_from(["any", "involution", "involution", "order-3"]))
     if kind == "order-3" and size >= 4:
@@ -538,11 +601,34 @@ def small_gates(draw):
     return G.GroupElement(0, G.canonicalize(lo, hi, np.array(table)))
 
 
+@st.composite
+def generator_lists(draw):
+    """Two to five small gates, among them often ones that commute with another:
+    a repeat, the identity, a power of one or a gate on cells it leaves alone."""
+    gens = draw(st.lists(small_gates(), min_size=1, max_size=3))
+    for kind in draw(st.lists(st.sampled_from(["repeat", "identity", "power", "apart", "any"]),
+                              min_size=1, max_size=2)):
+        g = draw(st.sampled_from(gens))
+        lo, hi = g.inert.window or (0, 0)
+        if kind == "repeat" or kind == "apart" and (lo, hi) == (-1, 2):
+            new = g
+        elif kind == "identity":
+            new = G.IDENTITY
+        elif kind == "power":
+            new = g.compose(g)
+        elif kind == "apart":
+            new = draw(small_gates(-1, lo - 1) if lo > -1 else small_gates(hi + 1, 2))
+        else:
+            new = draw(small_gates())
+        gens.insert(draw(st.integers(0, len(gens))), new)
+    return tuple(gens)
+
+
 @settings(max_examples=200, deadline=None)
 @given(
-    generators=st.lists(small_gates(), min_size=2, max_size=4),
+    generators=generator_lists(),
     max_depth=st.integers(1, 3),
-    word=st.lists(st.integers(0, 3), min_size=3, max_size=7),
+    word=st.lists(st.integers(0, 4), min_size=3, max_size=7),
     outsider=small_gates(),
     reachable=st.booleans(),
 )
