@@ -12,6 +12,8 @@ flipped): a gate is affine iff each is constant, linear iff affine and
 0 is fixed, a wire permutation iff linear and each constant is one bit,
 and a lamplighter map iff each cell's constant flips just that cell;
 one-sided flow reads which output cells each input cell can reach.
+For a gate that moves few words, such as a pattern swap, the one-sided
+and coset tests read only those words and their one-flip neighbours.
 The classifiers:
 
 * word swaps: the swap of patterns u, v (with the flip and the shift)
@@ -42,7 +44,7 @@ from .gates import (
     flip_difference,
     make_eca,
     make_named,
-    make_word_swap,
+    _word_swap,
 )
 
 # The flip as a 50-step program over {gate one cell left, gate in place,
@@ -56,6 +58,15 @@ FLIP_PROGRAM_LETTERS = {"a": ("e", -1), "b": ("e", 0), "c": ("e", 1)}
 
 # -- flip differences ------------------------------------------------------
 
+# A gate that moves at most this many window words is tested from those
+# words and their one-flip neighbours (O(n) entries, as a pattern swap
+# moves two words); one that moves more reads its whole table.
+_SPARSE_WORDS = 16
+
+# the moved words are found one block of this many entries at a time, so
+# that a wide table is never held twice
+_BLOCK = 1 << 12
+
 
 def _flip_constants(g: InertGate) -> list[int] | None:
     """Each cell's flip difference, or None if one of them is not constant."""
@@ -68,9 +79,47 @@ def _flip_constants(g: InertGate) -> list[int] | None:
     return out
 
 
+def _moved(g: InertGate) -> dict[int, int] | None:
+    """Each window word that g moves, with its image; None past _SPARSE_WORDS words."""
+    table, moved = g.table, {}
+    for lo in range(0, table.size, _BLOCK):
+        block = table[lo : lo + _BLOCK]
+        at = (block != np.arange(lo, lo + block.size)).nonzero()[0]
+        if len(moved) + at.size > _SPARSE_WORDS:
+            return None
+        for x in at.tolist():
+            moved[lo + x] = block.item(x)
+    return moved
+
+
 def _reach(g: InertGate):
     """For each cell p in turn, the mask of output bits that flipping p can change."""
-    return (int(np.bitwise_or.reduce(flip_difference(g.table, p))) for p in range(g.width))
+    moved = _moved(g)
+    if moved is None:
+        return (int(np.bitwise_or.reduce(flip_difference(g.table, p))) for p in range(g.width))
+    # only the pairs (x, x ^ bit) that hold a moved word: a pair of unmoved
+    # words differs by bit alone, and there is one unless every pair for
+    # the bit holds a moved word
+    half, out = g.table.size >> 1, []
+    for bit in (1 << p for p in range(g.width)):
+        untouched = len(moved) < half or len({x & ~bit for x in moved}) < half
+        reach = bit if untouched else 0
+        for x, image in moved.items():
+            reach |= image ^ moved.get(x ^ bit, x ^ bit)
+        out.append(reach)
+    return out
+
+
+def _displacements(g: InertGate) -> set[int]:
+    """The distinct values table(u) xor u xor table(0) over every window word u."""
+    moved = _moved(g)
+    if moved is None:
+        return set(np.unique(g.table ^ np.arange(g.table.size) ^ g.table[0]).tolist())
+    t0 = moved.get(0, 0)
+    values = {image ^ x ^ t0 for x, image in moved.items()}
+    if len(moved) < g.table.size:  # an unmoved word u gives u ^ u ^ table(0)
+        values.add(t0)
+    return values
 
 
 # -- linear and wire structure --------------------------------------------
@@ -131,16 +180,20 @@ def in_GV(g: InertGate, w: str) -> bool:
         raise ValueError("w must be a nonzero vector")
     if g.is_identity:
         return True
-    rel = g.table ^ np.arange(1 << g.width) ^ int(g.table[0])
-    # window bit p is the cell hi - p, so a value read from its low bit
-    # lists cells from the right; w is read from the right too, and
-    # reversing both operands keeps divisibility
-    poly_w = Gf2Poly.normalize(int(w, 2))
-    for value in np.unique(rel):
-        value = int(value)
-        if value and not gf2_divides(poly_w, Gf2Poly.normalize(value)):
+    for value in _displacements(g):
+        if value and not _in_span(w, value):
             return False
     return True
+
+
+@functools.lru_cache(maxsize=4096)
+def _in_span(w: str, value: int) -> bool:
+    # once per (w, value): a pattern swap's displacements are 0 and its
+    # difference word, so pairs with one difference share the answer.
+    # Window bit p is the cell hi - p, so a value read from its low bit
+    # lists cells from the right; w is read from the right too, and
+    # reversing both operands keeps divisibility
+    return gf2_divides(Gf2Poly.normalize(int(w, 2)), Gf2Poly.normalize(value))
 
 
 # -- word-swap classification ---------------------------------------------
@@ -201,22 +254,24 @@ def classify_swap(u: str, v: str, verify: bool = True) -> SwapClass:
     swap's for each pair, the flip's and the shift's once per subgroup
     and difference word.
     """
-    d = diff_set(u, v)
-    ones = [i for i, ch in enumerate(d) if ch == "1"]
+    d = diff_set(u, v)  # the one check of u and v
+    ones = d.count("1")
     n = len(d)
-    swap = make_word_swap(u, v) if verify else None
+    if verify and not n:
+        raise ValueError("patterns must be nonempty")
+    swap = _word_swap(u, v) if verify else None
 
     def verified(subgroup: str, witness: str | None = None) -> bool | None:
         if not verify:
             return None
-        return _member(subgroup, swap.inert, witness) and _flip_and_shift_in(subgroup, witness)
+        return _member(subgroup, swap, witness) and _flip_and_shift_in(subgroup, witness)
 
     if not ones:
         return SwapClass(
             SwapVerdict.TRIVIAL, "trivial group", None, swap.is_identity if verify else None
         )
-    if len(ones) == 1:
-        i = ones[0]
+    if ones == 1:
+        i = d.index("1")
         if i == n - 1:
             return SwapClass(
                 SwapVerdict.RIGHT_ONE_SIDED, "right-flow subgroup", None, verified("GR")

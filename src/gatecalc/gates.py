@@ -118,9 +118,7 @@ class InertGate:
         self.hi = hi
         table.setflags(write=False)
         self.table = table
-        # CPython hashes -1 like -2; doubled bounds are never -1, so gates
-        # one cell apart, such as c0@-1 and c0@-2, do not collide
-        self._hash = hash((2 * lo, 2 * hi, table.tobytes()))
+        self._hash = None  # on first use: hashing copies the whole table
 
     # -- basic shape ---------------------------------------------------
 
@@ -245,6 +243,10 @@ class InertGate:
         )
 
     def __hash__(self):
+        if self._hash is None:
+            # CPython hashes -1 like -2; doubled bounds are never -1, so gates
+            # one cell apart, such as c0@-1 and c0@-2, do not collide
+            self._hash = hash((2 * self.lo, 2 * self.hi, self.table.tobytes()))
         return self._hash
 
     def __repr__(self):
@@ -805,8 +807,14 @@ def make_word_swap(u: str, v: str) -> GroupElement:
         raise ValueError(f"unequal lengths: {len(u)} vs {len(v)}")
     if not u:
         raise ValueError("patterns must be nonempty")
+    return GroupElement(0, _word_swap(u, v))
+
+
+def _word_swap(u: str, v: str) -> InertGate:
+    # make_word_swap's gate without the check of the words: u and v are
+    # nonempty binary words of one length
     if u == v:
-        return IDENTITY
+        return _IDENTITY_GATE
     n = len(u)
     if n > WINDOW_CAP:
         raise WindowCapError(n, WINDOW_CAP)
@@ -815,7 +823,7 @@ def make_word_swap(u: str, v: str) -> GroupElement:
     table[iu], table[iv] = iv, iu
     # a swap of two distinct words depends on every cell, so [0, n - 1]
     # is already the canonical window
-    return GroupElement(0, InertGate(0, n - 1, table))
+    return InertGate(0, n - 1, table)
 
 
 def make_eca(rule: int) -> GroupElement:

@@ -210,10 +210,18 @@ class _Ball:
         self.starts.append(self.states + rows.shape[0])
         self.nbytes += rows.nbytes + new_keys.nbytes + numbers.nbytes
 
-    def depth_of(self, rows: np.ndarray, hashes: np.ndarray | None = None) -> np.ndarray:
-        """Stored depth of each row, or -1 where the row is not stored."""
-        keys = _index_keys(_hash_rows(rows) if hashes is None else hashes)
-        out = np.full(rows.shape[0], -1, dtype=np.int64)
+    def depth_of(
+        self, rows: np.ndarray, hashes: np.ndarray | None = None, index: np.ndarray | None = None
+    ) -> np.ndarray:
+        """Stored depth of each row, or -1 where the row is not stored.
+
+        Given an index, of rows[index] instead, which is compared without
+        being gathered.  hashes, if given, are those of the rows looked up.
+        """
+        if hashes is None:
+            hashes = _hash_rows(rows if index is None else _take_rows(rows, index))
+        keys = _index_keys(hashes)
+        out = np.full(keys.size, -1, dtype=np.int64)
         # ascending needles walk the index once, from left to right
         order = None
         if np.any(keys[1:] < keys[:-1]):
@@ -235,13 +243,14 @@ class _Ball:
         for d in np.unique(depth):
             pair = np.nonzero(depth == d)[0]
             stored = state[pair] - self.starts[d]
-            pair = pair[_equal_rows(self.levels[d], stored, rows, row[pair])]
+            looked_up = row[pair] if index is None else index[row[pair]]
+            pair = pair[_equal_rows(self.levels[d], stored, rows, looked_up)]
             out[row[pair]] = d
         return out
 
 
-def _dedup_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Distinct rows ordered by (hash, row), their hashes and input indices.
+def _dedup_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The hashes and input indices of the distinct rows, ordered by (hash, row).
 
     Adjacent rows with equal hashes are compared in full; a run of equal
     hashes that holds distinct rows is sorted exactly on its own.
@@ -263,8 +272,7 @@ def _dedup_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         order[lo : lo + first.size] = run[first]
         keep[lo:hi] = False
         keep[lo : lo + first.size] = True
-    order = order[keep]
-    return _take_rows(rows, order), hashes[keep], order
+    return hashes[keep], order[keep]
 
 
 class _Searcher:
@@ -365,8 +373,8 @@ class _Searcher:
             n = int(sizes.sum())
             if not n:
                 return None  # ball closed: no candidate can be new
-            # the candidates, the distinct and the fresh rows and their
-            # index arrays peak below 3x the candidates' stored size.
+            # the candidates, the fresh rows and their index arrays peak
+            # below 3x the candidates' stored size.
             # Merging the index holds its sort order and the merged keys
             # and ids, 16 bytes per state old or new, and a merge buffer
             # of 8 per new state
@@ -375,16 +383,16 @@ class _Searcher:
             if projected > budget:
                 return {"level": depth, "projected_bytes": projected, "budget": budget}
             candidates, starts = self.candidates(sizes)
-            rows, hashes, picked = _dedup_rows(candidates)
-            del candidates
-            fresh = np.flatnonzero(self.ball.depth_of(rows, hashes) < 0)
+            hashes, picked = _dedup_rows(candidates)
+            fresh = np.flatnonzero(self.ball.depth_of(candidates, hashes, picked) < 0)
             if not fresh.size:
                 return None  # ball closed: the whole group is enumerated
-            via = np.searchsorted(starts, picked[fresh], side="right") - 1
-            self.via = via.astype(self.via.dtype)
-            del picked, via
-            # only the fresh rows stay alive while the index is merged
-            rows, hashes = _take_rows(rows, fresh), hashes[fresh]
+            picked, hashes = picked[fresh], hashes[fresh]
+            self.via = (np.searchsorted(starts, picked, side="right") - 1).astype(self.via.dtype)
+            # the one gather of the level; only the fresh rows stay alive
+            # while the index is merged
+            rows = _take_rows(candidates, picked)
+            del candidates, picked
             self.ball.add_level(rows, hashes)
         return None
 

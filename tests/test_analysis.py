@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 
 from gatecalc import analysis as A
 from gatecalc import gates as G
-from gatecalc.bitcore import int_to_word
+from gatecalc.bitcore import int_to_word, shift_span_contains
 
 RNG = np.random.default_rng(31)
 
@@ -241,6 +242,126 @@ def test_in_GV_swap_difference_span():
         f = G.make_word_swap(u, v).inert
         d = "".join("1" if a != b else "0" for a, b in zip(u, v))
         assert A.in_GV(f, d)
+
+
+# -- the moved-word path ----------------------------------------------------------
+
+
+def moved_word_results(g, d, predicates):
+    # what the three predicates read and, for short swaps, what they answer
+    out = (list(A._reach(g)), A._displacements(g))
+    if predicates:
+        out += (A.in_GR(g), A.in_GL(g), A.in_GV(g, d), A.in_GV(g, "1"), A.in_GV(g, "11"))
+    return out
+
+
+def test_moved_words_and_whole_tables_agree_on_every_pair_to_length_8(monkeypatch):
+    swaps = [
+        (G.make_word_swap(int_to_word(iu, n), int_to_word(iv, n)).inert, int_to_word(iu ^ iv, n))
+        for n in range(1, 9)
+        for iu, iv in itertools.combinations(range(1 << n), 2)
+    ]
+    assert len(swaps) == 43435 and all(A._moved(g) is not None for g, _ in swaps)
+    sparse = [moved_word_results(g, d, g.width <= 6) for g, d in swaps]
+    monkeypatch.setattr(A, "_SPARSE_WORDS", -1)  # every table read whole
+    assert all(A._moved(g) is None for g, _ in swaps)
+    for (g, d), want in zip(swaps, sparse):
+        assert moved_word_results(g, d, g.width <= 6) == want, (g.table, d)
+
+
+def cycled_table(width, words, k=1):
+    # the identity on width cells, except that words[i] goes to words[i + k]
+    table = np.arange(1 << width)
+    table[words] = np.roll(words, -k)
+    return table
+
+
+def test_the_bound_decides_the_path():
+    words = [int(w) for w in np.random.default_rng(8).choice(64, A._SPARSE_WORDS + 1, replace=False)]
+    at_bound = G.canonicalize(0, 5, cycled_table(6, words[:-1]))
+    past = G.canonicalize(0, 5, cycled_table(6, words))
+    assert A._moved(at_bound) == dict(zip(words[:-1], np.roll(words[:-1], -1).tolist()))
+    assert A._moved(past) is None
+    for table in (cycled_table(6, words[:-1]), cycled_table(6, words)):
+        check_definitions(table)
+        check_coset_definition(table, 0, "11")
+
+
+def check_coset_definition(table, lo, w):
+    """in_GV on the table over [lo, ...] against its definition, by brute force."""
+    table = [int(t) for t in table]
+    width = (len(table) - 1).bit_length()
+    g = G.canonicalize(lo, lo + width - 1, np.array(table))
+    values = {image ^ u ^ table[0] for u, image in enumerate(table)}
+    # a value's word lists the cells from the left, as w does
+    want = all(shift_span_contains(w, int_to_word(value, width)) for value in values)
+    assert A.in_GV(g, w) == want, (table, lo, w)
+
+
+def sum_of_shifts(w, places):
+    out = 0
+    for s in places:
+        out ^= w << s
+    return out
+
+
+@st.composite
+def cycled_words(draw):
+    """A table of width 1..8 that permutes k <= 6 drawn words among themselves.
+
+    Half of the time the words lie in one coset of the span of a drawn
+    word w, so that the gate preserves its cosets.  Returns the table and
+    the words worth testing as spans: w and the difference of the first
+    two words.
+    """
+    width = draw(st.integers(1, 8))
+    span = draw(st.integers(1, width))
+    w = draw(st.integers(1 << (span - 1), (1 << span) - 1))
+    k = draw(st.integers(2, min(6, 1 << width)))
+    if draw(st.booleans()):
+        # base plus a sum of the shifts of w that fit the window
+        places = width - span + 1
+        base = draw(st.integers(0, (1 << width) - 1))
+        sums = st.integers(0, (1 << places) - 1).map(
+            lambda q: base ^ sum_of_shifts(w, [s for s in range(places) if q >> s & 1])
+        )
+        words = draw(st.lists(sums, min_size=2, max_size=min(k, 1 << places), unique=True))
+    else:
+        words = draw(st.lists(st.integers(0, (1 << width) - 1), min_size=k, max_size=k, unique=True))
+    images = draw(st.permutations(words))
+    table = np.arange(1 << width)
+    table[words] = images if images != words else words[1:] + words[:1]
+    spans = {int_to_word(w, span), int_to_word(words[0] ^ words[1], width)}
+    return table, spans
+
+
+@settings(max_examples=150, deadline=None)
+@given(drawn=cycled_words(), lo=st.integers(-3, 3))
+def test_predicates_match_definitions_on_gates_that_move_few_words(drawn, lo):
+    table, spans = drawn
+    check_definitions(table, lo)
+    for w in spans | {"1", "11"}:
+        check_coset_definition(table, lo, w)
+
+
+def test_a_wide_swap_is_classified_within_one_table():
+    # a width-20 swap moves 2 of 2^20 words: verifying it reads those and
+    # their neighbours, and scans the table in blocks
+    u = "0" * 20
+    table_bytes = 8 << 20
+    for v, verdict in [
+        ("1" + "0" * 19, A.SwapVerdict.LEFT_ONE_SIDED),
+        ("0" * 19 + "1", A.SwapVerdict.RIGHT_ONE_SIDED),
+        ("0110" * 5, A.SwapVerdict.COSET_PRESERVING),
+    ]:
+        tracemalloc.start()
+        try:
+            cls = A.classify_swap(u, v)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert cls.verdict is verdict and cls.verified is True
+        assert peak < 1.5 * table_bytes, (v, peak)
 
 
 # -- swap classification -----------------------------------------------------------

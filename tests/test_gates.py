@@ -350,6 +350,19 @@ def test_word_swap_wider_than_the_cap_is_refused(monkeypatch):
     assert err.value.required_width == 9
 
 
+def test_a_wide_swap_is_built_without_a_copy_of_its_table():
+    # the hash is taken on first use, so building copies no table
+    tracemalloc.start()
+    try:
+        swap = G.make_word_swap("0" * 20, "01" * 10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * swap.inert.table.nbytes, peak
+    again = G.make_word_swap("0" * 20, "01" * 10)
+    assert hash(again) == hash(swap) and {swap: 1}[again] == 1
+
+
 def test_word_swap_is_built_canonical():
     # make_word_swap skips canonicalize: its window [0, n - 1] is already canonical
     for n in range(1, 7):

@@ -351,11 +351,13 @@ def test_depth_of_matches_a_dict_of_rows(monkeypatch, collide):
     assert -1 in want and len(set(want)) > 5
     assert ball.depth_of(rows).tolist() == want
     # rows in hash order with their hashes, as growth passes them
-    distinct, hashes, picked = S._dedup_rows(rows)
-    assert np.array_equal(rows[picked], distinct)
+    hashes, picked = S._dedup_rows(rows)
+    distinct = rows[picked]
+    assert np.array_equal(hashes, S._hash_rows(distinct))
     assert ball.depth_of(distinct, hashes).tolist() == [
         depth.get(row.tobytes(), -1) for row in distinct
     ]
+    assert np.array_equal(ball.depth_of(rows, hashes, picked), ball.depth_of(rows[picked], hashes))
 
 
 @pytest.mark.parametrize("collide", [False, *COLLIDING_MASKS])
@@ -366,16 +368,17 @@ def test_dedup_does_not_depend_on_input_order(monkeypatch, collide):
     searcher.grow(9)
     frontier = searcher.ball.levels[-1]
     candidates = np.concatenate([frontier[:, t] for t in searcher.gen_tables])
-    rows, hashes, picked = S._dedup_rows(candidates)
+    hashes, picked = S._dedup_rows(candidates)
+    rows = candidates[picked]
     assert {row.tobytes() for row in rows} == {row.tobytes() for row in candidates}
     assert rows.shape[0] < candidates.shape[0]
-    assert np.array_equal(candidates[picked], rows)
+    assert np.array_equal(hashes, S._hash_rows(rows))
     rng = np.random.default_rng(4)
     for _ in range(3):
         shuffled = candidates[rng.permutation(candidates.shape[0])]
-        again, again_hashes, again_picked = S._dedup_rows(shuffled)
+        again_hashes, again_picked = S._dedup_rows(shuffled)
+        again = shuffled[again_picked]
         assert np.array_equal(again, rows) and np.array_equal(again_hashes, hashes)
-        assert np.array_equal(shuffled[again_picked], rows)
 
 
 ROW_SHAPES = {
