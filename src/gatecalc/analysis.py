@@ -259,17 +259,16 @@ def classify_swap(u: str, v: str, verify: bool = True) -> SwapClass:
     n = len(d)
     if verify and not n:
         raise ValueError("patterns must be nonempty")
-    swap = _word_swap(u, v) if verify else None
 
     def verified(subgroup: str, witness: str | None = None) -> bool | None:
         if not verify:
             return None
+        swap = _word_swap(u, v)  # its table is made only for a verdict that is verified
         return _member(subgroup, swap, witness) and _flip_and_shift_in(subgroup, witness)
 
     if not ones:
-        return SwapClass(
-            SwapVerdict.TRIVIAL, "trivial group", None, swap.is_identity if verify else None
-        )
+        trivial = _word_swap(u, v).is_identity if verify else None  # u == v: no table
+        return SwapClass(SwapVerdict.TRIVIAL, "trivial group", None, trivial)
     if ones == 1:
         i = d.index("1")
         if i == n - 1:

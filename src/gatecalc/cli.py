@@ -47,11 +47,6 @@ def _parse_cap(text: str | int) -> int:
     return cap
 
 
-def _default_mem() -> int:
-    env = os.environ.get("GATECALC_MEM")
-    return _parse_mem(env) if env else 512 << 20
-
-
 def _gate_from_args(args) -> gates.GroupElement:
     if args.name:
         return gates.named_or_eca(args.name)
@@ -262,13 +257,15 @@ def _cmd_grammar(args) -> int:
 def _cmd_search(args) -> int:
     gens = tuple(_parse_gate_token(s) for s in args.gen.split(","))
     target = _parse_gate_token(args.target)
+    # SearchConfig holds the default budget
+    mem = args.mem or os.environ.get("GATECALC_MEM")
     cfg = search.SearchConfig(
         gens,
         target,
         args.max_depth,
-        memory_budget=_parse_mem(args.mem) if args.mem else _default_mem(),
         strategy=args.strategy,
         certify_minimum=args.certify_min,
+        **({"memory_budget": _parse_mem(mem)} if mem else {}),
     )
     result = search.search(cfg)
     payload = {

@@ -5,13 +5,14 @@ every n-th cell simultaneously; on n-periodic tapes the copies commute,
 and reading off one period turns the gate into a permutation of the 2^n
 window words.  Two independent implementations are kept side by side:
 
-* project_formula: the tape substitution formula (gates.substitute)
-  conjugated by a ring rotation that brings the window's first cell to
-  the top bit, so a window across the seam needs no branch of its own;
+* project_formula: the gate's tape table on one period (gates.embed, the
+  window kernel of products and search too) read through a ring rotation
+  that brings the window's first cell to the top bit, so a window across
+  the seam needs no branch of its own;
 * project_periodic: literal simulation of all 2^n words at once, three
   periods packed in one integer per word, the rule applied at each
   admissible cell in turn.  It is the oracle the formula is validated
-  against, so it calls neither the tape substitution nor the rotations.
+  against, so it calls neither embed nor the rotations.
 
 Ring permutations from outside are checked by CyclicPerm(n, perm); those
 built here are not, and the two projections are checked against each
@@ -35,8 +36,8 @@ from .gates import (
     GroupElement,
     InertGate,
     compose_many,
+    embed,
     permutation_table,
-    substitute,
     table_cycles,
 )
 
@@ -168,14 +169,14 @@ def _rotate(words: np.ndarray, k: int, n: int) -> np.ndarray:
 
 
 def project_formula(f: GroupElement, n: int) -> CyclicPerm:
-    """Ring permutation induced by f, by the tape substitution formula.
+    """Ring permutation induced by f: its tape table between two rotations.
 
     Each word is rotated so that the first window cell is its top bit,
     which puts the whole window inside one period wherever it sits on
-    the ring, seam or not.  The gate is then substituted as on the tape,
-    and one rotation maps the word back and applies the shift part.  The
-    ring must fit the padded rule (n >= 2R + 2), whose extra cell passes
-    through, so substituting the window alone is the same.
+    the ring, seam or not.  The gate's tape table on that period maps
+    it, and one rotation maps the word back and applies the shift part.
+    The ring must fit the padded rule (n >= 2R + 2), whose extra cell
+    passes through, so the table of the window alone is the same.
     """
     _check_ring(f, n)
     return _project_tight(f, n)
@@ -188,8 +189,7 @@ def _project_tight(f: GroupElement, n: int) -> CyclicPerm:
     if g.width > n:
         raise RingTooSmallError(n, g.width)
     a = g.lo % n
-    words = _rotate(np.arange(1 << n, dtype=np.int64), a, n)
-    words = substitute(words, g, g.lo + n - 1)
+    words = embed(g, g.lo, g.lo + n - 1)[_rotate(np.arange(1 << n, dtype=np.int64), a, n)]
     return CyclicPerm._built(n, _rotate(words, f.shift - a, n))
 
 
@@ -308,6 +308,7 @@ def check_locality_homomorphism(
     tight-window projection is used throughout; it coincides with
     project_formula whenever the latter's precondition holds.
     """
+    _check_size(n)
     fs = list(fs)
     if not fs:
         return LocalityOutcome.HOLDS

@@ -37,7 +37,7 @@ import itertools
 import math
 import re
 from dataclasses import dataclass
-from typing import Callable, Hashable, Iterable, Mapping
+from typing import Callable, Hashable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -168,41 +168,13 @@ class InertGate:
     # -- group structure ------------------------------------------------
 
     def compose(self, *others: "InertGate") -> "InertGate":
-        """self after others, the last applied first: every product of gates.
+        """self after others, the last applied first: a product of gates.
 
-        The product is a Program of one rule over the distinct gates.  If
-        their hull is wider than WINDOW_CAP, the product so far is
-        canonicalized before each gate that would widen it past the cap,
-        and WindowCapError raised only if it is still too wide with that
-        gate, which is exactly when composing two at a time would.
+        Composed as compose_many composes their elements; the gate itself
+        when the others are all the identity.
         """
-        if not others:
-            return self
-        gates = (self, *others)
-        # one rule over (id(gate), 0): interned by identity, which needs no
-        # table compare (equal gates built apart just become two parts)
-        program = Program({None: tuple(zip(map(id, gates), itertools.repeat(0)))}, [None])
-        first = program._interned[None][0]
-        leaves = dict(zip(first, map(gates.__getitem__, first.values())))
-        if (id(_IDENTITY_GATE), 0) in leaves:  # the identity changes nothing
-            gates = [g for g in gates if g is not _IDENTITY_GATE]
-            return InertGate.compose(*gates) if gates else _IDENTITY_GATE
-        try:
-            lo, hi, (table,) = _program_tables(program, leaves)
-            return _canonical(lo, hi, table)
-        except WindowCapError:  # too wide at once: composed in segments
-            pass
-        segment: list = []  # the product so far, then each gate since, in application order
-        for g in reversed(gates):
-            lo, hi = (min(lo, g.lo), max(hi, g.hi)) if segment else (g.lo, g.hi)
-            if hi - lo >= WINDOW_CAP:
-                prefix = InertGate.compose(*reversed(segment))  # within the cap
-                segment = [prefix]
-                lo, hi = (g.lo, g.hi) if prefix.is_identity else (min(prefix.lo, g.lo), max(prefix.hi, g.hi))
-                if hi - lo >= WINDOW_CAP:
-                    raise WindowCapError(hi - lo + 1, WINDOW_CAP)
-            segment.append(g)
-        return InertGate.compose(*reversed(segment))
+        gates = dict(enumerate(GroupElement(0, g) for g in (self, *others)))
+        return _compose_elements(gates, range(len(gates))).inert
 
     def inverse(self) -> "InertGate":
         if self.is_identity:
@@ -280,25 +252,12 @@ def table_cycles(table: np.ndarray) -> list[list[int]]:
     return out
 
 
-def substitute(words: np.ndarray, g: InertGate, hi: int) -> np.ndarray:
-    """Apply g to every word of an ambient window whose rightmost cell is hi.
-
-    The window of g must sit inside the ambient window; its bits are
-    rewritten through the table and all other bits pass through.
-    """
-    if g.is_identity:
-        return words
-    s = hi - g.hi
-    mask = (1 << g.width) - 1
-    return (words & ~(mask << s)) | (g.table[(words >> s) & mask] << s)
-
-
 def embed(g: InertGate, lo: int, hi: int) -> np.ndarray:
-    """Table of g on [lo, hi], which must contain its window and fit the cap
-    (g's own read-only table when [lo, hi] is its window)."""
+    """Table of g on [lo, hi], which must contain its window (g's own
+    read-only table when [lo, hi] is its window): the one window kernel of
+    products, rings and search.  The caller bounds the width, by WINDOW_CAP
+    on the tape and RING_CAP on rings; embed allocates 2^width words."""
     width = hi - lo + 1
-    if width > WINDOW_CAP:
-        raise WindowCapError(width, WINDOW_CAP)
     if g.is_identity:
         return np.arange(1 << width, dtype=np.int64)
     if g.lo == lo and g.hi == hi:
@@ -711,30 +670,37 @@ def compose_many(gates: Iterable[GroupElement]) -> GroupElement:
     """Compose a sequence, first element applied last (function order).
 
     Each element's inert part is translated by the shift applied before
-    it, as in GroupElement.compose, once per distinct (element, running
-    shift), and the parts are composed by InertGate.compose, as one
-    Program rule.  WindowCapError is raised only where composing two at
-    a time would.
+    it, as in GroupElement.compose, and the parts other than the identity
+    are composed as one Program rule; a single such part is returned as
+    it is.  Past WINDOW_CAP the parts are composed two at a time, so
+    WindowCapError is raised exactly where that raises.
     """
     gates = list(gates)
     seq, first = _intern(map(id, gates))
     return _compose_elements({i: gates[i] for i in first.values()}, seq)
 
 
-def _compose_elements(elements: Mapping[int, GroupElement], seq: list[int]) -> GroupElement:
-    # elements[i] for i in seq, in function order; if any element shifts,
-    # each inert part is translated by the shift applied before it, as in
-    # GroupElement.compose, once per distinct (element, running shift)
-    shift, parts = 0, {i: e.inert for i, e in elements.items()}
-    if any(e.shift for e in elements.values()):
-        shifts = list(itertools.accumulate((elements[i].shift for i in reversed(seq)), initial=0))
-        seq, first = _intern(zip(reversed(seq), shifts))
-        parts = {j: elements[i].inert.shift_by(k) for (i, k), j in first.items()}
-        seq, shift = seq[::-1], shifts[-1]
-    # every product of gates goes through InertGate.compose, the one entry
-    # point a profiler or tracer needs to wrap
-    inert = InertGate.compose(*map(parts.__getitem__, seq)) if seq else _IDENTITY_GATE
-    return GroupElement(shift, inert)
+def _compose_elements(elements: Mapping[int, GroupElement], seq: Sequence[int]) -> GroupElement:
+    # the product of elements[i] for i in seq, in function order, as
+    # compose_many's docstring says: the only builder of products.  The
+    # factors are (i, k), k the shift applied before the element
+    shifts = list(itertools.accumulate((elements[i].shift for i in reversed(seq)), initial=0))
+    factors = [(i, k) for i, k in zip(seq, shifts[-2::-1]) if not elements[i].inert.is_identity]
+    if len(factors) < 2:  # the identity, or a single part as it is
+        inert = elements[factors[0][0]].inert.shift_by(factors[0][1]) if factors else _IDENTITY_GATE
+        return GroupElement(shifts[-1], inert)
+    program = Program({None: tuple(factors)}, [None])
+    parts = {(i, k): elements[i].inert.shift_by(k) for i, k in program.uses if i is not None}
+    try:
+        lo, hi, (table,) = _program_tables(program, parts)
+        inert = _canonical(lo, hi, table)
+    except WindowCapError:  # too wide at once: two at a time, in application order
+        if len(factors) == 2:
+            raise
+        inert = _IDENTITY_GATE
+        for factor in reversed(factors):
+            inert = parts[factor].compose(inert)
+    return GroupElement(shifts[-1], inert)
 
 
 def inverse(f: GroupElement) -> GroupElement:

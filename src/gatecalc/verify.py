@@ -206,7 +206,7 @@ def criterion_11_search_certification():
     gens = tuple(e57.shift_conjugate(k) for k in (-1, 0, 1))
     flip = make_named("c0")
     result = search.search(search.SearchConfig(
-        gens, flip, 25, memory_budget=512 * 1024 * 1024, strategy="mitm", certify_minimum=True
+        gens, flip, 25, strategy="mitm", certify_minimum=True
     ))
     if result.status != "found":
         return False, f"unexpected outcome {result.status}: {result.stats}"

@@ -151,6 +151,22 @@ def test_search_budget(capsys):
     assert "budget-exceeded" in out
 
 
+def test_memory_budget_from_the_environment(capsys, monkeypatch):
+    monkeypatch.setenv("GATECALC_MEM", "1K")
+    code, out, _ = run(
+        capsys,
+        "--json",
+        "search",
+        "--gen", "e57@-1,e57,e57@1",
+        "--target", "c0",
+        "--strategy", "mitm",
+        "--max-depth", "25",
+    )
+    assert code == 0
+    record = json.loads(out)
+    assert record["status"] == "budget-exceeded" and record["stats"]["budget"] == 1024
+
+
 def test_search_for_a_generator_itself(capsys):
     # the ball closes at level 1: level 2 has no candidate
     code, out, err = run(
@@ -277,7 +293,8 @@ def test_malformed_window_cap_is_a_usage_error(capsys, monkeypatch, argv, env, m
     [
         (["synthesize", "--u", "0" * 25, "--v", "0" * 12 + "1" + "0" * 12], "window cap exceeded"),
         (["synthesize", "--u", "0" * 20, "--v", "0" * 10 + "1" + "0" * 9], "expansion cap exceeded"),
-        (["classify", "swap", "--u", "0" * 25, "--v", "0" * 12 + "1" + "0" * 12, "--verify"],
+        # right-one-sided: verifying it needs the swap's table
+        (["classify", "swap", "--u", "0" * 25, "--v", "0" * 24 + "1", "--verify"],
          "window cap exceeded"),
     ],
 )
@@ -285,6 +302,14 @@ def test_oversized_swap_input_exits_2_quickly(argv, message):
     out = run_limited(argv)
     assert out.returncode == 2, out.stderr
     assert message in out.stderr
+
+
+def test_a_universal_swap_past_the_cap_is_classified_without_its_table():
+    # a universal verdict verifies no membership, so no table is made
+    out = run_limited(["--json", "classify", "swap", "--u", "0" * 25,
+                       "--v", "0" * 12 + "1" + "0" * 12, "--verify"])
+    assert out.returncode == 0, out.stderr
+    assert json.loads(out.stdout)["verdict"] == "universal"
 
 
 def test_parity_orbit_column_stays_within_memory():

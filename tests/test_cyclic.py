@@ -180,11 +180,10 @@ def test_periodic_oracle_shares_no_code_with_the_formula(monkeypatch):
         raise AssertionError("the periodic oracle used the substitution formula")
 
     for module, name in [
-        (C, "substitute"),
+        (C, "embed"),
         (C, "_rotate"),
         (C, "_project_tight"),
         (C, "project_formula"),
-        (G, "substitute"),
         (G, "embed"),
     ]:
         monkeypatch.setattr(module, name, forbidden)
@@ -306,6 +305,19 @@ def test_locality_homomorphism():
         C.check_locality_homomorphism(shifted, 8, 0)
         is C.LocalityOutcome.HYPOTHESIS_NOT_MET
     )
+
+
+@pytest.mark.parametrize("n", [8.0, 30])
+def test_locality_homomorphism_checks_the_ring_size(n, monkeypatch):
+    # a float or a ring past RING_CAP is refused before any projection,
+    # which for n = 30 would make a 2^30-word table
+    def forbidden(*args, **kwargs):
+        raise AssertionError("projected before the ring size was checked")
+
+    monkeypatch.setattr(C, "_project_tight", forbidden)
+    fs = [G.make_eca(57).shift_conjugate(j) for j in range(1, 7)]
+    with pytest.raises(ValueError, match="ring size"):
+        C.check_locality_homomorphism(fs, n, 0)
 
 
 def test_cyclic_perm_validation():

@@ -187,6 +187,16 @@ def test_sigma_compose():
     assert sigma.inverse() == G.GroupElement(-1, G.identity_gate())
 
 
+def test_a_product_with_a_single_part_is_that_part():
+    identity = G.identity_gate()
+    for e in sample_elements():
+        x = e.inert
+        assert x.compose(identity) is x and identity.compose(x) is x
+        assert x.compose(identity, identity) is x
+        assert G.compose_many([e]).inert is x
+        assert G.compose_many([G.IDENTITY, e, G.IDENTITY]).inert is x
+
+
 def test_inert_gates_have_finite_order():
     for _ in range(20):
         width = int(RNG.integers(1, 4))
