@@ -35,6 +35,7 @@ import numpy as np
 from .gates import (
     GroupElement,
     InertGate,
+    _integer,
     compose_many,
     embed,
     permutation_table,
@@ -148,8 +149,7 @@ def min_ring(f: GroupElement) -> int:
 def _check_size(n: int, need: int | None = None) -> None:
     # ValueError unless an integer (a bool is not) in [1, RING_CAP];
     # RingTooSmallError below a gate's need
-    if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
-        raise ValueError(f"ring size must be an integer, got {n!r}")
+    _integer("ring size", n)
     if need is not None and n < need:
         raise RingTooSmallError(n, need)
     if n < 1 or n > RING_CAP:
@@ -253,7 +253,7 @@ def euler_phi(n: int) -> int:
 
 def necklace_count(n: int) -> int:
     """Number of binary words of length n up to rotation (formula)."""
-    if not 1 <= n <= 64:
+    if not 1 <= _integer("n", n) <= 64:
         raise ValueError("n must be in [1, 64]")
     total = sum(euler_phi(d) * (1 << (n // d)) for d in range(1, n + 1) if n % d == 0)
     assert total % n == 0
@@ -262,7 +262,7 @@ def necklace_count(n: int) -> int:
 
 def necklace_count_by_orbits(n: int) -> int:
     """Same count by enumerating rotation orbits (n <= RING_CAP)."""
-    if not 1 <= n <= RING_CAP:
+    if not 1 <= _integer("n", n) <= RING_CAP:
         raise ValueError(f"orbit enumeration supported for n in [1, {RING_CAP}]")
     mask = (1 << n) - 1
     w = np.arange(1 << n, dtype=np.int64)

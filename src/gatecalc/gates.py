@@ -31,7 +31,6 @@ are canonicalized unchecked (tests compare products with a checked chain).
 
 from __future__ import annotations
 
-import copy
 import functools
 import itertools
 import math
@@ -174,7 +173,7 @@ class InertGate:
         when the others are all the identity.
         """
         gates = dict(enumerate(GroupElement(0, g) for g in (self, *others)))
-        return _compose_elements(gates, range(len(gates))).inert
+        return _compose_elements([(i, 0) for i in gates], gates).inert
 
     def inverse(self) -> "InertGate":
         if self.is_identity:
@@ -285,8 +284,10 @@ class Program:
     (rule, cell) that the starts reach can be computed once and the
     expanded lengths are exact without expanding.  Starts may share rules,
     and then share their computation too.  A flat product is a program of
-    one rule.  order lists the rules the starts reach, each after the rules
-    it mentions, in depth-first finishing order from the starts.
+    one rule, and Program is the only place where factors are interned.
+    order lists the rules the starts reach, each after the rules it
+    mentions, in depth-first finishing order from the starts.  expand and
+    lengths may define generators as rules over others, without a new Program.
     """
 
     def __init__(self, rules: Mapping[Hashable, tuple[tuple[Hashable, int], ...]], starts: Iterable[Hashable]):
@@ -331,42 +332,29 @@ class Program:
                     if sym in interned:
                         cells.setdefault(sym, {})[k + dk] = None
 
-    def substitute(self, rules: Mapping[Hashable, tuple[tuple[Hashable, int], ...]]) -> "Program":
-        """The same program with some generators defined as rules over others.
-
-        Each use of such a generator becomes a use of its rule, so both
-        programs have the same values wherever each rule equals the
-        generator it defines.  The new rules mention only generators and
-        are computed first; the walk over the rules already here is reused.
-        """
-        program = copy.copy(self)
-        program.rules = {**rules, **self.rules}
-        program._interned = dict(self._interned)
-        program.cells = dict(self.cells)
-        program.uses = dict(self.uses)
-        for name, factors in rules.items():
-            if name in self.rules or not factors or any(sym in program.rules for sym, _ in factors):
+    def _read(self, defined: Mapping) -> tuple[dict, list]:
+        # the rules and the order to read them in, defined's rules first;
+        # each defines a generator, a name that is no rule, over generators
+        for name, factors in defined.items():
+            if name in self.rules or not factors or any(sym in self.rules or sym in defined for sym, _ in factors):
                 raise ValueError(f"rule {name!r} must define a generator over generators")
-            seq, first = _intern(factors)
-            program._interned[name] = first, seq[::-1]
-            cells = program.cells[name] = {k: None for sym, k in self.uses if sym == name}
-            for k in cells:
-                for sym, dk in first:
-                    program.uses[sym, k + dk] = program.uses.get((sym, k + dk), 0) + 1
-        program.order = [name for name in rules if program.cells[name]] + self.order
-        return program
+        return {**defined, **self.rules}, [*defined, *self.order]
 
-    def lengths(self) -> list[int]:
-        """The exact length of each start's expansion."""
+    def lengths(self, defined: Mapping = {}) -> list[int]:
+        """The exact length of each start's expansion (see expand for defined)."""
+        rules, order = self._read(defined)
         lengths: dict = {}
-        for name in self.order:
-            lengths[name] = sum(lengths.get(sym, 1) for sym, _ in self.rules[name])
+        for name in order:
+            lengths[name] = sum(lengths.get(sym, 1) for sym, _ in rules[name])
         return [lengths[start] for start in self.starts]
 
-    def expand(self, cancels: Callable[[Hashable], bool] | None = None) -> list["GateExpr"]:
+    def expand(self, cancels: Callable[[Hashable], bool] | None = None, defined: Mapping = {}) -> list["GateExpr"]:
         """Each start's flat expression.
 
-        With cancels given, two adjacent equal atoms of a generator x with
+        defined maps generators to rules over other generators, read before
+        the program's rules: each use of such a generator becomes a use of
+        its rule, as in the program with those rules written first.  With
+        cancels given, two adjacent equal atoms of a generator x with
         cancels(x) true are dropped, again and again, as x x = 1 allows for
         an involution; cancels is asked once per generator, at its first
         adjacent pair.  Cancelling within each rule and then where its
@@ -375,14 +363,15 @@ class Program:
         ExpansionCapError, before expanding anything, when an expansion
         would be longer than MAX_EXPANDED_ATOMS.
         """
-        longest = max(self.lengths())
+        longest = max(self.lengths(defined))
         if longest > MAX_EXPANDED_ATOMS:
             raise ExpansionCapError(longest, MAX_EXPANDED_ATOMS)
+        rules, order = self._read(defined)
         allowed: dict = {}
         flat: dict = {}
-        for name in self.order:
+        for name in order:
             atoms: list = []
-            for sym, k in self.rules[name]:
+            for sym, k in rules[name]:
                 sub = flat.get(sym)
                 part = [(sym, k)] if sub is None else [(n, j + k) for n, j in sub] if k else sub
                 i = 0  # pairs cancelled where part meets atoms
@@ -616,7 +605,7 @@ class GroupElement:
 
     def shift_conjugate(self, k: int) -> "GroupElement":
         """Conjugate moving the gate k cells to the right (shift part kept)."""
-        return GroupElement(self.shift, self.inert.shift_by(k))
+        return GroupElement(self.shift, self.inert.shift_by(_integer("k", k)))
 
     def reverse_conjugate(self) -> "GroupElement":
         return GroupElement(-self.shift, self.inert.mirror())
@@ -676,21 +665,25 @@ def compose_many(gates: Iterable[GroupElement]) -> GroupElement:
     WindowCapError is raised exactly where that raises.
     """
     gates = list(gates)
-    seq, first = _intern(map(id, gates))
-    return _compose_elements({i: gates[i] for i in first.values()}, seq)
+    return _compose_elements([(id(g), 0) for g in gates], {id(g): g for g in gates})
 
 
-def _compose_elements(elements: Mapping[int, GroupElement], seq: Sequence[int]) -> GroupElement:
-    # the product of elements[i] for i in seq, in function order, as
-    # compose_many's docstring says: the only builder of products.  The
-    # factors are (i, k), k the shift applied before the element
-    shifts = list(itertools.accumulate((elements[i].shift for i in reversed(seq)), initial=0))
-    factors = [(i, k) for i, k in zip(seq, shifts[-2::-1]) if not elements[i].inert.is_identity]
+def _compose_elements(atoms: Sequence[tuple[Hashable, int]], elements: Mapping[Hashable, GroupElement]) -> GroupElement:
+    # the product of the atoms (symbol, k), elements[symbol] moved k cells
+    # right, in function order, as compose_many's docstring says: the only
+    # builder of products.  Each factor is an atom's inert part, its cell
+    # moved by the shift applied before it
+    try:
+        resolved = [elements[sym] for sym, _ in atoms]
+    except KeyError as exc:
+        raise ValueError(f"unknown generator {exc.args[0]!r}") from None
+    shifts = list(itertools.accumulate((e.shift for e in reversed(resolved)), initial=0))
+    factors = [(sym, k + s) for (sym, k), e, s in zip(atoms, resolved, shifts[-2::-1]) if not e.inert.is_identity]
     if len(factors) < 2:  # the identity, or a single part as it is
         inert = elements[factors[0][0]].inert.shift_by(factors[0][1]) if factors else _IDENTITY_GATE
         return GroupElement(shifts[-1], inert)
     program = Program({None: tuple(factors)}, [None])
-    parts = {(i, k): elements[i].inert.shift_by(k) for i, k in program.uses if i is not None}
+    parts = {(sym, k): elements[sym].inert.shift_by(k) for sym, k in program.uses if sym is not None}
     try:
         lo, hi, (table,) = _program_tables(program, parts)
         inert = _canonical(lo, hi, table)
@@ -740,7 +733,7 @@ def make_named(name: str, k: int | None = None) -> GroupElement:
     """
     if name == "ck":
         # not kept: its width, and so whether it fits the cap, depends on k
-        if k is None or k < 0:
+        if k is None or _integer("k", k) < 0:
             raise ValueError("ck needs k >= 0")
         return GroupElement(0, _controlled_not(k))
     return _fixed_named(name)
@@ -800,7 +793,7 @@ def make_eca(rule: int) -> GroupElement:
     NotInvertibleError unless every (left, right) context induces a
     bijection of the centre cell.
     """
-    if not 0 <= rule <= 255:
+    if not 0 <= _integer("rule", rule) <= 255:
         raise ValueError("rule number must be in [0, 255]")
     for left in (0, 1):
         for right in (0, 1):
@@ -834,6 +827,7 @@ def apply(f: GroupElement, x: str, anchor: int = 0) -> str:
     computation would need outside it is an error, never defaulted.
     """
     check_word(x)
+    anchor = _integer("anchor", anchor)
     lo_in, hi_in = anchor, anchor + len(x) - 1
     g, k = f.inert, f.shift
     missing: set[int] = set()
@@ -913,12 +907,7 @@ def evaluate_expr(
 ) -> GroupElement:
     """Compose the atoms of expr; by default the first atom acts last.
 
-    Each distinct atom is resolved once, and the product is composed like
-    compose_many's.
+    The product is composed like compose_many's, each atom's gate moved
+    to its cell.
     """
-    seq, first = _intern(expr.atoms[::-1] if leftmost_first else expr.atoms)
-    try:
-        elements = {i: generators[name].shift_conjugate(k) for (name, k), i in first.items()}
-    except KeyError as exc:
-        raise ValueError(f"unknown generator {exc.args[0]!r}") from None
-    return _compose_elements(elements, seq)
+    return _compose_elements(expr.atoms[::-1] if leftmost_first else expr.atoms, generators)

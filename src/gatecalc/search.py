@@ -97,7 +97,7 @@ class SearchConfig:
     certify_minimum: bool = False
 
     def __post_init__(self):
-        if self.max_depth < 1:
+        if gates._integer("max_depth", self.max_depth) < 1:
             raise ValueError("max_depth must be >= 1")
         if self.strategy not in ("bfs", "mitm"):
             raise ValueError("strategy must be 'bfs' or 'mitm'")

@@ -30,17 +30,17 @@ returned unverified, and the proof is split the same way:
   once, and each of its four values must equal its target gate; a
   verified P_d is kept in a bounded cache, and a failed one raises and
   is never kept;
-* per pair, the program is P_d with f made a rule, the given swap
-  conjugated by the flips of u (Program.substitute), and likewise the
-  symbol f_rev that marks where c2 reads f backwards.  Those two rules
-  alone are evaluated, and each must equal f exactly, so the pair's
-  program has P_d's values by substitution.
+* per pair, P_d is expanded with f defined as the given swap
+  conjugated by the flips of u, and likewise the symbol f_rev that
+  marks where c2 reads f backwards (Program.expand's definitions).
+  Those two definitions alone are evaluated, and each must equal f
+  exactly, so the expansion has P_d's values by substitution.
 
-What is returned is the expansion of the pair's rules with adjacent
-equal atoms cancelled, and it has the same value: substituting each
-rule's expansion for its use is associativity, and x x = 1 holds for
-every cancelled generator x, because x.x is checked to be the identity,
-for each pair, before its first pair is cancelled.  Programs are
+What is returned is that expansion with adjacent equal atoms
+cancelled, and it has the same value: substituting each rule's
+expansion for its use is associativity, and x x = 1 holds for every
+cancelled generator x, because x.x is checked to be the identity, for
+each pair, before its first pair is cancelled.  Programs are
 deterministic functions of the input pair.
 """
 
@@ -78,8 +78,9 @@ class NotUniversalError(ValueError):
         self.verdict = verdict
 
 
-def peephole(program: Program, generators: Mapping[str, GroupElement]) -> list[GateExpr]:
-    """Each start's expansion with adjacent equal atoms cancelled.
+def peephole(program: Program, generators: Mapping[str, GroupElement], defined: Mapping = {}) -> list[GateExpr]:
+    """Each start's expansion, with defined read as in Program.expand and
+    adjacent equal atoms cancelled.
 
     x x = 1 only for an involution x, so before the first pair of a
     generator is cancelled, x.x is checked to be the identity, and
@@ -93,7 +94,7 @@ def peephole(program: Program, generators: Mapping[str, GroupElement]) -> list[G
             raise ValueError(f"generator {name!r} is not an involution: cannot cancel")
         return True
 
-    return program.expand(involution)
+    return program.expand(involution, defined)
 
 
 def _rule(rules: dict, *factors: tuple) -> int:
@@ -201,8 +202,8 @@ def _verified_program_d(d: str) -> tuple[Program, GroupElement]:
 
     Each of P_d's four values over {c0, f, f_rev = f} is compared
     against its target gate.  Raises gates.ExpansionCapError, before any
-    table is gathered, when P_d expands past the cap; every pair program
-    over it is at least as long.  A failed check raises, so it is never
+    table is gathered, when P_d expands past the cap; every pair's expansion
+    of it is at least as long.  A failed check raises, so it is never
     cached.
     """
     program = _program_d(d)
@@ -226,17 +227,6 @@ def _conjugations(u: str) -> dict:
     return {"f": f, "f_rev": f[::-1]}
 
 
-def _nct_program(u: str, v: str, program_d: Program | None = None) -> Program:
-    """The pair's program over {c0, fuv}: P_d with f and f_rev made rules.
-
-    Both rules are fuv conjugated by the flips of u, so the pair program
-    has P_d's values whenever both equal the swap of 0^n and d.
-    """
-    if program_d is None:
-        program_d = _program_d(diff_set(u, v))
-    return program_d.substitute(_conjugations(u))
-
-
 def synthesize_nct(u: str, v: str) -> dict[str, GateExpr]:
     """Verified programs for c1, rc1, s and c2 over {c0, fuv}.
 
@@ -253,9 +243,8 @@ def synthesize_nct(u: str, v: str) -> dict[str, GateExpr]:
         raise NotUniversalError(u, v, classify_swap(u, v))
     gens = {"c0": make_named("c0"), "fuv": make_word_swap(u, v)}
     program_d, f = _verified_program_d(diff_set(u, v))
-    program = _nct_program(u, v, program_d)
-    flat = peephole(program, gens)  # raises before the pair's rules are evaluated if too long
-    conjugations = {name: program.rules[name] for name in ("f", "f_rev")}
+    conjugations = _conjugations(u)
+    flat = peephole(program_d, gens, conjugations)  # raises before evaluating if too long
     if not all(program_matches(Program(conjugations, ("f", "f_rev")), gens, [f, f])):
         raise AssertionError("conjugated pattern swap failed verification")
     return dict(zip(TARGETS, flat))

@@ -74,6 +74,14 @@ def test_ring_sizes_that_are_not_integers_are_refused(build, n):
     assert build(np.int64(4)).n == build(4).n == 4
 
 
+@pytest.mark.parametrize("n", [4.0, np.float64(4), True, "4"], ids=repr)
+@pytest.mark.parametrize("count", [C.necklace_count, C.necklace_count_by_orbits], ids=lambda f: f.__name__)
+def test_necklace_sizes_that_are_not_integers_are_refused(count, n):
+    with pytest.raises(ValueError, match="n must be an integer"):
+        count(n)
+    assert count(np.int64(4)) == count(4) == 6
+
+
 def test_formula_matches_periodic_exhaustively():
     # includes windows across the seam via large offsets
     for _ in range(60):

@@ -99,6 +99,22 @@ def test_tables_and_records_that_are_not_integers_are_refused(build):
 
 
 @pytest.mark.parametrize(
+    "build",
+    [
+        lambda: G.make_named("c0").shift_conjugate(1.5),
+        lambda: G.make_named("ck", True),
+        lambda: G.make_named("ck", 2.0),
+        lambda: G.make_eca(57.0),
+        lambda: G.apply(G.make_named("c0"), "01", anchor=0.5),
+    ],
+    ids=["float-conjugate", "bool-ck", "float-ck", "float-eca", "float-anchor"],
+)
+def test_builders_refuse_arguments_that_are_not_integers(build):
+    with pytest.raises(ValueError, match="must be an integer"):
+        build()
+
+
+@pytest.mark.parametrize(
     "record",
     [
         {"shift_power": 0, "window_lo": None, "window_hi": 3, "table": []},
@@ -515,13 +531,13 @@ def test_program_evaluation_equals_its_flat_expansion():
 
 
 @st.composite
-def straight_line_programs(draw):
+def straight_line_programs(draw, generators=("a", "b")):
     # rules 0..n-1, rule i over the generators and rules below i, listed
     # in a random order in which each rule still comes after every rule
     # it mentions
     rules = {}
     for i in range(draw(st.integers(1, 5))):
-        symbols = ["a", "b", *range(i)]
+        symbols = [*generators, *range(i)]
         factor = st.tuples(st.sampled_from(symbols), st.integers(-1, 1))
         rules[i] = tuple(draw(st.lists(factor, min_size=1, max_size=4)))
     listed: list = []
@@ -578,27 +594,40 @@ def test_matching_equals_comparing_the_evaluated_values():
         G.program_matches(program, gens, values[:2])
 
 
-def test_substitution_equals_the_program_written_out():
-    gens = order_sensitive_generators()
+@settings(max_examples=100, deadline=None)
+@given(
+    straight_line_programs(("a", "b", "g", "h")),
+    st.dictionaries(
+        st.sampled_from("gh"),
+        st.lists(st.tuples(st.sampled_from("ab"), st.integers(-1, 1)), min_size=1, max_size=3).map(tuple),
+    ),
+)
+def test_substitution_equals_the_program_written_out(program, defined):
+    # expanding with g and h defined over a and b reads as the program
+    # with those definitions written first
+    direct = G.Program({**defined, **program.rules}, program.starts)
+    for cancels in (None, lambda _: True):
+        assert program.expand(cancels, defined) == direct.expand(cancels)
+    assert program.lengths(defined) == direct.lengths()
+
+
+def test_definitions_must_define_generators_over_generators():
     rules = {
         "x": (("a", 0), ("g", 1), ("a", -1)),
         "y": (("x", 2), ("g", 0), ("x", 0), ("h", 2)),
     }
     defined = {"g": (("b", 0), ("a", 1)), "h": (("a", 0),)}
-    program = G.Program(rules, ["y", "x"]).substitute(defined)
-    direct = G.Program({**defined, **rules}, ["y", "x"])
-    assert {k: set(v) for k, v in program.cells.items()} == {
-        k: set(v) for k, v in direct.cells.items()
-    }
-    assert program.uses == direct.uses
-    assert program.lengths() == direct.lengths() == [11, 4]
-    assert [e.to_string() for e in program.expand()] == [e.to_string() for e in direct.expand()]
-    assert G.evaluate_program(program, gens) == G.evaluate_program(direct, gens)
+    program = G.Program(rules, ["y", "x"])
+    assert program.lengths(defined) == [11, 4]
+    assert [e.to_string() for e in program.expand(defined=defined)] == [
+        "a@2 b@3 a@4 a@1 b a@1 a b@1 a@2 a@-1 a@2", "a b@1 a@2 a@-1"
+    ]
     # a rule may define only a generator, over generators
     for bad in ({"x": (("a", 0),)}, {"g": (("x", 0),)}, {"g": (("h", 0),), "h": (("a", 0),)},
                 {"g": ()}):
-        with pytest.raises(ValueError, match="must define a generator"):
-            G.Program(rules, ["y"]).substitute(bad)
+        for read in (program.lengths, lambda bad: program.expand(defined=bad)):
+            with pytest.raises(ValueError, match="must define a generator"):
+                read(bad)
 
 
 def test_program_rejects_malformed_rules():

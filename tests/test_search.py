@@ -275,6 +275,14 @@ def test_generators_must_be_inert():
         S.SearchConfig(flip_generators(), G.make_named("sigma"), 3)
 
 
+@pytest.mark.parametrize("depth", [2.5, np.float64(2), True, "2"], ids=repr)
+def test_depths_that_are_not_integers_are_refused(depth):
+    with pytest.raises(ValueError, match="max_depth must be an integer"):
+        S.SearchConfig(flip_generators(), G.make_named("c0"), depth)
+    c0 = G.make_named("c0")
+    assert S.search(S.SearchConfig((c0,), c0, np.int64(2))).status == "found"
+
+
 def test_common_window_obeys_the_window_cap(monkeypatch):
     # the three shifted rule-57 gates span cells -2..2
     monkeypatch.setattr(G, "WINDOW_CAP", 4)

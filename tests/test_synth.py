@@ -7,7 +7,7 @@ import pytest
 from gatecalc import gates as G
 from gatecalc import synth as S
 from gatecalc.analysis import SwapVerdict, classify_swap
-from gatecalc.bitcore import int_to_word
+from gatecalc.bitcore import diff_set, int_to_word
 
 
 def generators(u, v):
@@ -16,6 +16,12 @@ def generators(u, v):
 
 def evaluate(expr, u, v):
     return G.evaluate_expr(expr, generators(u, v))
+
+
+def pair_program(u, v):
+    # the pair's program written out: P_d after the definitions of f and f_rev
+    program_d = S._program_d(diff_set(u, v))
+    return G.Program({**S._conjugations(u), **program_d.rules}, program_d.starts)
 
 
 def universal_pairs(n):
@@ -160,7 +166,7 @@ def test_step_evaluation_equals_flat_evaluation():
     cases += [(u, v, S.synthesize_nct(u, v)) for u, v in sample_to_length_8()]
     for u, v, programs in cases:
         gens = generators(u, v)
-        steps = G.evaluate_program(S._nct_program(u, v), gens)
+        steps = G.evaluate_program(pair_program(u, v), gens)
         for name, step in zip(S.TARGETS, steps):
             assert G.evaluate_expr(programs[name], gens) == step, (u, v, name)
             assert step == G.make_named(S.TARGETS[name]), (u, v, name)
@@ -206,7 +212,7 @@ def test_a_wrong_strip_rule_is_refused_and_never_cached(monkeypatch):
 
 def test_program_lengths_are_exact_before_cancellation():
     for u, v in [("00100", "00000"), ("0101", "0111"), *sample_to_length_8()[::6]]:
-        program = S._nct_program(u, v)
+        program = pair_program(u, v)
         assert program.lengths() == [len(expr) for expr in program.expand()]
         flat = S.synthesize_nct(u, v)
         assert all(len(flat[name]) <= n for name, n in zip(S.TARGETS, program.lengths()))
@@ -214,7 +220,7 @@ def test_program_lengths_are_exact_before_cancellation():
 
 def test_synthesis_past_the_expansion_cap_is_refused():
     u, v = "0" * 18, "0" * 9 + "1" + "0" * 8
-    assert max(S._nct_program(u, v).lengths()) > G.MAX_EXPANDED_ATOMS
+    assert max(pair_program(u, v).lengths()) > G.MAX_EXPANDED_ATOMS
     with pytest.raises(G.ExpansionCapError):
         S.synthesize_nct(u, v)
     u, v = "0" * 17, "0" * 8 + "1" + "0" * 8  # the longest central pair that fits
