@@ -26,10 +26,10 @@ The golden strings live in data/programs/ as plain text with pinned
 checksums; they are test data, the productions below are the single
 source of truth.
 
-Expansion, the tape check, the ring check and the repeat report all
-read one gates.Program per start symbol, built once from the
-productions; a rule shared by several factors is expanded or composed
-once.
+Expansion, the tape check and the repeat report read one gates.Program
+per start symbol, built once from the productions.  The ring check
+applies the expanded string to all 2^n ring words at once, bit-sliced:
+word w is bit w of n integers, one per cell.
 """
 
 from __future__ import annotations
@@ -195,26 +195,39 @@ def measure_anchor() -> int:
 def verify_on_ring(start: str, target: GroupElement, n: int, anchor: int | None = None) -> bool:
     """Does the program still implement the target on a ring of n cells?
 
-    Terminals become ring permutations of the rule-57 update at their
-    cells, composed along the rules (see _ring_program).  The result is
-    compared entry by entry with the projected target at the anchor
-    (measured on the tape when not supplied), with no check that it is a
-    permutation: a table that is not cannot equal the projection.
+    The expanded string is applied to all 2^n ring words at once
+    (_ring_planes) and compared exactly with the target projected at the
+    anchor (measured on the tape when not supplied).  The projection comes
+    first, so a ring size it refuses is refused before any plane is built.
     """
-    program = _program(start)
+    string = expand(start)
     if n < 4:
         raise ValueError("ring verification needs n >= 4")
     if anchor is None:
         anchor = measure_anchor()
-    perm = _ring_program(program, n)
-    return np.array_equal(perm, project_formula(shift_conjugate(target, anchor), n).perm)
+    expected = _planes(project_formula(shift_conjugate(target, anchor), n).perm, n)
+    return _ring_planes(string, n) == expected
 
 
-def _ring_program(program: Program, n: int) -> np.ndarray:
-    # ring permutation of the program's start, each reachable (rule, cell)
-    # composed once and freed after its last use (see gates.Program.tables)
-    e57 = make_eca(57)
-    return program.tables(lambda _, k: project_formula(shift_conjugate(e57, k), n).perm)[0]
+def _planes(table: np.ndarray, n: int) -> list[int]:
+    # the planes of a 2^n-word table: row j holds byte j of every entry
+    # (little-endian), each masked to one bit and packed 8 words a byte
+    rows = table.astype("<u4").view(np.uint8).reshape(-1, 4).T.copy()
+    bits = (rows[b >> 3] & 1 << (b & 7) for b in range(n - 1, -1, -1))
+    return [int.from_bytes(np.packbits(plane, bitorder="little"), "little") for plane in bits]
+
+
+def _ring_planes(string: str, n: int) -> list[int]:
+    # bit w of plane i is cell i (bit n - 1 - i) of word w; the identity's
+    # runs halve from cell to cell.  Letters apply leftmost first, and rule
+    # 57 flips cell c unless its left neighbour is 0 and its right one 1
+    size = 1 << n
+    planes, full = [((1 << size // 2) - 1) << size // 2], (1 << size) - 1
+    for i in range(1, n):
+        planes.append(planes[-1] ^ planes[-1] >> (size >> i + 1))
+    for c in (int(ch) % n for ch in string):
+        planes[c] ^= planes[c - 1] | (planes[(c + 1) % n] ^ full)
+    return planes
 
 
 def adjacent_repeat_report(start: str) -> dict:

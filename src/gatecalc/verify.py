@@ -77,13 +77,14 @@ def criterion_3_tape_semantics():
 def criterion_4_ring_case():
     """Programs implement the projected gates on every ring size 4..12."""
     anchor = grammar.measure_anchor()
+    rings = range(4, 13)
     failures = []
-    for n in range(4, 13):
+    for n in rings:
         for start in grammar.START_SYMBOLS:
             target = make_named(grammar.STANDARD_TARGETS[start])
             if not grammar.verify_on_ring(start, target, n, anchor):
                 failures.append((start, n))
-    return not failures, f"anchor {anchor}, rings 4..12" + (
+    return not failures, f"anchor {anchor}, rings {rings[0]}..{rings[-1]}" + (
         f"; failures {failures}" if failures else ""
     )
 

@@ -29,6 +29,7 @@ TIME_BUDGETS = {
 # criterion index -> its exact detail, so that a faster check cannot pass
 # by checking fewer cases
 PINNED_DETAILS = {
+    4: "anchor 3, rings 4..12",
     5: "500 gates, 3388 projections",
     7: "21844 pairs, 1032 universal, 4 programs each",
 }

@@ -115,12 +115,13 @@ def test_grammar_verify_ring(capsys):
     assert "pass" in out
 
 
-@pytest.mark.parametrize("ring", ["0", "3"])
+@pytest.mark.parametrize("ring", ["0", "3", "21"])
 def test_grammar_verify_on_too_small_a_ring_is_a_usage_error(capsys, ring):
+    # and past RING_CAP, refused by the target's projection
     code, out, err = run(capsys, "grammar", "verify", "--start", "N3", "--ring", ring)
     assert code == 2
     assert out == ""
-    assert "n >= 4" in err
+    assert ("ring size must be in [1, 20]" if ring == "21" else "n >= 4") in err
 
 
 def test_search_small(capsys):

@@ -119,6 +119,16 @@ def test_ring_detects_wrong_target():
     assert not GR.verify_on_ring("N3", G.make_named("c1"), 6, anchor)
 
 
+def test_ring_check_compares_every_cell():
+    # the flip at cell 3 together with a flip at any other cell differs
+    # from N3's ring permutation in that cell's plane alone
+    at = lambda k: G.shift_conjugate(G.make_named("c0"), k)
+    for n in (6, 8, 10):
+        assert GR.verify_on_ring("N3", at(3), n, 0)
+        for k in set(range(n)) - {3}:
+            assert not GR.verify_on_ring("N3", G.compose_many([at(3), at(k)]), n, 0), (n, k)
+
+
 def letter_fold(string, n):
     # the ring permutation of a digit string, leftmost letter acting first
     e57 = G.make_eca(57)
@@ -129,11 +139,59 @@ def letter_fold(string, n):
     return acc
 
 
+def table_of(planes, n):
+    # entry w gathers bit w of every plane, cell 0 the top bit: the inverse
+    # of the bit-slicing, by unpacking rather than packing
+    table = np.zeros(1 << n, dtype=np.int64)
+    for plane in planes:
+        raw = np.frombuffer(plane.to_bytes(max(1, 1 << n >> 3), "little"), np.uint8)
+        table = table << 1 | np.unpackbits(raw, bitorder="little")[: 1 << n]
+    return table
+
+
+def test_plane_update_is_rule_57_on_every_neighbourhood():
+    # on three cells, one letter at the middle cell meets each (left,
+    # centre, right) once, with the left cell the top bit as on the tape
+    e57 = G.make_eca(57)
+    assert np.array_equal(table_of(GR._ring_planes("1", 3), 3), G.embed(e57.inert, -1, 1))
+
+
+def test_each_letter_is_the_projected_rule_57_update():
+    # cells 0 and n - 1 read across the seam, and 6 wraps on rings below 7
+    e57 = G.make_eca(57)
+    for n in range(4, 11):
+        for k in range(7):
+            expected = C.project_formula(e57.shift_conjugate(k), n).perm
+            assert np.array_equal(table_of(GR._ring_planes(str(k), n), n), expected), (n, k)
+
+
+@pytest.mark.parametrize("n", [4, 7, 8, 9, 16, 17, 20])
+def test_planes_of_a_table_are_its_bit_slices(n):
+    # the third byte of an entry is read from n = 17 on, up to RING_CAP
+    table = np.random.default_rng(n).permutation(1 << n)
+    planes = GR._planes(table, n)
+    assert len(planes) == n and np.array_equal(table_of(planes, n), table)
+    assert GR._planes(np.arange(1 << n), n) == GR._ring_planes("", n)
+
+
+@pytest.mark.parametrize("n", [21, 30, 8.0])
+def test_ring_check_refuses_the_ring_size_before_building_planes(n, monkeypatch):
+    # a float or a ring past RING_CAP is refused by the target's projection,
+    # which is made before anything of 2^n bits: at n = 30, 2^30-bit planes
+    def forbidden(*args, **kwargs):
+        raise AssertionError("built planes before the ring size was checked")
+
+    monkeypatch.setattr(GR, "_ring_planes", forbidden)
+    monkeypatch.setattr(GR, "_planes", forbidden)
+    with pytest.raises(ValueError, match="ring size"):
+        GR.verify_on_ring("N3", G.make_named("c0"), n, 3)
+
+
 def test_ring_program_equals_letter_by_letter_fold():
     for n in range(4, 17):
         for start in GR.START_SYMBOLS:
             acc = letter_fold(GR.expand(start), n)
-            assert np.array_equal(GR._ring_program(GR._PROGRAMS[start], n), acc)
+            assert np.array_equal(table_of(GR._ring_planes(GR.expand(start), n), n), acc)
 
 
 def test_ring_program_keeps_the_order_of_factors():
@@ -150,7 +208,7 @@ def test_ring_program_keeps_the_order_of_factors():
         assert tape != value(string[::-1]), start
         for n in (5, 8):
             acc = letter_fold(string, n)
-            assert np.array_equal(GR._ring_program(programs[start], n), acc), (start, n)
+            assert np.array_equal(table_of(GR._ring_planes(string, n), n), acc), (start, n)
             assert not np.array_equal(letter_fold(string[::-1], n), acc)
 
 
@@ -166,30 +224,37 @@ def test_ring_check_frees_its_permutations():
         left, peak = (m - base for m in tracemalloc.get_traced_memory())
     finally:
         tracemalloc.stop()
-    # the letter-by-letter fold peaked at 11 permutations; the rules,
-    # computed in depth-first order, hold 9 at once
-    assert peak <= 10.5 * perm_bytes, peak / perm_bytes
+    # all of it the target's projection; the 16 planes are a quarter
+    # of a permutation
+    assert peak <= 4.5 * perm_bytes, peak / perm_bytes
     # anything a reference cycle kept alive would still be here
     assert left < perm_bytes, left / perm_bytes
 
 
 def test_ring_check_peak_does_not_depend_on_the_listed_order():
-    # the four digit rules first is a valid listing too; the rules are
-    # computed depth-first from the start whatever the listing
+    # Program.tables over ring permutations, the tape kernel with a ring
+    # leaf: the four digit rules first is a valid listing too, and the
+    # rules are computed depth-first from the start whatever the listing
     digits_first = dict(
         sorted(GR.PRODUCTIONS.items(), key=lambda rule: not GR.DIGITS.issuperset(rule[1]))
     )
     perm_bytes = (1 << 16) * np.dtype(np.int64).itemsize
+    e57 = G.make_eca(57)
+    leaf = lambda _, k: C.project_formula(G.shift_conjugate(e57, k), 16).perm
+    fold = letter_fold(GR.expand("T3"), 16)
     peaks = []
     for productions in (GR.PRODUCTIONS, digits_first):
         program = GR.build_programs(productions)["T3"]
-        GR._ring_program(program, 16)  # warm every cache
+        assert np.array_equal(program.tables(leaf)[0], fold)  # and warms every cache
         tracemalloc.start()
         try:
-            GR._ring_program(program, 16)
+            program.tables(leaf)
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
+    # the letter-by-letter fold peaked at 11 permutations; the rules,
+    # computed in depth-first order, hold 9 at once
+    assert peaks[0] <= 10.5 * perm_bytes, peaks[0] / perm_bytes
     assert peaks[1] <= peaks[0] + perm_bytes // 2, [peak / perm_bytes for peak in peaks]
 
 
