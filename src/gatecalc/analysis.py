@@ -80,7 +80,14 @@ def _flip_constants(g: InertGate) -> list[int] | None:
 
 
 def _moved(g: InertGate) -> dict[int, int] | None:
-    """Each window word that g moves, with its image; None past _SPARSE_WORDS words."""
+    """Each window word that g moves, with its image; None past _SPARSE_WORDS words.
+
+    A pattern swap's two words are read from its record, any other gate's
+    found in its table.
+    """
+    if g.swapped is not None:
+        x, y = g.swapped
+        return {x: y, y: x} if _SPARSE_WORDS >= 2 else None
     table, moved = g.table, {}
     for lo in range(0, table.size, _BLOCK):
         block = table[lo : lo + _BLOCK]
@@ -257,7 +264,7 @@ def classify_swap(u: str, v: str, verify: bool = True) -> SwapClass:
     d = diff_set(u, v)  # the one check of u and v
     ones = d.count("1")
     n = len(d)
-    if verify and not n:
+    if not n:
         raise ValueError("patterns must be nonempty")
 
     def verified(subgroup: str, witness: str | None = None) -> bool | None:

@@ -105,18 +105,22 @@ class InertGate:
     ``table[u]`` is the image of the window word with integer code ``u``
     (MSB-first, window cell ``lo`` as the top bit).  The identity is the
     distinguished gate with an empty window rather than a width-0 table.
-    Instances are immutable; construct via :func:`canonicalize`,
+    ``swapped`` is the pair of window words, ascending, that a pattern swap
+    from :func:`make_word_swap` exchanges, so that they need not be found
+    in its table; it is None for every other gate, also one derived from
+    a swap.  Instances are immutable; construct via :func:`canonicalize`,
     :func:`make_word_swap` and friends.
     """
 
-    __slots__ = ("lo", "hi", "table", "_hash")
+    __slots__ = ("lo", "hi", "table", "swapped", "_hash")
 
-    def __init__(self, lo: int, hi: int, table: np.ndarray):
+    def __init__(self, lo: int, hi: int, table: np.ndarray, swapped: tuple[int, int] | None = None):
         # expects already-canonical data; use canonicalize() to build
         self.lo = lo
         self.hi = hi
         table.setflags(write=False)
         self.table = table
+        self.swapped = swapped
         self._hash = None  # on first use: hashing copies the whole table
 
     # -- basic shape ---------------------------------------------------
@@ -332,21 +336,32 @@ class Program:
                     if sym in interned:
                         cells.setdefault(sym, {})[k + dk] = None
 
-    def _read(self, defined: Mapping) -> tuple[dict, list]:
-        # the rules and the order to read them in, defined's rules first;
-        # each defines a generator, a name that is no rule, over generators
+    def _check(self, defined: Mapping) -> None:
+        # each of defined's rules must define a generator, a name that is
+        # no rule, over generators
         for name, factors in defined.items():
             if name in self.rules or not factors or any(sym in self.rules or sym in defined for sym, _ in factors):
                 raise ValueError(f"rule {name!r} must define a generator over generators")
-        return {**defined, **self.rules}, [*defined, *self.order]
+
+    @functools.cached_property
+    def _counts(self) -> list[dict]:
+        # how often each generator occurs in each start's expansion
+        counts: dict = {}
+        for name in self.order:
+            here = counts[name] = {}
+            for sym, _ in self.rules[name]:
+                for gen, c in counts.get(sym, {sym: 1}).items():
+                    here[gen] = here.get(gen, 0) + c
+        return [counts[start] for start in self.starts]
 
     def lengths(self, defined: Mapping = {}) -> list[int]:
-        """The exact length of each start's expansion (see expand for defined)."""
-        rules, order = self._read(defined)
-        lengths: dict = {}
-        for name in order:
-            lengths[name] = sum(lengths.get(sym, 1) for sym, _ in rules[name])
-        return [lengths[start] for start in self.starts]
+        """The exact length of each start's expansion (see expand for defined),
+        from how often each generator occurs in it, counted once per program."""
+        self._check(defined)
+        return [
+            sum(c * (len(defined[gen]) if gen in defined else 1) for gen, c in counts.items())
+            for counts in self._counts
+        ]
 
     def expand(self, cancels: Callable[[Hashable], bool] | None = None, defined: Mapping = {}) -> list["GateExpr"]:
         """Each start's flat expression.
@@ -363,10 +378,10 @@ class Program:
         ExpansionCapError, before expanding anything, when an expansion
         would be longer than MAX_EXPANDED_ATOMS.
         """
-        longest = max(self.lengths(defined))
+        longest = max(self.lengths(defined))  # also checks defined
         if longest > MAX_EXPANDED_ATOMS:
             raise ExpansionCapError(longest, MAX_EXPANDED_ATOMS)
-        rules, order = self._read(defined)
+        rules, order = {**defined, **self.rules}, [*defined, *self.order]
         allowed: dict = {}
         flat: dict = {}
         for name in order:
@@ -782,7 +797,7 @@ def _word_swap(u: str, v: str) -> InertGate:
     table[iu], table[iv] = iv, iu
     # a swap of two distinct words depends on every cell, so [0, n - 1]
     # is already the canonical window
-    return InertGate(0, n - 1, table)
+    return InertGate(0, n - 1, table, (min(iu, iv), max(iu, iv)))
 
 
 def make_eca(rule: int) -> GroupElement:

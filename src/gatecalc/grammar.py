@@ -43,7 +43,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .cyclic import project_formula
+from .cyclic import RING_CAP, project_formula
 from .gates import (
     GroupElement,
     Program,
@@ -51,6 +51,7 @@ from .gates import (
     make_eca,
     make_named,
     shift_conjugate,
+    _integer,
 )
 # kept in this namespace: perfbench's tracer test rebinds grammar.compose_many
 from .gates import compose_many  # noqa: F401
@@ -197,12 +198,12 @@ def verify_on_ring(start: str, target: GroupElement, n: int, anchor: int | None 
 
     The expanded string is applied to all 2^n ring words at once
     (_ring_planes) and compared exactly with the target projected at the
-    anchor (measured on the tape when not supplied).  The projection comes
-    first, so a ring size it refuses is refused before any plane is built.
+    anchor (measured on the tape when not supplied).  n must be an integer
+    in [4, RING_CAP], checked before anything of 2^n bits is built.
     """
+    if not 4 <= _integer("ring size", n) <= RING_CAP:
+        raise ValueError(f"ring size must be in [4, {RING_CAP}] for ring verification, got {n}")
     string = expand(start)
-    if n < 4:
-        raise ValueError("ring verification needs n >= 4")
     if anchor is None:
         anchor = measure_anchor()
     expected = _planes(project_formula(shift_conjugate(target, anchor), n).perm, n)

@@ -269,6 +269,24 @@ def test_moved_words_and_whole_tables_agree_on_every_pair_to_length_8(monkeypatc
         assert moved_word_results(g, d, g.width <= 6) == want, (g.table, d)
 
 
+def test_a_swap_reads_its_moved_words_from_its_record():
+    # the record against the scan of the same table in a gate without one
+    swaps = [
+        G.make_word_swap(int_to_word(iu, n), int_to_word(iv, n)).inert
+        for n in range(1, 9)
+        for iu, iv in itertools.combinations(range(1 << n), 2)
+    ]
+    assert len(swaps) == 43435 and all(g.swapped is not None for g in swaps)
+    for g in swaps:
+        assert A._moved(g) == A._moved(G.InertGate(g.lo, g.hi, g.table)), g.swapped
+    # a gate derived from a swap carries no record, and is scanned
+    g = G.make_word_swap("0110", "0100").inert
+    for derived in (g.shift_by(2), g.mirror(), g.inverse(), g.compose(G.make_named("c0").inert)):
+        assert derived.swapped is None
+        assert A._moved(derived) == A._moved(G.InertGate(derived.lo, derived.hi, derived.table))
+    assert G.make_word_swap("01", "01").inert.swapped is None  # the identity
+
+
 def cycled_table(width, words, k=1):
     # the identity on width cells, except that words[i] goes to words[i + k]
     table = np.arange(1 << width)
@@ -445,6 +463,14 @@ def test_a_flip_outside_the_subgroup_is_reported(monkeypatch, cold_membership_ca
 def test_classify_swap_length_mismatch():
     with pytest.raises(ValueError):
         A.classify_swap("01", "011")
+
+
+@pytest.mark.parametrize("verify", [True, False])
+def test_classify_swap_refuses_empty_patterns_in_both_modes(verify):
+    with pytest.raises(ValueError, match="patterns must be nonempty"):
+        A.classify_swap("", "", verify=verify)
+    with pytest.raises(ValueError, match="patterns must be nonempty"):
+        G.make_word_swap("", "")
 
 
 # -- CA rule classification ----------------------------------------------------------

@@ -55,6 +55,14 @@ def test_classify_swap_bad_input(capsys):
     assert "unequal lengths" in err
 
 
+@pytest.mark.parametrize("verify", [[], ["--verify"]])
+def test_classify_swap_of_empty_patterns_is_a_usage_error(capsys, verify):
+    code, out, err = run(capsys, "classify", "swap", "--u", "", "--v", "", *verify)
+    assert code == 2
+    assert out == ""
+    assert "patterns must be nonempty" in err
+
+
 def test_synthesize(capsys):
     code, out, _ = run(capsys, "synthesize", "--u", "001", "--v", "011", "--gate", "c1")
     assert code == 0
@@ -116,12 +124,12 @@ def test_grammar_verify_ring(capsys):
 
 
 @pytest.mark.parametrize("ring", ["0", "3", "21"])
-def test_grammar_verify_on_too_small_a_ring_is_a_usage_error(capsys, ring):
-    # and past RING_CAP, refused by the target's projection
+def test_grammar_verify_on_a_ring_out_of_range_is_a_usage_error(capsys, ring):
+    # too small for the programs, or past RING_CAP: one message names both bounds
     code, out, err = run(capsys, "grammar", "verify", "--start", "N3", "--ring", ring)
     assert code == 2
     assert out == ""
-    assert ("ring size must be in [1, 20]" if ring == "21" else "n >= 4") in err
+    assert f"ring size must be in [4, 20] for ring verification, got {ring}" in err
 
 
 def test_search_small(capsys):

@@ -611,6 +611,21 @@ def test_substitution_equals_the_program_written_out(program, defined):
     assert program.lengths(defined) == direct.lengths()
 
 
+definitions = st.dictionaries(
+    st.sampled_from("gh"),
+    st.lists(st.tuples(st.sampled_from("ab"), st.integers(-1, 1)), min_size=1, max_size=3).map(tuple),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(straight_line_programs(("a", "b", "g", "h")), definitions, definitions)
+def test_lengths_of_one_program_follow_the_definitions_of_each_call(program, a, b):
+    # the generator counts are kept on the program, which synthesis reads
+    # with the definitions of one pair after another
+    for defined in (a, b, {}, a):
+        assert program.lengths(defined) == [len(e) for e in program.expand(None, defined)]
+
+
 def test_definitions_must_define_generators_over_generators():
     rules = {
         "x": (("a", 0), ("g", 1), ("a", -1)),

@@ -3,6 +3,8 @@ import hashlib
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gatecalc import gates as G
 from gatecalc import synth as S
@@ -141,6 +143,39 @@ def test_peephole_rejects_a_non_involution_before_cancelling():
         assert cancelled(f"{name} c0 c0 {name}@1", gens).to_string() == f"{name} {name}@1"
     with pytest.raises(ValueError, match="unknown generator 'h'"):
         cancelled("h h", gens)
+
+
+@st.composite
+def elements_to_width_6(draw):
+    # an involution, a map of order 3 or any permutation of a width-1..6
+    # window, each with no shift part or one; the identity table among them
+    width = draw(st.integers(1, 6))
+    words = draw(st.permutations(range(1 << width)))
+    kind = draw(st.sampled_from(["involution", "order 3", "any"]))
+    table = list(range(1 << width))
+    if kind == "any":
+        table = words
+    else:
+        step = 2 if kind == "involution" else 3
+        for i in range(0, draw(st.integers(0, len(words) // step)) * step, step):
+            cycle = words[i : i + step]
+            for x, y in zip(cycle, cycle[1:] + cycle[:1]):
+                table[x] = y
+    lo = draw(st.integers(-2, 2))
+    return G.GroupElement(draw(st.sampled_from([0, 0, 1, -2])), G.canonicalize(lo, lo + width - 1, table))
+
+
+@settings(max_examples=200, deadline=None)
+@given(elements_to_width_6())
+def test_peephole_cancels_exactly_the_involutions(g):
+    # the table test decides as the product g.g does
+    try:
+        cancelled("g g", {"g": g})
+    except ValueError:
+        cancels = False
+    else:
+        cancels = True
+    assert cancels == g.compose(g).is_identity
 
 
 def test_outputs_match_their_pinned_digest():
