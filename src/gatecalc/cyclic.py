@@ -146,14 +146,18 @@ def min_ring(f: GroupElement) -> int:
     return 2 * f.inert.radius + 2
 
 
+def check_ring_size(n: int, low: int = 1, use: str = "") -> None:
+    """ValueError unless n is an integer (a bool is not) in [low, RING_CAP];
+    use, if given, names what needs the lower bound."""
+    if not low <= _integer("ring size", n) <= RING_CAP:
+        raise ValueError(f"ring size must be in [{low}, {RING_CAP}]{use and ' for ' + use}, got {n}")
+
+
 def _check_size(n: int, need: int | None = None) -> None:
-    # ValueError unless an integer (a bool is not) in [1, RING_CAP];
-    # RingTooSmallError below a gate's need
-    _integer("ring size", n)
-    if need is not None and n < need:
+    # check_ring_size, but RingTooSmallError below a gate's need
+    if need is not None and _integer("ring size", n) < need:
         raise RingTooSmallError(n, need)
-    if n < 1 or n > RING_CAP:
-        raise ValueError(f"ring size must be in [1, {RING_CAP}]")
+    check_ring_size(n)
 
 
 def _check_ring(f: GroupElement, n: int) -> None:

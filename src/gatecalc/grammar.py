@@ -43,7 +43,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .cyclic import RING_CAP, project_formula
+from .cyclic import check_ring_size, project_formula
 from .gates import (
     GroupElement,
     Program,
@@ -51,7 +51,6 @@ from .gates import (
     make_eca,
     make_named,
     shift_conjugate,
-    _integer,
 )
 # kept in this namespace: perfbench's tracer test rebinds grammar.compose_many
 from .gates import compose_many  # noqa: F401
@@ -201,8 +200,7 @@ def verify_on_ring(start: str, target: GroupElement, n: int, anchor: int | None 
     anchor (measured on the tape when not supplied).  n must be an integer
     in [4, RING_CAP], checked before anything of 2^n bits is built.
     """
-    if not 4 <= _integer("ring size", n) <= RING_CAP:
-        raise ValueError(f"ring size must be in [4, {RING_CAP}] for ring verification, got {n}")
+    check_ring_size(n, 4, "ring verification")
     string = expand(start)
     if anchor is None:
         anchor = measure_anchor()

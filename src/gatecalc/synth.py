@@ -49,8 +49,6 @@ from __future__ import annotations
 import functools
 from typing import Mapping
 
-import numpy as np
-
 from .bitcore import check_word, diff_set
 from .gates import (
     MAX_EXPANDED_ATOMS,
@@ -86,15 +84,13 @@ def peephole(program: Program, generators: Mapping[str, GroupElement], defined: 
 
     x x = 1 only for an involution x, so before the first pair of a
     generator is cancelled, x.x is checked to be the identity, and
-    ValueError raised if it is not: x has no shift part and its table t
-    has t[t] equal to the identity table, which is x.x without a product.
+    ValueError raised if it is not.
     """
     def involution(name: str) -> bool:
         if name not in generators:
             raise ValueError(f"unknown generator {name!r}")
         g = generators[name]
-        t = g.inert.table
-        if g.shift or not np.array_equal(t[t], np.arange(t.size)):
+        if not g.compose(g).is_identity:
             raise ValueError(f"generator {name!r} is not an involution: cannot cancel")
         return True
 

@@ -168,7 +168,7 @@ def elements_to_width_6(draw):
 @settings(max_examples=200, deadline=None)
 @given(elements_to_width_6())
 def test_peephole_cancels_exactly_the_involutions(g):
-    # the table test decides as the product g.g does
+    # g g is cancelled exactly when the product g.g is the identity
     try:
         cancelled("g g", {"g": g})
     except ValueError:
