@@ -4,26 +4,29 @@ All generators must be inert; their products then stay inside the
 common window hull, so a state is just a permutation table of the hull
 words and group-element equality is table equality.  The ball around
 the identity is grown level by level with numpy.  A level is a matrix
-of distinct table rows, ordered by a 64-bit content hash; one sorted
-hash index over all levels maps a table to its depth; a lookup sorts
-its keys first (growth hands them over sorted already), so that it
-walks the index once from left to right.  A new level's keys, sorted
-already, are merged into the index by one stable sort of the two
-sorted runs.  Duplicates are found by sorting candidates on the hash
-and comparing equal-hash rows in full, and every index hit is confirmed
-on the full table, so a hash can never merge two distinct states.
-Dedup, growth and lookups gather each row as one item, a np.void view
-of its bytes, and compare gathered rows as the widest unsigned words
-that tile them.  Hashing, row comparison, candidate gathering and probe
-construction each work through one block of rows at a time, so their
-temporaries stay in cache and do not grow with the level.
+of distinct table rows, kept in build order in the buffer its
+candidates were built in (dropped rows leave slack at its end).  One
+sorted hash index over all levels maps a table to its depth: it holds
+the top 32 bits of each row's 64-bit content hash, numbered by level
+and physical row.  A lookup sorts its keys first (growth hands them
+over sorted already), so that it walks the index once from left to
+right.  A new level's keys, sorted already, are merged into the index
+by one stable sort of the two sorted runs.  Duplicates are found by
+sorting candidates on the hash and comparing equal-hash rows in full,
+and every index hit is confirmed on the full table, so a hash can never
+merge two distinct states.  Rows are compared as one np.void item
+each, viewed as the widest unsigned words that tile them.  Hashing, row
+comparison, candidate building, compaction and probing each work
+through one block of rows at a time, so their temporaries stay in
+cache and do not grow with the level.
 
 Words are tuples of generator indices, first index applied last, as in
 GateExpr.  BFS returns the lexicographically least shortest word.
-Meet-in-the-middle stores the forward ball only.  Probing a level builds
-the probes target . h^-1 of all its states h and looks them up in the
-index once; a probe stored at depth |g| splits the target as g . h.
-Within a level the least |g| wins, then the h stored first.
+Meet-in-the-middle stores the forward ball only.  Probing a level looks
+up the probes target . h^-1 of its states h; a probe stored at depth
+|g| splits the target as g . h.  Within a level the least |g| wins,
+then the h of least (64-bit hash, row), the order in which dedup sorts
+rows, so the choice does not depend on where h is kept.
 
 The search returns a split of least |g| + |h|, then least |h|; its
 length D is the exact distance whenever D <= 2T, with T the deepest
@@ -73,8 +76,8 @@ from .gates import GroupElement, WindowCapError, compose_many, embed
 _FNV_OFFSET = np.uint64(0xCBF29CE484222325)
 _FNV_PRIME = np.uint64(0x100000001B3)
 # table entries per block of rows that hashing, row comparison, candidate
-# gathering and probe construction work through at a time (256k: 8k rows of 32 entries, 512
-# of 512).  The probes' intp index for a block (2 MB) still fits a 2 MB
+# building, compaction and probing work through at a time (256k: 8k rows
+# of 32 entries, 512 of 512).  The probes' intp index for a block (2 MB) still fits a 2 MB
 # L2 cache; much smaller blocks pay numpy's per-call cost once per
 # column of a wide row when hashing.
 _CHUNK = 1 << 18
@@ -149,9 +152,18 @@ def _items(rows: np.ndarray) -> np.ndarray:
     return rows.view(np.dtype((np.void, rows.shape[1] * rows.itemsize))).reshape(-1)
 
 
-def _take_rows(rows: np.ndarray, index: np.ndarray) -> np.ndarray:
-    """rows[index], each row gathered as one item."""
-    return np.take(_items(rows), index).view(rows.dtype).reshape(-1, rows.shape[1])
+def _compact(rows: np.ndarray, keep: np.ndarray) -> None:
+    """Move rows[keep] to the front of rows in place, keep ascending.
+
+    Block by block: row keep[j] >= j moves to row j, so a block overwrites
+    only rows that no later block reads.
+    """
+    items = _items(rows)
+    step = max(1, _CHUNK // rows.shape[1])
+    for lo in range(0, keep.size, step):
+        block = keep[lo : lo + step]
+        if block[-1] != lo + block.size - 1:  # else the block is in place
+            items[lo : lo + block.size] = np.take(items, block)
 
 
 def _equal_rows(a: np.ndarray, ia: np.ndarray, b: np.ndarray, ib: np.ndarray) -> np.ndarray:
@@ -177,10 +189,10 @@ class _Ball:
     """Levels of the Cayley ball and one sorted hash index over all of them.
 
     ``keys`` holds the top 32 bits of the hash of every stored state in
-    ascending order and ``ids`` the state's number in storage order,
-    level after level; ``starts`` maps a number back to its depth and
-    its position within its level.  A level is merged in by one stable
-    sort; ``depth_of`` confirms every equal key on the full row.
+    ascending order and ``ids`` the state's number: the first number of
+    its level plus its physical row, which ``starts`` maps back.  A level
+    is merged in by one stable sort; ``depth_of`` confirms every equal key
+    on the full row.  ``nbytes`` counts the slack rows of level buffers.
     """
 
     def __init__(self):
@@ -194,11 +206,12 @@ class _Ball:
     def states(self) -> int:
         return self.starts[-1]
 
-    def add_level(self, rows: np.ndarray, hashes: np.ndarray) -> None:
-        """Store distinct new states, given in storage order with their hashes."""
-        if self.states + rows.shape[0] > np.iinfo(np.uint32).max:
+    def add_level(self, buffer: np.ndarray, hashes: np.ndarray, at: np.ndarray) -> None:
+        """Store buffer[:hashes.size] as a level; row at[i] has hash hashes[i], ascending."""
+        count = hashes.size
+        if self.states + count > np.iinfo(np.uint32).max:
             raise OverflowError("the ball index numbers states in 32 bits")
-        numbers = np.arange(self.states, self.states + rows.shape[0], dtype=np.uint32)
+        numbers = (at + self.states).astype(np.uint32)
         new_keys = _index_keys(hashes)
         # both runs are sorted, so the stable sort merges them in one pass
         keys = np.concatenate([self.keys, new_keys])
@@ -206,20 +219,21 @@ class _Ball:
         self.keys = keys[order]
         del keys
         self.ids = np.concatenate([self.ids, numbers])[order]
-        self.levels.append(rows)
-        self.starts.append(self.states + rows.shape[0])
-        self.nbytes += rows.nbytes + new_keys.nbytes + numbers.nbytes
+        self.levels.append(buffer[:count])
+        self.starts.append(self.states + count)
+        self.nbytes += buffer.nbytes + new_keys.nbytes + numbers.nbytes
 
     def depth_of(
         self, rows: np.ndarray, hashes: np.ndarray | None = None, index: np.ndarray | None = None
     ) -> np.ndarray:
         """Stored depth of each row, or -1 where the row is not stored.
 
-        Given an index, of rows[index] instead, which is compared without
-        being gathered.  hashes, if given, are those of the rows looked up.
+        hashes, if given, are those of the rows looked up.  Given hashes
+        and an index, of rows[index] instead, which is compared without
+        being gathered.
         """
         if hashes is None:
-            hashes = _hash_rows(rows if index is None else _take_rows(rows, index))
+            hashes = _hash_rows(rows)
         keys = _index_keys(hashes)
         out = np.full(keys.size, -1, dtype=np.int64)
         # ascending needles walk the index once, from left to right
@@ -352,18 +366,18 @@ class _Searcher:
         the projected peak bytes and the budget instead; for level 0,
         before any table is made.
         """
-        # a stored state costs its row, its key and its number in the index
-        per_state = self.size * self.dtype.itemsize + 8
+        row_bytes = self.size * self.dtype.itemsize
         budget = self.cfg.memory_budget
         if not self.ball.levels:
             # the kept tables, the int64 words one of them is made from,
-            # and the identity row
-            projected = self.table_bytes + _EMBED_WORDS * 8 * self.size + per_state + _OBJECT_BYTES
+            # and the identity row with its key and number
+            projected = self.table_bytes + _EMBED_WORDS * 8 * self.size + row_bytes + 8
+            projected += _OBJECT_BYTES
             if projected > budget:
                 return {"level": 0, "projected_bytes": projected, "budget": budget}
             self.embed_tables()
             identity = np.arange(self.size, dtype=self.dtype)[None, :]
-            self.ball.add_level(identity, _hash_rows(identity))
+            self.ball.add_level(identity, _hash_rows(identity), np.zeros(1, dtype=np.intp))
         if not self.gen_tables:
             return None
         for depth in range(len(self.ball.levels), depth_limit + 1):
@@ -373,13 +387,15 @@ class _Searcher:
             n = int(sizes.sum())
             if not n:
                 return None  # ball closed: no candidate can be new
-            # the candidates, the fresh rows and their index arrays peak
-            # below 3x the candidates' stored size.
-            # Merging the index holds its sort order and the merged keys
-            # and ids, 16 bytes per state old or new, and a merge buffer
-            # of 8 per new state
-            projected = self.ball.nbytes + 16 * self.ball.states + 3 * n * (per_state + 8)
-            projected += self.table_bytes + _OBJECT_BYTES
+            # the candidates, which become the level, and below 48 bytes
+            # per candidate of hashes, positions and index entries;
+            # building, comparing and moving rows copies at most two
+            # blocks of rows at once.  Merging the index holds its sort
+            # order and the merged keys and ids, 16 bytes per state old
+            # or new
+            blocks = 2 * min(n, max(1, _CHUNK // self.size))
+            projected = self.ball.nbytes + 16 * self.ball.states + n * (row_bytes + 48)
+            projected += blocks * row_bytes + self.table_bytes + _OBJECT_BYTES
             if projected > budget:
                 return {"level": depth, "projected_bytes": projected, "budget": budget}
             candidates, starts = self.candidates(sizes)
@@ -388,12 +404,19 @@ class _Searcher:
             if not fresh.size:
                 return None  # ball closed: the whole group is enumerated
             picked, hashes = picked[fresh], hashes[fresh]
-            self.via = (np.searchsorted(starts, picked, side="right") - 1).astype(self.via.dtype)
-            # the one gather of the level; only the fresh rows stay alive
-            # while the index is merged
-            rows = _take_rows(candidates, picked)
-            del candidates, picked
-            self.ball.add_level(rows, hashes)
+            del fresh
+            # the level stays in build order where it was built: the kept
+            # rows move to the front, and each hash is numbered by the
+            # row it moves to
+            kept = np.zeros(candidates.shape[0], dtype=bool)
+            kept[picked] = True
+            keep = np.flatnonzero(kept)
+            at = np.cumsum(kept)[picked] - 1
+            del kept, picked
+            _compact(candidates, keep)
+            self.via = (np.searchsorted(starts, keep, side="right") - 1).astype(self.via.dtype)
+            del keep
+            self.ball.add_level(candidates, hashes, at)
         return None
 
     def candidates(self, sizes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -415,7 +438,9 @@ class _Searcher:
                 drop = skip[self.via[lo : lo + step]]
                 if drop.any():
                     block = np.compress(~drop, block, axis=0)
-                np.take(block, t, axis=1, out=out[at : at + block.shape[0]])
+                # t is a permutation, so "clip" clips nothing; it lets np.take
+                # write into out directly, where "raise" gathers into a copy
+                np.take(block, t, axis=1, out=out[at : at + block.shape[0]], mode="clip")
                 at += block.shape[0]
         return out, starts
 
@@ -478,16 +503,31 @@ class _Searcher:
     def split(self, h_depth: int) -> tuple[int, int, np.ndarray] | None:
         """Least |g| with target = g . h over the states h of one level.
 
-        Returns |g|, the position of the first such h and the probe
-        target . h^-1, or None when no probe of the level is stored.
+        Returns |g|, the row of the h of least (64-bit hash, row) and the
+        probe target . h^-1, or None when no probe of the level is stored.
+        Probes are built and looked up one block at a time.
         """
-        probes = self.probes(self.ball.levels[h_depth])
-        g_depth = self.ball.depth_of(probes)
-        hits = np.nonzero(g_depth >= 0)[0]
-        if not hits.size:
+        level = self.ball.levels[h_depth]
+        step = max(1, _CHUNK // self.size)
+        least, hits, hashes = None, [], []
+        for lo in range(0, level.shape[0], step):
+            block = level[lo : lo + step]
+            g_depth = self.ball.depth_of(self.probes(block))
+            found = g_depth[g_depth >= 0]
+            if not found.size or least is not None and found.min() > least:
+                continue
+            if least is None or found.min() < least:
+                least, hits, hashes = int(found.min()), [], []
+            k = np.flatnonzero(g_depth == least)
+            hits.append(lo + k)
+            hashes.append(_hash_rows(block[k]))
+        if least is None:
             return None
-        k = hits[np.argmin(g_depth[hits])]
-        return int(g_depth[k]), int(k), probes[k].copy()
+        hits, hashes = np.concatenate(hits), np.concatenate(hashes)
+        hits = hits[hashes == hashes.min()]
+        # distinct rows that share a hash: the least row (np.unique's order)
+        k = int(hits[np.lexsort(level[hits].T[::-1])[0]])
+        return least, k, self.probes(level[k : k + 1])[0]
 
     def mitm(self) -> SearchResult:
         failure = self.grow(self.cfg.max_depth)

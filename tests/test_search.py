@@ -420,9 +420,6 @@ def test_row_items_gather_and_compare_as_rows(shape, layout):
     m = 2 * step + 3  # pairs across chunk boundaries
     ia = rng.integers(0, n, m)
     ib = np.where(rng.random(m) < 0.7, ia, rng.integers(0, n, m))
-    taken = S._take_rows(a, ia)
-    assert taken.dtype == dtype and np.array_equal(taken, a[ia])
-    assert S._take_rows(a, ia[:0]).shape == (0, width)
     want = (a[ia] == b[ib]).all(axis=1)
     assert want.any() and not want.all()
     assert np.array_equal(S._equal_rows(a, ia, b, ib), want)
@@ -432,19 +429,29 @@ def test_row_items_gather_and_compare_as_rows(shape, layout):
 def test_index_is_a_stable_sort_of_every_level(monkeypatch, collide):
     if collide:
         colliding_hash(monkeypatch, COLLIDING_MASKS[collide])
-    searcher = S._Searcher(S.SearchConfig(flip_generators(), G.make_named("c0"), 12))
-    ball = searcher.ball
-    for depth in range(1, 13):
-        assert searcher.grow(depth) is None and len(ball.levels) == depth + 1
-        keys = np.concatenate([S._index_keys(S._hash_rows(level)) for level in ball.levels])
-        assert np.array_equal(ball.keys, np.sort(keys, kind="stable"))
-        assert np.array_equal(np.sort(ball.ids), np.arange(ball.states))
-        assert np.array_equal(keys[ball.ids], ball.keys)
-        stored = np.concatenate(ball.levels)
-        depths = np.repeat(np.arange(depth + 1), [level.shape[0] for level in ball.levels])
-        assert np.array_equal(ball.depth_of(stored), depths)
-    if collide:  # equal keys span levels
-        assert np.unique(keys).size < 5
+    # S_8's cycle is no involution, so from level 8 on growth drops rows
+    # and compacts the rest; with a colliding hash every lookup compares
+    # against most stored states, so that ball grows to depth 14 only
+    cases = [(flip_generators(), 12, 1), (s8_generators(), 14 if collide else 35, 7)]
+    for gens, last, compacted in cases:
+        searcher = S._Searcher(S.SearchConfig(gens, G.make_named("c0"), last))
+        ball = searcher.ball
+        for depth in range(1, last + 1):
+            assert searcher.grow(depth) is None and len(ball.levels) == depth + 1
+            keys = np.concatenate([S._index_keys(S._hash_rows(level)) for level in ball.levels])
+            assert np.array_equal(ball.keys, np.sort(keys, kind="stable"))
+            assert np.array_equal(np.sort(ball.ids), np.arange(ball.states))
+            assert np.array_equal(keys[ball.ids], ball.keys)
+            stored = np.concatenate(ball.levels)
+            depths = np.repeat(np.arange(depth + 1), [level.shape[0] for level in ball.levels])
+            assert np.array_equal(ball.depth_of(stored), depths)
+            # each level's buffer, with any slack rows past the level
+            held = sum(level.base.nbytes for level in ball.levels)
+            assert ball.nbytes == held + ball.keys.nbytes + ball.ids.nbytes
+        slack = [level.base.nbytes > level.nbytes for level in ball.levels[1:]]
+        assert sum(slack) >= compacted, slack
+        if collide:  # equal keys span levels
+            assert np.unique(keys).size < 5
 
 
 def test_probe_temporaries_stay_within_a_block():
@@ -464,6 +471,46 @@ def test_probe_temporaries_stay_within_a_block():
     target = searcher.target_table
     for k in (0, level.shape[0] // 2, level.shape[0] - 1):
         assert np.array_equal(out[k][level[k]], target)
+    # split builds and looks up the probes one block at a time: its peak
+    # is one block's index, not a level of probes and their lookup
+    searcher.grow(24)
+    assert searcher.ball.levels[-1].nbytes > 2 * S._CHUNK * np.dtype(np.intp).itemsize
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        assert searcher.split(24) is None
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= S._CHUNK * np.dtype(np.intp).itemsize * 1.5, peak
+
+
+def test_growth_holds_one_copy_of_the_candidates():
+    # a level is kept in the buffer its candidates were built in: growing
+    # the last level of the seven shifted rule-57 gates peaks at the
+    # candidates plus index arrays, not at the candidates and a copy
+    e57 = G.make_eca(57)
+    gens = tuple(e57.shift_conjugate(k) for k in range(-3, 4))
+    searcher = S._Searcher(S.SearchConfig(gens, G.make_named("c0"), 9))
+    assert searcher.grow(8) is None
+    built = []
+    candidates = searcher.candidates
+
+    def counted(*args):
+        out = candidates(*args)
+        built.append(out[0].nbytes)
+        return out
+
+    searcher.candidates = counted
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        assert searcher.grow(9) is None
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert searcher.ball.levels[-1].shape[0] == 25605
+    assert peak < 1.5 * built[0], (peak, built)
 
 
 def test_hash_collisions_cannot_merge_states(monkeypatch):
@@ -490,7 +537,8 @@ def test_hash_collisions_cannot_merge_states(monkeypatch):
 
 
 # the word both mitm modes return for the flip at depth 25, with
-# a, b, c for e57@-1, e57, e57@1; any change of storage order shows here
+# a, b, c for e57@-1, e57, e57@1; any change of the rule that picks
+# the split shows here
 FLIP_WORD = "abacbcbabcbacbabcbcbabacbacbcbababcbacbabcbabacbcb"
 
 
@@ -549,11 +597,14 @@ def test_controlled_flip_distances_certified_at_depth_26(name, found, bound):
 
 
 def all_levels_split(searcher, target_table):
-    """Scan every stored level: least |g| + |h|, then least |h|, then first h."""
+    """Scan every stored level: least |g| + |h|, then least |h|, then first h,
+    the h of least (hash, row)."""
     depth = {row.tobytes(): d for d, level in enumerate(searcher.ball.levels) for row in level}
     best = None
     for h_depth, level in enumerate(searcher.ball.levels):
-        for k, h in enumerate(level):
+        hashes = S._hash_rows(level)
+        for k in sorted(range(len(level)), key=lambda k: (int(hashes[k]), level[k].tolist())):
+            h = level[k]
             probe = np.empty_like(h)
             probe[h] = target_table  # target . h^-1
             g_depth = depth.get(probe.tobytes())
