@@ -12,8 +12,8 @@ flipped): a gate is affine iff each is constant, linear iff affine and
 0 is fixed, a wire permutation iff linear and each constant is one bit,
 and a lamplighter map iff each cell's constant flips just that cell;
 one-sided flow reads which output cells each input cell can reach.
-For a gate that moves few words, such as a pattern swap, the one-sided
-and coset tests read only those words and their one-flip neighbours.
+For a pattern swap, the one-sided and coset tests read only the two
+words that its record names and their one-flip neighbours.
 The classifiers:
 
 * word swaps: the swap of patterns u, v (with the flip and the shift)
@@ -58,15 +58,6 @@ FLIP_PROGRAM_LETTERS = {"a": ("e", -1), "b": ("e", 0), "c": ("e", 1)}
 
 # -- flip differences ------------------------------------------------------
 
-# A gate that moves at most this many window words is tested from those
-# words and their one-flip neighbours (O(n) entries, as a pattern swap
-# moves two words); one that moves more reads its whole table.
-_SPARSE_WORDS = 16
-
-# the moved words are found one block of this many entries at a time, so
-# that a wide table is never held twice
-_BLOCK = 1 << 12
-
 
 def _flip_constants(g: InertGate) -> list[int] | None:
     """Each cell's flip difference, or None if one of them is not constant."""
@@ -80,23 +71,11 @@ def _flip_constants(g: InertGate) -> list[int] | None:
 
 
 def _moved(g: InertGate) -> dict[int, int] | None:
-    """Each window word that g moves, with its image; None past _SPARSE_WORDS words.
-
-    A pattern swap's two words are read from its record, any other gate's
-    found in its table.
-    """
-    if g.swapped is not None:
-        x, y = g.swapped
-        return {x: y, y: x} if _SPARSE_WORDS >= 2 else None
-    table, moved = g.table, {}
-    for lo in range(0, table.size, _BLOCK):
-        block = table[lo : lo + _BLOCK]
-        at = (block != np.arange(lo, lo + block.size)).nonzero()[0]
-        if len(moved) + at.size > _SPARSE_WORDS:
-            return None
-        for x in at.tolist():
-            moved[lo + x] = block.item(x)
-    return moved
+    """A pattern swap's two words with their images, from its record; None for any other gate."""
+    if g.swapped is None:
+        return None
+    x, y = g.swapped
+    return {x: y, y: x}
 
 
 def _reach(g: InertGate):
@@ -121,7 +100,8 @@ def _displacements(g: InertGate) -> set[int]:
     """The distinct values table(u) xor u xor table(0) over every window word u."""
     moved = _moved(g)
     if moved is None:
-        return set(np.unique(g.table ^ np.arange(g.table.size) ^ g.table[0]).tolist())
+        # counted, not np.unique, whose first call imports numpy.ma
+        return set(np.bincount(g.table ^ np.arange(g.table.size) ^ g.table[0]).nonzero()[0].tolist())
     t0 = moved.get(0, 0)
     values = {image ^ x ^ t0 for x, image in moved.items()}
     if len(moved) < g.table.size:  # an unmoved word u gives u ^ u ^ table(0)

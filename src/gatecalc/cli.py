@@ -39,12 +39,9 @@ def _parse_mem(text: str) -> int:
 
 def _parse_cap(text: str | int) -> int:
     try:
-        cap = int(text)
+        return int(text)
     except ValueError:
         raise ValueError(f"bad window cap {text!r}") from None
-    if cap < 1:
-        raise ValueError(f"window cap must be at least 1, got {cap}")
-    return cap
 
 
 def _gate_from_args(args) -> gates.GroupElement:
@@ -329,7 +326,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--window-cap",
         type=int,
         default=None,
-        help="max table window width (env GATECALC_WINDOW_CAP)",
+        help="max table window width, 1..24 (env GATECALC_WINDOW_CAP)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -409,16 +406,13 @@ def main(argv=None) -> int:
     cap = args.window_cap
     if cap is None:
         cap = os.environ.get("GATECALC_WINDOW_CAP") or None
-    old_cap = gates.WINDOW_CAP
     try:
-        if cap is not None:
-            gates.WINDOW_CAP = _parse_cap(cap)
-        return args.fn(args)
+        changes = {} if cap is None else {"window_cap": _parse_cap(cap)}
+        with gates.limits(**changes):  # for this command only
+            return args.fn(args)
     except (ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    finally:
-        gates.WINDOW_CAP = old_cap
 
 
 if __name__ == "__main__":

@@ -31,28 +31,58 @@ are canonicalized unchecked (tests compare products with a checked chain).
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
 import functools
 import itertools
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Hashable, Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .bitcore import check_word
 
-# Hard ceiling for table windows; 24 means a 16M-entry table.  Compose
-# checks the projected hull against this before allocating anything.
-WINDOW_CAP = 24
-
-# Words of leaf tables one evaluation of a Program (so also one product of
-# gates) keeps at once, 8 MiB; past it a leaf is made again at each use.
-_EMBED_BUDGET = 1 << 20
-
 # Longest flat expression Program.expand builds: 2^20 atoms, some 100 MB
 # of atom tuples.  A fixed limit: a longer program can still be evaluated.
 MAX_EXPANDED_ATOMS = 1 << 20
+
+
+@dataclass(frozen=True)
+class Limits:
+    """The table limits, changed only for a block by limits().  window_cap,
+    the widest table window, is checked before any table is made; 24 (a
+    16M-entry table) is also its ceiling.  embed_budget is the leaf-table
+    words one Program evaluation, so one product, keeps at once (8 MiB)."""
+
+    window_cap: int = 24
+    embed_budget: int = 1 << 20
+
+
+_LIMITS = contextvars.ContextVar("gatecalc_limits", default=Limits())
+
+
+@contextlib.contextmanager
+def limits(**changes):
+    """Run a block, in this thread, with the named Limits fields changed, and
+    yield the limits in force; the outer ones are back when the block ends.
+    TypeError for an unknown field, ValueError for a window_cap outside 1..24."""
+    new = replace(_LIMITS.get(), **changes)
+    if not 1 <= new.window_cap <= Limits.window_cap:
+        bound = "at least 1" if new.window_cap < 1 else f"at most {Limits.window_cap}"
+        raise ValueError(f"window cap must be {bound}, got {new.window_cap}")
+    token = _LIMITS.set(new)
+    try:
+        yield new
+    finally:
+        _LIMITS.reset(token)
+
+
+def _check_width(width: int) -> None:  # before a table of that width is made
+    cap = _LIMITS.get().window_cap
+    if width > cap:
+        raise WindowCapError(width, cap)
 
 
 class WindowCapError(ValueError):
@@ -258,8 +288,8 @@ def table_cycles(table: np.ndarray) -> list[list[int]]:
 def embed(g: InertGate, lo: int, hi: int) -> np.ndarray:
     """Table of g on [lo, hi], which must contain its window (g's own
     read-only table when [lo, hi] is its window): the one window kernel of
-    products, rings and search.  The caller bounds the width, by WINDOW_CAP
-    on the tape and RING_CAP on rings; embed allocates 2^width words."""
+    products, rings and search.  The caller bounds the width, by the window
+    cap on the tape and RING_CAP on rings; embed allocates 2^width words."""
     width = hi - lo + 1
     if g.is_identity:
         return np.arange(1 << width, dtype=np.int64)
@@ -378,7 +408,7 @@ class Program:
         ExpansionCapError, before expanding anything, when an expansion
         would be longer than MAX_EXPANDED_ATOMS.
         """
-        longest = max(self.lengths(defined))  # also checks defined
+        longest = max(self.lengths(defined), default=0)  # also checks defined
         if longest > MAX_EXPANDED_ATOMS:
             raise ExpansionCapError(longest, MAX_EXPANDED_ATOMS)
         rules, order = {**defined, **self.rules}, [*defined, *self.order]
@@ -409,13 +439,13 @@ class Program:
         once from its factors, in order, which by associativity gives the
         table of its expansion.  A leaf table is made at its first use and
         kept until its last if the leaf tables kept hold fewer than
-        _EMBED_BUDGET words, and made again at each use if not.  Every table
+        embed_budget words, and made again at each use if not.  Every table
         is freed after the gather that uses it last, so the live tables are
         bounded by the width of the program and the budget, not its length.
         """
         uses = dict(self.uses)
         memo: dict = {}
-        room = _EMBED_BUDGET  # words more leaf tables may be kept in
+        room = _LIMITS.get().embed_budget  # words more leaf tables may be kept in
         for name in self.order:
             first, order = self._interned[name]
             for k in self.cells[name]:
@@ -456,8 +486,7 @@ def _program_tables(program: Program, leaves: Mapping[tuple[Hashable, int], Iner
     if not used:
         return None
     lo, hi = min(g.lo for g in used), max(g.hi for g in used)
-    if hi - lo + 1 > WINDOW_CAP:
-        raise WindowCapError(hi - lo + 1, WINDOW_CAP)
+    _check_width(hi - lo + 1)
     return lo, hi, program.tables(lambda *leaf: embed(leaves[leaf], lo, hi))
 
 
@@ -477,10 +506,10 @@ def evaluate_program(program: Program, generators: Mapping[str, GroupElement]) -
 
     Each distinct (generator, cell) leaf is embedded in the hull of all
     the leaves, the tables are gathered along the rules (see
-    Program.tables, which keeps the leaf tables within _EMBED_BUDGET) and
+    Program.tables, which keeps the leaf tables within the embed budget) and
     each start's table is canonicalized once, without a check, as a
     product of permutations.  Raises WindowCapError when that hull is
-    wider than WINDOW_CAP.
+    wider than the window cap.
     """
     hull = _program_tables(program, _generator_leaves(program, generators))
     if hull is None:
@@ -555,7 +584,7 @@ def canonicalize(lo: int, hi: int, table: Iterable[int] | np.ndarray) -> InertGa
     dropped iff the table never changes it and no other output depends
     on it.  This is the checked entry for tables from outside the
     library (user tables, records): lo and hi must be integers, the
-    window within WINDOW_CAP and the table a permutation of integers
+    window within the window cap and the table a permutation of integers
     (see permutation_table), or it raises ValueError.  Tables the library
     builds from permutations (products, named generators) skip the check
     and go straight to _canonical.
@@ -564,8 +593,7 @@ def canonicalize(lo: int, hi: int, table: Iterable[int] | np.ndarray) -> InertGa
     width = hi - lo + 1
     if width < 0:
         raise ValueError("empty window: use identity_gate()")
-    if width > WINDOW_CAP:
-        raise WindowCapError(width, WINDOW_CAP)
+    _check_width(width)
     return _canonical(lo, hi, permutation_table(table, 1 << width))
 
 
@@ -676,7 +704,7 @@ def compose_many(gates: Iterable[GroupElement]) -> GroupElement:
     Each element's inert part is translated by the shift applied before
     it, as in GroupElement.compose, and the parts other than the identity
     are composed as one Program rule; a single such part is returned as
-    it is.  Past WINDOW_CAP the parts are composed two at a time, so
+    it is.  Past the window cap the parts are composed two at a time, so
     WindowCapError is raised exactly where that raises.
     """
     gates = list(gates)
@@ -728,8 +756,7 @@ def reverse_conjugate(f: GroupElement) -> GroupElement:
 
 def _controlled_not(k: int) -> InertGate:
     # flip cell 0 iff cells 1..k all hold 1; window [0, k]
-    if k + 1 > WINDOW_CAP:  # before the table is allocated
-        raise WindowCapError(k + 1, WINDOW_CAP)
+    _check_width(k + 1)
     if k == 0:
         return _canonical(0, 0, np.array([1, 0], dtype=np.int64))
     size = 1 << (k + 1)
@@ -790,8 +817,7 @@ def _word_swap(u: str, v: str) -> InertGate:
     if u == v:
         return _IDENTITY_GATE
     n = len(u)
-    if n > WINDOW_CAP:
-        raise WindowCapError(n, WINDOW_CAP)
+    _check_width(n)
     table = np.arange(1 << n, dtype=np.int64)
     iu, iv = int(u, 2), int(v, 2)
     table[iu], table[iv] = iv, iu

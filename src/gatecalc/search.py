@@ -71,7 +71,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import gates
-from .gates import GroupElement, WindowCapError, compose_many, embed
+from .gates import GroupElement, compose_many, embed
 
 _FNV_OFFSET = np.uint64(0xCBF29CE484222325)
 _FNV_PRIME = np.uint64(0x100000001B3)
@@ -303,8 +303,7 @@ class _Searcher:
             bool(windows) and self.lo <= target[0] and target[1] <= self.hi
         )
         width = self.hi - self.lo + 1
-        if width > gates.WINDOW_CAP:
-            raise WindowCapError(width, gates.WINDOW_CAP)
+        gates._check_width(width)
         self.size = 1 << width
         self.dtype = np.min_scalar_type(self.size - 1)
         # the tables made with level 0 and kept for the whole search: each

@@ -255,35 +255,33 @@ def moved_word_results(g, d, predicates):
     return out
 
 
-def test_moved_words_and_whole_tables_agree_on_every_pair_to_length_8(monkeypatch):
+def test_moved_words_and_whole_tables_agree_on_every_pair_to_length_8():
+    # each swap read from its record against the same table in a gate
+    # without one, which is read whole
     swaps = [
         (G.make_word_swap(int_to_word(iu, n), int_to_word(iv, n)).inert, int_to_word(iu ^ iv, n))
         for n in range(1, 9)
         for iu, iv in itertools.combinations(range(1 << n), 2)
     ]
     assert len(swaps) == 43435 and all(A._moved(g) is not None for g, _ in swaps)
-    sparse = [moved_word_results(g, d, g.width <= 6) for g, d in swaps]
-    monkeypatch.setattr(A, "_SPARSE_WORDS", -1)  # every table read whole
-    assert all(A._moved(g) is None for g, _ in swaps)
-    for (g, d), want in zip(swaps, sparse):
-        assert moved_word_results(g, d, g.width <= 6) == want, (g.table, d)
+    for g, d in swaps:
+        whole = G.InertGate(g.lo, g.hi, g.table)
+        assert A._moved(whole) is None
+        short = g.width <= 6
+        assert moved_word_results(g, d, short) == moved_word_results(whole, d, short), g.swapped
 
 
 def test_a_swap_reads_its_moved_words_from_its_record():
-    # the record against the scan of the same table in a gate without one
-    swaps = [
-        G.make_word_swap(int_to_word(iu, n), int_to_word(iv, n)).inert
-        for n in range(1, 9)
-        for iu, iv in itertools.combinations(range(1 << n), 2)
-    ]
-    assert len(swaps) == 43435 and all(g.swapped is not None for g in swaps)
-    for g in swaps:
-        assert A._moved(g) == A._moved(G.InertGate(g.lo, g.hi, g.table)), g.swapped
-    # a gate derived from a swap carries no record, and is scanned
+    # the record against the words that the same table moves
+    for n in range(1, 9):
+        for iu, iv in itertools.combinations(range(1 << n), 2):
+            g = G.make_word_swap(int_to_word(iu, n), int_to_word(iv, n)).inert
+            at = (g.table != np.arange(g.table.size)).nonzero()[0].tolist()
+            assert A._moved(g) == {x: g.table.item(x) for x in at}, g.swapped
+    # a gate derived from a swap carries no record, and is read whole
     g = G.make_word_swap("0110", "0100").inert
     for derived in (g.shift_by(2), g.mirror(), g.inverse(), g.compose(G.make_named("c0").inert)):
-        assert derived.swapped is None
-        assert A._moved(derived) == A._moved(G.InertGate(derived.lo, derived.hi, derived.table))
+        assert derived.swapped is None and A._moved(derived) is None
     assert G.make_word_swap("01", "01").inert.swapped is None  # the identity
 
 
@@ -295,11 +293,8 @@ def cycled_table(width, words, k=1):
 
 
 def test_the_bound_decides_the_path():
-    words = [int(w) for w in np.random.default_rng(8).choice(64, A._SPARSE_WORDS + 1, replace=False)]
-    at_bound = G.canonicalize(0, 5, cycled_table(6, words[:-1]))
-    past = G.canonicalize(0, 5, cycled_table(6, words))
-    assert A._moved(at_bound) == dict(zip(words[:-1], np.roll(words[:-1], -1).tolist()))
-    assert A._moved(past) is None
+    # gates that move 16 and 17 words, each read whole
+    words = [int(w) for w in np.random.default_rng(8).choice(64, 17, replace=False)]
     for table in (cycled_table(6, words[:-1]), cycled_table(6, words)):
         check_definitions(table)
         check_coset_definition(table, 0, "11")

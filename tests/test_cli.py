@@ -263,10 +263,10 @@ def test_window_cap_lasts_only_for_its_command(capsys, monkeypatch, from_env):
         argv = ["gate", "--expr", "c0 c0@6"]
     else:
         argv = ["--window-cap", "5", "gate", "--expr", "c0 c0@6"]
-    cap = gates.WINDOW_CAP
     code, _, err = run(capsys, *argv)
     assert code == 2 and "window cap exceeded" in err
-    assert gates.WINDOW_CAP == cap
+    with gates.limits() as now:
+        assert now == gates.Limits()
     monkeypatch.delenv("GATECALC_WINDOW_CAP", raising=False)
     assert not gates.make_word_swap("0" * 6, "1" * 6).is_identity
 
@@ -284,17 +284,20 @@ def test_ring_size_is_bounded_by_the_ring_cap_not_the_window_cap(capsys):
         (["--window-cap", "0", "gate", "--name", "c0"], None, "at least 1, got 0"),
         (["--window-cap", "-3", "gate", "--name", "c0"], None, "at least 1, got -3"),
         (["gate", "--name", "c0"], "-3", "at least 1, got -3"),
+        # past the hard ceiling, refused before a table is built
+        (["--window-cap", "25", "gate", "--name", "c0"], None, "at most 24, got 25"),
+        (["gate", "--expr", "c0 c0@33"], "40", "at most 24, got 40"),
     ],
 )
 def test_malformed_window_cap_is_a_usage_error(capsys, monkeypatch, argv, env, message):
     if env is not None:
         monkeypatch.setenv("GATECALC_WINDOW_CAP", env)
-    cap = gates.WINDOW_CAP
     code, out, err = run(capsys, *argv)
     assert code == 2
     assert message in err
     assert out == ""
-    assert gates.WINDOW_CAP == cap
+    with gates.limits() as now:
+        assert now == gates.Limits()
 
 
 @pytest.mark.parametrize(

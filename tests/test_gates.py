@@ -1,7 +1,7 @@
-import contextlib
 import itertools
 import math
 import random
+import threading
 import tracemalloc
 
 import numpy as np
@@ -222,16 +222,41 @@ def test_inert_gates_have_finite_order():
 
 
 def test_window_cap_enforced():
-    old = G.WINDOW_CAP
-    G.WINDOW_CAP = 6
-    try:
+    with G.limits(window_cap=6):
         a = G.make_named("c0")
         b = G.make_named("c0").shift_conjugate(10)
         with pytest.raises(G.WindowCapError) as err:
             a.compose(b)
         assert err.value.required_width == 11
-    finally:
-        G.WINDOW_CAP = old
+
+
+def test_limits_hold_only_inside_their_block():
+    default = G.Limits()
+    assert (default.window_cap, default.embed_budget) == (24, 1 << 20)
+    with G.limits(window_cap=8) as outer:
+        assert outer == G.Limits(8, default.embed_budget)
+        with G.limits(embed_budget=64) as inner:
+            assert inner == G.Limits(8, 64)
+        with pytest.raises(RuntimeError):
+            with G.limits(window_cap=6):
+                raise RuntimeError
+        with G.limits() as now:
+            assert now == outer
+        with pytest.raises(G.WindowCapError):
+            G.make_named("ck", 8)
+        seen = []  # another thread runs with the default limits
+        thread = threading.Thread(target=lambda: seen.append(G._LIMITS.get()))
+        thread.start()
+        thread.join(timeout=10)
+        assert seen == [default]
+    with G.limits() as now:
+        assert now == default
+    with pytest.raises(TypeError):
+        with G.limits(window=8):
+            pass
+    for cap, message in ((0, "at least 1, got 0"), (25, "at most 24, got 25")):
+        with pytest.raises(ValueError, match=message), G.limits(window_cap=cap):
+            pass
 
 
 # -- conjugations ----------------------------------------------------------
@@ -293,7 +318,7 @@ def test_named_gates():
         G.make_named("ck")
 
 
-def test_fixed_generators_are_built_once(monkeypatch):
+def test_fixed_generators_are_built_once():
     for name in ("identity", "sigma", "c0", "c1", "c2", "rc1", "swap"):
         g = G.make_named(name)
         assert G.make_named(name) is g
@@ -301,8 +326,7 @@ def test_fixed_generators_are_built_once(monkeypatch):
             assert not g.inert.table.flags.writeable
     # ck is built on every call: whether it fits the cap depends on k
     assert G.make_named("ck", 10).inert.width == 11
-    monkeypatch.setattr(G, "WINDOW_CAP", 8)
-    with pytest.raises(G.WindowCapError):
+    with G.limits(window_cap=8), pytest.raises(G.WindowCapError):
         G.make_named("ck", 10)
 
 
@@ -368,11 +392,11 @@ def test_word_swap_basics():
         G.make_word_swap("01", "011")
 
 
-def test_word_swap_wider_than_the_cap_is_refused(monkeypatch):
-    monkeypatch.setattr(G, "WINDOW_CAP", 8)
-    assert G.make_word_swap("0" * 8, "1" * 8).inert.width == 8
-    with pytest.raises(G.WindowCapError) as err:
-        G.make_word_swap("0" * 9, "1" * 9)
+def test_word_swap_wider_than_the_cap_is_refused():
+    with G.limits(window_cap=8):
+        assert G.make_word_swap("0" * 8, "1" * 8).inert.width == 8
+        with pytest.raises(G.WindowCapError) as err:
+            G.make_word_swap("0" * 9, "1" * 9)
     assert err.value.required_width == 9
 
 
@@ -528,6 +552,8 @@ def test_program_evaluation_equals_its_flat_expansion():
     values = G.evaluate_program(program, gens)
     assert values == [G.evaluate_expr(e, gens) for e in flat]
     assert len(set(values)) == 3
+    no_starts = G.Program(rules, [])
+    assert no_starts.expand() == no_starts.lengths() == G.evaluate_program(no_starts, gens) == []
 
 
 @st.composite
@@ -689,18 +715,6 @@ def test_record_roundtrip():
 # -- one-pass evaluation against the pairwise chain ---------------------------
 
 
-@contextlib.contextmanager
-def patched(**settings):
-    old = {name: getattr(G, name) for name in settings}
-    for name, value in settings.items():
-        setattr(G, name, value)
-    try:
-        yield
-    finally:
-        for name, value in old.items():
-            setattr(G, name, value)
-
-
 def pairwise_compose(f, g):
     # reference: f after g, two gates at a time in the hull of both windows
     a, b = f.inert.shift_by(g.shift), g.inert
@@ -708,8 +722,7 @@ def pairwise_compose(f, g):
         inert = b if a.is_identity else a
     else:
         lo, hi = min(a.lo, b.lo), max(a.hi, b.hi)
-        if hi - lo + 1 > G.WINDOW_CAP:
-            raise G.WindowCapError(hi - lo + 1, G.WINDOW_CAP)
+        G._check_width(hi - lo + 1)
         words = np.arange(1 << (hi - lo + 1), dtype=np.int64)
         for gate in (b, a):
             s = hi - gate.hi
@@ -757,7 +770,7 @@ PROPERTY_CAP = 9
 # the default keeps every leaf table; 64 words keeps as many as fit in
 # 64 words, and the first in any case, and makes the others again at
 # each use
-EMBED_BUDGETS = (G._EMBED_BUDGET, 64)
+EMBED_BUDGETS = (G.Limits().embed_budget, 64)
 
 
 def outcome(fn):
@@ -772,10 +785,10 @@ def outcome(fn):
 def test_one_pass_equals_pairwise_chain(elements):
     gens = {f"g{i}": f for i, f in enumerate(elements)}
     expr = G.GateExpr(tuple((name, 0) for name in gens))
-    with patched(WINDOW_CAP=PROPERTY_CAP):
+    with G.limits(window_cap=PROPERTY_CAP):
         expected = outcome(lambda: pairwise_chain(elements))
     for budget in EMBED_BUDGETS:
-        with patched(WINDOW_CAP=PROPERTY_CAP, _EMBED_BUDGET=budget):
+        with G.limits(window_cap=PROPERTY_CAP, embed_budget=budget):
             assert outcome(lambda: G.compose_many(elements)) == expected
             assert outcome(lambda: G.evaluate_expr(expr, gens)) == expected
 
@@ -798,10 +811,10 @@ def test_repeated_atoms_equal_pairwise_chain(case):
         # function order: the first element is applied last
         order = expr.atoms[::-1] if leftmost_first else expr.atoms
         elements = [gens[name].shift_conjugate(k) for name, k in order]
-        with patched(WINDOW_CAP=PROPERTY_CAP):
+        with G.limits(window_cap=PROPERTY_CAP):
             expected = outcome(lambda: pairwise_chain(elements))
         for budget in EMBED_BUDGETS:
-            with patched(WINDOW_CAP=PROPERTY_CAP, _EMBED_BUDGET=budget):
+            with G.limits(window_cap=PROPERTY_CAP, embed_budget=budget):
                 assert outcome(lambda: G.compose_many(elements)) == expected
                 got = outcome(lambda: G.evaluate_expr(expr, gens, leftmost_first))
                 assert got == expected
@@ -923,7 +936,7 @@ def test_named_generators_are_canonical_permutations():
 @settings(max_examples=200, deadline=None)
 @given(chains)
 def test_products_are_canonical_permutations(elements):
-    with patched(WINDOW_CAP=PROPERTY_CAP):
+    with G.limits(window_cap=PROPERTY_CAP):
         for product in (lambda: G.compose_many(elements), lambda: G.compose_many(elements[::-1])):
             f = outcome(product)
             if isinstance(f, G.GroupElement):
@@ -958,7 +971,7 @@ def test_products_keep_no_more_leaf_tables_than_the_budget():
     table_bytes = (1 << 16) * np.dtype(np.int64).itemsize
     expected = pairwise_chain(parts)
     for evaluate in (lambda: G.compose_many(parts), lambda: G.evaluate_program(program, gens)[0]):
-        with patched(_EMBED_BUDGET=4 << 16):
+        with G.limits(embed_budget=4 << 16):
             assert evaluate() == expected
             tracemalloc.start()
             try:
