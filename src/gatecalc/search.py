@@ -8,17 +8,23 @@ of distinct table rows, kept in build order in the buffer its
 candidates were built in (dropped rows leave slack at its end).  One
 sorted hash index over all levels maps a table to its depth: it holds
 the top 32 bits of each row's 64-bit content hash, numbered by level
-and physical row.  A lookup sorts its keys first (growth hands them
-over sorted already), so that it walks the index once from left to
-right.  A new level's keys, sorted already, are merged into the index
-by one stable sort of the two sorted runs.  Duplicates are found by
-sorting candidates on the hash and comparing equal-hash rows in full,
-and every index hit is confirmed on the full table, so a hash can never
-merge two distinct states.  Rows are compared as one np.void item
-each, viewed as the widest unsigned words that tile them.  Hashing, row
-comparison, candidate building, compaction and probing each work
-through one block of rows at a time, so their temporaries stay in
-cache and do not grow with the level.
+and physical row.  Nearly every lookup misses, so a presence map, one
+bit for each value of a key's top bits (a one-hash Bloom filter, Bloom
+1970), screens the keys first: a clear bit proves the row absent, and
+only the keys whose bit is set are sorted, so that they walk the index
+once from left to right, and searched.  The map is sized to the ball,
+at least 16 bits per stored state, and rebuilt as the ball grows: keys
+spread over the whole map, so a moderate ball would touch every page of
+a map sized for the largest one.  A new level's keys, sorted already,
+are merged into the index by one stable sort of the two sorted runs and
+set in the map.  Duplicates are found by sorting candidates on the hash
+and comparing equal-hash rows in full, and every index hit is confirmed
+on the full table, so a hash can never merge two distinct states.  Rows
+are compared as one np.void item each, viewed as the widest unsigned
+words that tile them.  Hashing, row comparison, candidate building,
+compaction, marking and probing each work through one block of rows or
+keys at a time, so their temporaries stay in cache and do not grow with
+the level.
 
 Words are tuples of generator indices, first index applied last, as in
 GateExpr.  BFS returns the lexicographically least shortest word.
@@ -185,14 +191,32 @@ def _index_keys(hashes: np.ndarray) -> np.ndarray:
     return (hashes >> np.uint64(32)).astype(np.uint32)
 
 
+def _map_log_bits(states: int) -> int:
+    """log2 of the bits of the presence map of a ball of this many states.
+
+    At least 16 bits per state, so that at most one in 16 keys that are
+    not stored passes the map, and from 2^16 bits (8 KiB) up to 2^27
+    (16 MiB, the top 27 bits of a key).
+    """
+    return min(max((16 * states - 1).bit_length(), 16), 27)
+
+
 class _Ball:
-    """Levels of the Cayley ball and one sorted hash index over all of them.
+    """Levels of the Cayley ball, one sorted hash index over all of them and its map.
 
     ``keys`` holds the top 32 bits of the hash of every stored state in
     ascending order and ``ids`` the state's number: the first number of
     its level plus its physical row, which ``starts`` maps back.  A level
     is merged in by one stable sort; ``depth_of`` confirms every equal key
-    on the full row.  ``nbytes`` counts the slack rows of level buffers.
+    on the full row.
+
+    ``map`` is the presence map: one bit for each value of a key's top
+    bits (``key >> shift``), packed, set for every stored key.  A clear
+    bit proves that no stored state has the key; a set bit proves
+    nothing.  A level that makes the ball outgrow the map rebuilds it
+    from the whole index, at least doubled, so the rebuilds together
+    mark a few times as many keys as the ball holds.  ``nbytes`` counts
+    the slack rows of level buffers and the map.
     """
 
     def __init__(self):
@@ -200,6 +224,8 @@ class _Ball:
         self.starts = [0]  # number of the first state of each level, then the total
         self.keys = np.empty(0, dtype=np.uint32)
         self.ids = np.empty(0, dtype=np.uint32)
+        self.map = np.empty(0, dtype=np.uint8)
+        self.shift = np.uint32(32)
         self.nbytes = 0
 
     @property
@@ -219,9 +245,50 @@ class _Ball:
         self.keys = keys[order]
         del keys
         self.ids = np.concatenate([self.ids, numbers])[order]
+        del order
+        old_map = self.map.nbytes
+        log_bits = _map_log_bits(self.states + count)
+        if self.shift != 32 - log_bits:
+            # the ball outgrew the map: a new one from every stored key
+            self.map = np.zeros(1 << (log_bits - 3), dtype=np.uint8)
+            self.shift = np.uint32(32 - log_bits)
+            self._mark(self.keys)
+        else:
+            self._mark(new_keys)
         self.levels.append(buffer[:count])
         self.starts.append(self.states + count)
-        self.nbytes += buffer.nbytes + new_keys.nbytes + numbers.nbytes
+        self.nbytes += buffer.nbytes + new_keys.nbytes + numbers.nbytes + self.map.nbytes - old_map
+
+    def _mark(self, keys: np.ndarray) -> None:
+        """Set the bits of the keys in the map, one block of _CHUNK keys at a time.
+
+        A buffered ``map[byte] |= bit`` sets the bit of one key only of
+        those that share a byte, so the keys whose bit is still clear are
+        marked again; most bytes hold one key, so later rounds are short.
+        np.bitwise_or.at would need no rounds, but is many times slower
+        on numpy < 1.25, and np.bitwise_or.reduceat over runs of equal
+        bytes costs more passes than the rounds.
+        """
+        for lo in range(0, keys.size, _CHUNK):
+            byte, bit = self._address(keys[lo : lo + _CHUNK])
+            byte, bit = byte.astype(np.intp), np.left_shift(np.uint8(1), bit)
+            while byte.size:
+                self.map[byte] |= bit
+                clear = np.flatnonzero((self.map[byte] & bit) == 0)
+                byte, bit = byte[clear], bit[clear]
+
+    def _maybe_stored(self, keys: np.ndarray) -> np.ndarray:
+        """Where the map's bit of a key is set, one block of _CHUNK keys at a time."""
+        present = np.empty(keys.size, dtype=np.uint8)
+        for lo in range(0, keys.size, _CHUNK):
+            byte, bit = self._address(keys[lo : lo + _CHUNK])
+            present[lo : lo + _CHUNK] = (np.take(self.map, byte) >> bit) & 1
+        return np.flatnonzero(present)
+
+    def _address(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The byte of the map that holds each key's bit, and the bit's place in it."""
+        slot = keys >> self.shift
+        return slot >> np.uint32(3), (slot & np.uint32(7)).astype(np.uint8)
 
     def depth_of(
         self, rows: np.ndarray, hashes: np.ndarray | None = None, index: np.ndarray | None = None
@@ -236,11 +303,13 @@ class _Ball:
             hashes = _hash_rows(rows)
         keys = _index_keys(hashes)
         out = np.full(keys.size, -1, dtype=np.int64)
+        # a clear bit proves a row absent; only the rest are searched
+        maybe = self._maybe_stored(keys)
+        keys = keys[maybe]
         # ascending needles walk the index once, from left to right
-        order = None
         if np.any(keys[1:] < keys[:-1]):
             order = np.argsort(keys)
-            keys = keys[order]
+            keys, maybe = keys[order], maybe[order]
         left = np.searchsorted(self.keys, keys)
         cand = np.nonzero(left < self.keys.size)[0]
         cand = cand[self.keys[left[cand]] == keys[cand]]
@@ -250,11 +319,10 @@ class _Ball:
         counts = np.searchsorted(self.keys, keys[cand], side="right") - left[cand]
         row = np.repeat(cand, counts)
         slot = left[row] + np.arange(row.size) - np.repeat(np.cumsum(counts) - counts, counts)
-        if order is not None:
-            row = order[row]
+        row = maybe[row]
         state = self.ids[slot].astype(np.int64)
         depth = np.searchsorted(self.starts, state, side="right") - 1
-        for d in np.unique(depth):
+        for d in np.flatnonzero(np.bincount(depth)):
             pair = np.nonzero(depth == d)[0]
             stored = state[pair] - self.starts[d]
             looked_up = row[pair] if index is None else index[row[pair]]
@@ -278,11 +346,20 @@ def _dedup_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     same = _equal_rows(rows, order[pairs], rows, order[pairs + 1])
     keep = np.ones(order.size, dtype=bool)
     keep[pairs[same] + 1] = False
-    for h in np.unique(hashes[pairs[~same]]):
+    # hashes is sorted, so the hashes shared by distinct rows are too
+    clash = hashes[pairs[~same]]
+    once = np.ones(clash.size, dtype=bool)
+    once[1:] = clash[1:] != clash[:-1]
+    for h in clash[once]:
         lo = np.searchsorted(hashes, h, side="left")
         hi = np.searchsorted(hashes, h, side="right")
         run = order[lo:hi]
-        _, first = np.unique(rows[run], axis=0, return_index=True)
+        # the run's rows in ascending order, entry by entry; the stable
+        # sort keeps the first of equal rows
+        by_row = np.lexsort(rows[run].T[::-1])
+        sorted_rows = rows[run[by_row]]
+        distinct = np.concatenate([[True], (sorted_rows[1:] != sorted_rows[:-1]).any(axis=1)])
+        first = by_row[distinct]
         order[lo : lo + first.size] = run[first]
         keep[lo:hi] = False
         keep[lo : lo + first.size] = True
@@ -369,8 +446,9 @@ class _Searcher:
         budget = self.cfg.memory_budget
         if not self.ball.levels:
             # the kept tables, the int64 words one of them is made from,
-            # and the identity row with its key and number
+            # and the identity row with its key, number and presence map
             projected = self.table_bytes + _EMBED_WORDS * 8 * self.size + row_bytes + 8
+            projected += 1 << (_map_log_bits(1) - 3)
             projected += _OBJECT_BYTES
             if projected > budget:
                 return {"level": 0, "projected_bytes": projected, "budget": budget}
@@ -391,10 +469,14 @@ class _Searcher:
             # building, comparing and moving rows copies at most two
             # blocks of rows at once.  Merging the index holds its sort
             # order and the merged keys and ids, 16 bytes per state old
-            # or new
+            # or new.  A ball that outgrows its presence map makes the new
+            # map while it holds the old one
             blocks = 2 * min(n, max(1, _CHUNK // self.size))
             projected = self.ball.nbytes + 16 * self.ball.states + n * (row_bytes + 48)
             projected += blocks * row_bytes + self.table_bytes + _OBJECT_BYTES
+            new_map = 1 << (_map_log_bits(self.ball.states + n) - 3)
+            if new_map > self.ball.map.nbytes:
+                projected += new_map
             if projected > budget:
                 return {"level": depth, "projected_bytes": projected, "budget": budget}
             candidates, starts = self.candidates(sizes)
@@ -524,7 +606,8 @@ class _Searcher:
             return None
         hits, hashes = np.concatenate(hits), np.concatenate(hashes)
         hits = hits[hashes == hashes.min()]
-        # distinct rows that share a hash: the least row (np.unique's order)
+        # distinct rows that share a hash: the least row, the order in which
+        # _dedup_rows sorts a run of equal hashes
         k = int(hits[np.lexsort(level[hits].T[::-1])[0]])
         return least, k, self.probes(level[k : k + 1])[0]
 

@@ -1,6 +1,10 @@
 import dataclasses
 import itertools
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -232,28 +236,32 @@ def test_budget_counts_the_tables_made_with_level_0():
 def test_growth_peak_stays_within_the_projection():
     # the traced peak of growing each level must stay below the projection
     # that the budget check makes, also at the tail of a finite group, where
-    # rebuilding the index of every stored state outweighs the candidates
+    # rebuilding the index of every stored state outweighs the candidates,
+    # and at the levels where the ball outgrows its presence map
     e57 = G.make_eca(57)
     cases = [
         (tuple(e57.shift_conjugate(k) for k in (-1, 0, 1)), 12, 18),
-        (tuple(e57.shift_conjugate(k) for k in (-3, -2, -1, 0, 1, 2, 3)), 3, 6),
+        (tuple(e57.shift_conjugate(k) for k in (-3, -2, -1, 0, 1, 2, 3)), 3, 7),
         (s8_generators(), 2, 36),
     ]
     for gens, first, last in cases:
         searcher = S._Searcher(S.SearchConfig(gens, G.make_named("c0"), last))
         searcher.grow(first - 1)
+        rebuilt = 0
         tracemalloc.start()
         try:
             for depth in range(first, last + 1):
-                before = searcher.ball.nbytes
+                before, before_map = searcher.ball.nbytes, searcher.ball.map.nbytes
                 projected = projected_bytes(searcher, depth)
                 base = tracemalloc.get_traced_memory()[0]
                 tracemalloc.reset_peak()
                 assert searcher.grow(depth) is None
                 peak = before + tracemalloc.get_traced_memory()[1] - base
                 assert peak <= projected, (len(gens), depth, peak, projected)
+                rebuilt += searcher.ball.map.nbytes > before_map
         finally:
             tracemalloc.stop()
+        assert rebuilt, len(gens)
     # the last case closed: all of S_8 is stored
     assert searcher.ball.states == 40320 and len(searcher.ball.levels) == 36
 
@@ -432,6 +440,7 @@ def test_index_is_a_stable_sort_of_every_level(monkeypatch, collide):
     # and compacts the rest; with a colliding hash every lookup compares
     # against most stored states, so that ball grows to depth 14 only
     cases = [(flip_generators(), 12, 1), (s8_generators(), 14 if collide else 35, 7)]
+    map_sizes = set()
     for gens, last, compacted in cases:
         searcher = S._Searcher(S.SearchConfig(gens, G.make_named("c0"), last))
         ball = searcher.ball
@@ -444,13 +453,25 @@ def test_index_is_a_stable_sort_of_every_level(monkeypatch, collide):
             stored = np.concatenate(ball.levels)
             depths = np.repeat(np.arange(depth + 1), [level.shape[0] for level in ball.levels])
             assert np.array_equal(ball.depth_of(stored), depths)
-            # each level's buffer, with any slack rows past the level
+            # each level's buffer, with any slack rows past the level, and
+            # the presence map
             held = sum(level.base.nbytes for level in ball.levels)
-            assert ball.nbytes == held + ball.keys.nbytes + ball.ids.nbytes
+            assert ball.nbytes == held + ball.keys.nbytes + ball.ids.nbytes + ball.map.nbytes
+            # the map's set bits are exactly the top bits of the stored keys,
+            # at least 16 bits per stored state and fewer than 32 above 2^16
+            bits = ball.map.size * 8
+            assert bits << int(ball.shift) == 1 << 32
+            assert 16 * ball.states <= bits and (bits == 1 << 16 or bits < 32 * ball.states)
+            present = np.unpackbits(ball.map, bitorder="little")
+            assert np.array_equal(np.flatnonzero(present), np.unique(keys >> ball.shift))
+            map_sizes.add(bits)
         slack = [level.base.nbytes > level.nbytes for level in ball.levels[1:]]
         assert sum(slack) >= compacted, slack
         if collide:  # equal keys span levels
             assert np.unique(keys).size < 5
+    # S_8 outgrew its map, which was rebuilt between two levels; grown to
+    # depth 14 under colliding hashes, it stays within the least map
+    assert len(map_sizes) > (not collide), map_sizes
 
 
 def test_probe_temporaries_stay_within_a_block():
@@ -533,6 +554,28 @@ def test_hash_collisions_cannot_merge_states(monkeypatch):
     real_hash = S._hash_rows
     monkeypatch.setattr(S, "_hash_rows", lambda rows: real_hash(rows) & np.uint64(0x3))
     assert run() == real
+
+
+def test_search_imports_no_masked_arrays():
+    # the first np.unique of a process imports numpy.ma, 10-20 ms that the
+    # first search of a process would pay; a fresh process shows it
+    script = (
+        "import sys\n"
+        "from gatecalc import gates as G, search as S\n"
+        "gens = tuple(G.make_eca(57).shift_conjugate(k) for k in (-1, 0, 1))\n"
+        "target = S.evaluate_word((0, 1, 2, 1, 0, 2, 2, 1), gens)\n"
+        "cfg = S.SearchConfig(gens, target, 6, strategy='mitm', certify_minimum=True)\n"
+        "print(S.search(cfg).stats['minimal_length'], 'numpy.ma' in sys.modules)\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert out.returncode == 0, out.stderr
+    length, masked = out.stdout.split()
+    assert int(length) <= 8 and masked == "False"
 
 
 # the word both mitm modes return for the flip at depth 25, with
