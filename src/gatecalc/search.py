@@ -1,30 +1,30 @@
 """Bounded search for expressions of a target gate over generator gates.
 
-All generators must be inert; their products then stay inside the
-common window hull, so a state is just a permutation table of the hull
-words and group-element equality is table equality.  The ball around
-the identity is grown level by level with numpy.  A level is a matrix
-of distinct table rows, kept in build order in the buffer its
-candidates were built in (dropped rows leave slack at its end).  One
-sorted hash index over all levels maps a table to its depth: it holds
-the top 32 bits of each row's 64-bit content hash, numbered by level
-and physical row.  Nearly every lookup misses, so a presence map, one
+All generators must be inert; their products then stay inside the common
+window hull, so a state is just a permutation table of the hull words
+and group-element equality is table equality.  The ball around the
+identity is grown level by level with numpy.  A level is a matrix of
+distinct table rows, kept in build order in the buffer its candidates
+were built in (dropped rows leave slack at its end).  A hash index of
+sorted runs maps a table to its depth: the top 32 bits of each row's
+64-bit content hash, numbered by level and physical row.  A new level's
+keys, sorted already, merge into the last run by one stable sort while
+the two hold at most _CHUNK keys, else start a run (as in an LSM-tree,
+O'Neil et al. 1996).  Nearly every lookup misses, so a presence map, one
 bit for each value of a key's top bits (a one-hash Bloom filter, Bloom
 1970), screens the keys first: a clear bit proves the row absent, and
-only the keys whose bit is set are sorted, so that they walk the index
-once from left to right, and searched.  The map is sized to the ball,
-at least 16 bits per stored state, and rebuilt as the ball grows: keys
+only the keys whose bit is set are sorted, so that they walk each run
+once from left to right, and searched.  The map is sized to the ball, at
+least 16 bits per stored state, and rebuilt as the ball grows: keys
 spread over the whole map, so a moderate ball would touch every page of
-a map sized for the largest one.  A new level's keys, sorted already,
-are merged into the index by one stable sort of the two sorted runs and
-set in the map.  Duplicates are found by sorting candidates on the hash
-and comparing equal-hash rows in full, and every index hit is confirmed
-on the full table, so a hash can never merge two distinct states.  Rows
-are compared as one np.void item each, viewed as the widest unsigned
-words that tile them.  Hashing, row comparison, candidate building,
-compaction, marking and probing each work through one block of rows or
-keys at a time, so their temporaries stay in cache and do not grow with
-the level.
+a map sized for the largest one.  Duplicates are found by sorting
+candidates on the hash and comparing equal-hash rows in full, and every
+index hit is confirmed on the full table, so a hash can never merge two
+distinct states.  Rows are compared as one np.void item each, viewed as
+the widest unsigned words that tile them.  Hashing, row comparison,
+candidate building, compaction, marking and probing each work through
+one block of rows or keys at a time, so their temporaries stay in cache
+and do not grow with the level.
 
 Words are tuples of generator indices, first index applied last, as in
 GateExpr.  BFS returns the lexicographically least shortest word.
@@ -202,19 +202,19 @@ def _map_log_bits(states: int) -> int:
 
 
 class _Ball:
-    """Levels of the Cayley ball, one sorted hash index over all of them and its map.
+    """Levels of the Cayley ball, a hash index over them in sorted runs, and its map.
 
-    ``keys`` holds the top 32 bits of the hash of every stored state in
-    ascending order and ``ids`` the state's number: the first number of
-    its level plus its physical row, which ``starts`` maps back.  A level
-    is merged in by one stable sort; ``depth_of`` confirms every equal key
-    on the full row.
+    Each of ``runs`` holds the number of its first state and, for the
+    states of consecutive levels, the top 32 bits of their hashes,
+    ascending, and their numbers: the first number of the level plus the
+    physical row, which ``starts`` maps back.  A run holds at most _CHUNK
+    keys or one level; ``depth_of`` confirms every equal key on the full row.
 
     ``map`` is the presence map: one bit for each value of a key's top
     bits (``key >> shift``), packed, set for every stored key.  A clear
     bit proves that no stored state has the key; a set bit proves
     nothing.  A level that makes the ball outgrow the map rebuilds it
-    from the whole index, at least doubled, so the rebuilds together
+    from every run, at least doubled, so the rebuilds together
     mark a few times as many keys as the ball holds.  ``nbytes`` counts
     the slack rows of level buffers and the map.
     """
@@ -222,8 +222,7 @@ class _Ball:
     def __init__(self):
         self.levels: list[np.ndarray] = []
         self.starts = [0]  # number of the first state of each level, then the total
-        self.keys = np.empty(0, dtype=np.uint32)
-        self.ids = np.empty(0, dtype=np.uint32)
+        self.runs: list[tuple[int, np.ndarray, np.ndarray]] = []  # (first, keys, ids)
         self.map = np.empty(0, dtype=np.uint8)
         self.shift = np.uint32(32)
         self.nbytes = 0
@@ -239,20 +238,24 @@ class _Ball:
             raise OverflowError("the ball index numbers states in 32 bits")
         numbers = (at + self.states).astype(np.uint32)
         new_keys = _index_keys(hashes)
-        # both runs are sorted, so the stable sort merges them in one pass
-        keys = np.concatenate([self.keys, new_keys])
-        order = np.argsort(keys, kind="stable")
-        self.keys = keys[order]
-        del keys
-        self.ids = np.concatenate([self.ids, numbers])[order]
-        del order
+        first, keys, ids = self.states, new_keys, numbers
+        if self.runs and self.runs[-1][1].size + count <= _CHUNK:
+            # both runs are sorted, so the stable sort merges them in one pass
+            first, keys, ids = self.runs.pop()
+            keys = np.concatenate([keys, new_keys])
+            order = np.argsort(keys, kind="stable")
+            keys = keys[order]
+            ids = np.concatenate([ids, numbers])[order]
+            del order
+        self.runs.append((first, keys, ids))
         old_map = self.map.nbytes
         log_bits = _map_log_bits(self.states + count)
         if self.shift != 32 - log_bits:
             # the ball outgrew the map: a new one from every stored key
             self.map = np.zeros(1 << (log_bits - 3), dtype=np.uint8)
             self.shift = np.uint32(32 - log_bits)
-            self._mark(self.keys)
+            for _, keys, _ in self.runs:
+                self._mark(keys)
         else:
             self._mark(new_keys)
         self.levels.append(buffer[:count])
@@ -290,14 +293,12 @@ class _Ball:
         slot = keys >> self.shift
         return slot >> np.uint32(3), (slot & np.uint32(7)).astype(np.uint8)
 
-    def depth_of(
-        self, rows: np.ndarray, hashes: np.ndarray | None = None, index: np.ndarray | None = None
-    ) -> np.ndarray:
+    def depth_of(self, rows: np.ndarray, hashes=None, index=None, deepest=None) -> np.ndarray:
         """Stored depth of each row, or -1 where the row is not stored.
 
         hashes, if given, are those of the rows looked up.  Given hashes
         and an index, of rows[index] instead, which is compared without
-        being gathered.
+        being gathered.  A row stored deeper than deepest, if given, reads -1.
         """
         if hashes is None:
             hashes = _hash_rows(rows)
@@ -306,28 +307,32 @@ class _Ball:
         # a clear bit proves a row absent; only the rest are searched
         maybe = self._maybe_stored(keys)
         keys = keys[maybe]
-        # ascending needles walk the index once, from left to right
+        # ascending needles walk each run once, from left to right
         if np.any(keys[1:] < keys[:-1]):
             order = np.argsort(keys)
             keys, maybe = keys[order], maybe[order]
-        left = np.searchsorted(self.keys, keys)
-        cand = np.nonzero(left < self.keys.size)[0]
-        cand = cand[self.keys[left[cand]] == keys[cand]]
-        if not cand.size:
-            return out
-        # every pair of a row and a stored state with the same key
-        counts = np.searchsorted(self.keys, keys[cand], side="right") - left[cand]
-        row = np.repeat(cand, counts)
-        slot = left[row] + np.arange(row.size) - np.repeat(np.cumsum(counts) - counts, counts)
-        row = maybe[row]
-        state = self.ids[slot].astype(np.int64)
-        depth = np.searchsorted(self.starts, state, side="right") - 1
-        for d in np.flatnonzero(np.bincount(depth)):
-            pair = np.nonzero(depth == d)[0]
-            stored = state[pair] - self.starts[d]
-            looked_up = row[pair] if index is None else index[row[pair]]
-            pair = pair[_equal_rows(self.levels[d], stored, rows, looked_up)]
-            out[row[pair]] = d
+        levels = len(self.levels) if deepest is None else deepest + 1
+        for first, run_keys, run_ids in self.runs:
+            if first >= self.starts[levels]:
+                break
+            left = np.searchsorted(run_keys, keys)
+            # a key past the run's end is clipped to its last key, a lesser one
+            cand = np.flatnonzero(run_keys.take(left, mode="clip") == keys)
+            if not cand.size:
+                continue
+            # every pair of a row and a state of the run with the same key
+            counts = np.searchsorted(run_keys, keys[cand], side="right") - left[cand]
+            row = np.repeat(cand, counts)
+            slot = left[row] + np.arange(row.size) - np.repeat(np.cumsum(counts) - counts, counts)
+            row = maybe[row]
+            state = run_ids[slot].astype(np.int64)
+            depth = np.searchsorted(self.starts, state, side="right") - 1
+            for d in np.flatnonzero(np.bincount(depth)[:levels]):
+                pair = np.nonzero(depth == d)[0]
+                stored = state[pair] - self.starts[d]
+                looked_up = row[pair] if index is None else index[row[pair]]
+                pair = pair[_equal_rows(self.levels[d], stored, rows, looked_up)]
+                out[row[pair]] = d
         return out
 
 
@@ -467,13 +472,13 @@ class _Searcher:
             # the candidates, which become the level, and below 48 bytes
             # per candidate of hashes, positions and index entries;
             # building, comparing and moving rows copies at most two
-            # blocks of rows at once.  Merging the index holds its sort
-            # order and the merged keys and ids, 16 bytes per state old
-            # or new.  A ball that outgrows its presence map makes the new
-            # map while it holds the old one
-            blocks = 2 * min(n, max(1, _CHUNK // self.size))
-            projected = self.ball.nbytes + 16 * self.ball.states + n * (row_bytes + 48)
-            projected += blocks * row_bytes + self.table_bytes + _OBJECT_BYTES
+            # blocks of rows at once.  Merging into the last run holds 20
+            # bytes per key of the merged run, at most _CHUNK (traced: int64
+            # order, sorted keys, ids before and after sorting).  A ball
+            # that outgrows its presence map makes the new map with the old
+            block_bytes = 2 * min(n, max(1, _CHUNK // self.size)) * row_bytes
+            projected = self.ball.nbytes + 20 * min(self.ball.runs[-1][1].size + n, _CHUNK)
+            projected += n * (row_bytes + 48) + block_bytes + self.table_bytes + _OBJECT_BYTES
             new_map = 1 << (_map_log_bits(self.ball.states + n) - 3)
             if new_map > self.ball.map.nbytes:
                 projected += new_map
@@ -593,9 +598,9 @@ class _Searcher:
         least, hits, hashes = None, [], []
         for lo in range(0, level.shape[0], step):
             block = level[lo : lo + step]
-            g_depth = self.ball.depth_of(self.probes(block))
+            g_depth = self.ball.depth_of(self.probes(block), deepest=least)
             found = g_depth[g_depth >= 0]
-            if not found.size or least is not None and found.min() > least:
+            if not found.size:
                 continue
             if least is None or found.min() < least:
                 least, hits, hashes = int(found.min()), [], []

@@ -236,14 +236,17 @@ def test_budget_counts_the_tables_made_with_level_0():
 def test_growth_peak_stays_within_the_projection():
     # the traced peak of growing each level must stay below the projection
     # that the budget check makes, also at the tail of a finite group, where
-    # rebuilding the index of every stored state outweighs the candidates,
-    # and at the levels where the ball outgrows its presence map
+    # merging each small level into the run of every stored state outweighs
+    # the candidates, at the levels where the ball outgrows its presence
+    # map, and where the flip ball's index starts a new run (level 23) and
+    # merges the next level into it
     e57 = G.make_eca(57)
     cases = [
-        (tuple(e57.shift_conjugate(k) for k in (-1, 0, 1)), 12, 18),
+        (tuple(e57.shift_conjugate(k) for k in (-1, 0, 1)), 12, 24),
         (tuple(e57.shift_conjugate(k) for k in (-3, -2, -1, 0, 1, 2, 3)), 3, 7),
         (s8_generators(), 2, 36),
     ]
+    started = []
     for gens, first, last in cases:
         searcher = S._Searcher(S.SearchConfig(gens, G.make_named("c0"), last))
         searcher.grow(first - 1)
@@ -252,6 +255,7 @@ def test_growth_peak_stays_within_the_projection():
         try:
             for depth in range(first, last + 1):
                 before, before_map = searcher.ball.nbytes, searcher.ball.map.nbytes
+                runs = len(searcher.ball.runs)
                 projected = projected_bytes(searcher, depth)
                 base = tracemalloc.get_traced_memory()[0]
                 tracemalloc.reset_peak()
@@ -259,9 +263,12 @@ def test_growth_peak_stays_within_the_projection():
                 peak = before + tracemalloc.get_traced_memory()[1] - base
                 assert peak <= projected, (len(gens), depth, peak, projected)
                 rebuilt += searcher.ball.map.nbytes > before_map
+                if len(searcher.ball.runs) > runs:
+                    started.append((len(gens), depth))
         finally:
             tracemalloc.stop()
         assert rebuilt, len(gens)
+    assert started == [(3, 23)], started
     # the last case closed: all of S_8 is stored
     assert searcher.ball.states == 40320 and len(searcher.ball.levels) == 36
 
@@ -348,31 +355,53 @@ def test_hash_rows_do_not_depend_on_blocks(dtype, width):
         assert S._hash_rows(rows[i : i + 1])[0] == together[i] == fnv_reference(rows[i])
 
 
+# a _CHUNK below the sizes of the balls these tests grow, so that index
+# runs both take in further levels and give way to new ones
+SMALL_CHUNK = 1 << 9
+
+
+def grow_in_runs(searcher, depth):
+    # only growth runs under SMALL_CHUNK: lookups afterwards compare rows
+    # in blocks of the default _CHUNK, which leave the index as it is
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(S, "_CHUNK", SMALL_CHUNK)
+        return searcher.grow(depth)
+
+
 @pytest.mark.parametrize("collide", [False, *COLLIDING_MASKS])
 def test_depth_of_matches_a_dict_of_rows(monkeypatch, collide):
     if collide:
         colliding_hash(monkeypatch, COLLIDING_MASKS[collide])
-    searcher = S._Searcher(S.SearchConfig(flip_generators(), G.make_named("c0"), 10))
-    searcher.grow(10)
-    ball = searcher.ball
-    depth = {row.tobytes(): d for d, level in enumerate(ball.levels) for row in level}
-    rng = np.random.default_rng(11)
-    stored = np.concatenate(ball.levels)
-    # probes and shuffled rows, nearly all of them unseen
-    unseen = np.concatenate([searcher.probes(ball.levels[-1]), rng.permuted(stored[:200], axis=1)])
-    rows = np.concatenate([stored[rng.integers(0, stored.shape[0], 400)], unseen])
-    rows = rows[rng.permutation(rows.shape[0])]
-    want = [depth.get(row.tobytes(), -1) for row in rows]
-    assert -1 in want and len(set(want)) > 5
-    assert ball.depth_of(rows).tolist() == want
-    # rows in hash order with their hashes, as growth passes them
-    hashes, picked = S._dedup_rows(rows)
-    distinct = rows[picked]
-    assert np.array_equal(hashes, S._hash_rows(distinct))
-    assert ball.depth_of(distinct, hashes).tolist() == [
-        depth.get(row.tobytes(), -1) for row in distinct
-    ]
-    assert np.array_equal(ball.depth_of(rows, hashes, picked), ball.depth_of(rows[picked], hashes))
+    # one index run, then several
+    for in_runs in (False, True):
+        searcher = S._Searcher(S.SearchConfig(flip_generators(), G.make_named("c0"), 10))
+        grow_in_runs(searcher, 10) if in_runs else searcher.grow(10)
+        ball = searcher.ball
+        assert (len(ball.runs) > 1) == in_runs
+        depth = {row.tobytes(): d for d, level in enumerate(ball.levels) for row in level}
+        rng = np.random.default_rng(11)
+        stored = np.concatenate(ball.levels)
+        # probes and shuffled rows, nearly all of them unseen
+        unseen = [searcher.probes(ball.levels[-1]), rng.permuted(stored[:200], axis=1)]
+        unseen = np.concatenate(unseen)
+        rows = np.concatenate([stored[rng.integers(0, stored.shape[0], 400)], unseen])
+        rows = rows[rng.permutation(rows.shape[0])]
+        want = [depth.get(row.tobytes(), -1) for row in rows]
+        assert -1 in want and len(set(want)) > 5
+        assert ball.depth_of(rows).tolist() == want
+        # a row stored deeper than the deepest level searched reads -1
+        for deepest in (6, 9):
+            shallow = [d if d <= deepest else -1 for d in want]
+            assert ball.depth_of(rows, deepest=deepest).tolist() == shallow
+        # rows in hash order with their hashes, as growth passes them
+        hashes, picked = S._dedup_rows(rows)
+        distinct = rows[picked]
+        assert np.array_equal(hashes, S._hash_rows(distinct))
+        assert ball.depth_of(distinct, hashes).tolist() == [
+            depth.get(row.tobytes(), -1) for row in distinct
+        ]
+        gathered = ball.depth_of(rows[picked], hashes)
+        assert np.array_equal(ball.depth_of(rows, hashes, picked), gathered)
 
 
 @pytest.mark.parametrize("collide", [False, *COLLIDING_MASKS])
@@ -445,18 +474,30 @@ def test_index_is_a_stable_sort_of_every_level(monkeypatch, collide):
         searcher = S._Searcher(S.SearchConfig(gens, G.make_named("c0"), last))
         ball = searcher.ball
         for depth in range(1, last + 1):
-            assert searcher.grow(depth) is None and len(ball.levels) == depth + 1
+            assert grow_in_runs(searcher, depth) is None and len(ball.levels) == depth + 1
             keys = np.concatenate([S._index_keys(S._hash_rows(level)) for level in ball.levels])
-            assert np.array_equal(ball.keys, np.sort(keys, kind="stable"))
-            assert np.array_equal(np.sort(ball.ids), np.arange(ball.states))
-            assert np.array_equal(keys[ball.ids], ball.keys)
+            ids = np.concatenate([run_ids for _, _, run_ids in ball.runs])
+            assert np.array_equal(np.sort(ids), np.arange(ball.states))
+            run_levels = []
+            for first, run_keys, run_ids in ball.runs:
+                assert np.array_equal(keys[run_ids], run_keys)
+                # the states of consecutive levels, from the run's first
+                assert np.array_equal(np.sort(run_ids), first + np.arange(run_ids.size))
+                # ascending, and equal keys in the order of their levels
+                level = np.searchsorted(ball.starts, run_ids, side="right") - 1
+                assert np.all(run_keys[1:] >= run_keys[:-1])
+                equal = run_keys[1:] == run_keys[:-1]
+                assert np.all(level[1:][equal] >= level[:-1][equal])
+                run_levels.append(np.unique(level).size)
+                assert run_keys.size <= SMALL_CHUNK or run_levels[-1] == 1
             stored = np.concatenate(ball.levels)
             depths = np.repeat(np.arange(depth + 1), [level.shape[0] for level in ball.levels])
             assert np.array_equal(ball.depth_of(stored), depths)
-            # each level's buffer, with any slack rows past the level, and
-            # the presence map
+            # each level's buffer, with any slack rows past the level, every
+            # run and the presence map
             held = sum(level.base.nbytes for level in ball.levels)
-            assert ball.nbytes == held + ball.keys.nbytes + ball.ids.nbytes + ball.map.nbytes
+            held += sum(run_keys.nbytes + run_ids.nbytes for _, run_keys, run_ids in ball.runs)
+            assert ball.nbytes == held + ball.map.nbytes
             # the map's set bits are exactly the top bits of the stored keys,
             # at least 16 bits per stored state and fewer than 32 above 2^16
             bits = ball.map.size * 8
@@ -465,9 +506,11 @@ def test_index_is_a_stable_sort_of_every_level(monkeypatch, collide):
             present = np.unpackbits(ball.map, bitorder="little")
             assert np.array_equal(np.flatnonzero(present), np.unique(keys >> ball.shift))
             map_sizes.add(bits)
+        # levels were merged into runs, and new runs started
+        assert len(ball.runs) > 1 and max(run_levels) > 1, run_levels
         slack = [level.base.nbytes > level.nbytes for level in ball.levels[1:]]
         assert sum(slack) >= compacted, slack
-        if collide:  # equal keys span levels
+        if collide:  # equal keys span levels and runs
             assert np.unique(keys).size < 5
     # S_8 outgrew its map, which was rebuilt between two levels; grown to
     # depth 14 under colliding hashes, it stays within the least map
@@ -735,10 +778,19 @@ def generator_lists(draw):
     word=st.lists(st.integers(0, 4), min_size=3, max_size=7),
     outsider=small_gates(),
     reachable=st.booleans(),
+    # the default, or a bound of a few keys, under which the index keeps
+    # several runs
+    chunk=st.one_of(st.just(S._CHUNK), st.integers(1, 16)),
 )
 def test_certified_mitm_matches_the_all_levels_scan_and_bfs(
-    generators, max_depth, word, outsider, reachable
+    generators, max_depth, word, outsider, reachable, chunk
 ):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(S, "_CHUNK", chunk)
+        check_certified_mitm(generators, max_depth, word, outsider, reachable)
+
+
+def check_certified_mitm(generators, max_depth, word, outsider, reachable):
     generators = tuple(generators)
     word = tuple(i % len(generators) for i in word)
     target = S.evaluate_word(word, generators) if reachable else outsider
