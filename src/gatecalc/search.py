@@ -30,9 +30,15 @@ Words are tuples of generator indices, first index applied last, as in
 GateExpr.  BFS returns the lexicographically least shortest word.
 Meet-in-the-middle stores the forward ball only.  Probing a level looks
 up the probes target . h^-1 of its states h; a probe stored at depth
-|g| splits the target as g . h.  Within a level the least |g| wins,
-then the h of least (64-bit hash, row), the order in which dedup sorts
-rows, so the choice does not depend on where h is kept.
+|g| splits the target as g . h.  When the generators' inverses are
+generators too, |x| = |x^-1| for every x, so the probe's inverse
+h . target^-1 is looked up instead: a column gather, as growth builds
+candidates, where the probe itself is a scatter.  Probes are screened
+by the presence map block by block, and those that pass are looked up
+in batches of about one block, so each index run is walked once a
+batch.  Within a level the least |g| wins, then the h of least (64-bit
+hash, row), the order in which dedup sorts rows, so the choice does not
+depend on where h is kept.
 
 The search returns a split of least |g| + |h|, then least |h|; its
 length D is the exact distance whenever D <= 2T, with T the deepest
@@ -389,15 +395,17 @@ class _Searcher:
         self.size = 1 << width
         self.dtype = np.min_scalar_type(self.size - 1)
         # the tables made with level 0 and kept for the whole search: each
-        # generator, its inverse and the target
-        self.table_bytes = (2 * len(cfg.generators) + 1) * self.size * self.dtype.itemsize
+        # generator, its inverse, the target and its inverse
+        self.table_bytes = (2 * len(cfg.generators) + 2) * self.size * self.dtype.itemsize
         self.ball = _Ball()
 
     def embed_tables(self) -> None:
         """The tables of the generators, their inverses and the target on the hull.
 
         Each is first made as int64 words: embedding one holds at most
-        _EMBED_WORDS int64 arrays of the hull at once.
+        _EMBED_WORDS int64 arrays of the hull at once.  The target's
+        inverse, for probing, is made when the generators are closed
+        under inverses.
         """
         self.gen_tables = [
             embed(g.inert, self.lo, self.hi).astype(self.dtype) for g in self.cfg.generators
@@ -407,11 +415,11 @@ class _Searcher:
         # for each frontier row, the generator k of the candidate that
         # stored it (row = parent . g_k); len(generators) for the identity
         self.via = np.full(1, len(self.gen_tables), np.min_scalar_type(len(self.gen_tables)))
-        self.target_table = (
-            embed(self.cfg.target.inert, self.lo, self.hi).astype(self.dtype)
-            if self.target_reachable
-            else None
-        )
+        self.target_table = self.target_inverse = None
+        if self.target_reachable:
+            self.target_table = embed(self.cfg.target.inert, self.lo, self.hi).astype(self.dtype)
+            if {t.tobytes() for t in self.gen_inverses} == {t.tobytes() for t in self.gen_tables}:
+                self.target_inverse = np.argsort(self.target_table).astype(self.dtype)
 
     def skip_table(self) -> np.ndarray:
         """skip[j, k]: whether a row stored as parent . g_j skips row . g_k.
@@ -539,16 +547,18 @@ class _Searcher:
         for d in range(depth, 0, -1):
             # strip generator i applied last: rest_i = g_i^-1 . current
             rests = np.stack([inv[current] for inv in self.gen_inverses])
-            below = np.nonzero(self.ball.depth_of(rests) == d - 1)[0]
+            # |rest_i| >= d - 1 for every generator, so no deeper level is searched
+            below = np.nonzero(self.ball.depth_of(rests, deepest=d - 1) == d - 1)[0]
             if not below.size:
                 raise AssertionError("ball levels are inconsistent")
             word.append(int(below[0]))
             current = rests[below[0]]
         return tuple(word)
 
-    def probes(self, level: np.ndarray) -> np.ndarray:
-        """target . h^-1 for each state h of a level, i.e. p[h[j]] = target[j]."""
-        out = np.empty(level.shape, dtype=level.dtype)  # C order: row blocks flatten to views
+    def probes(self, level: np.ndarray, out=None) -> np.ndarray:
+        """target . h^-1 for each state h of a level, i.e. p[h[j]] = target[j] (into out)."""
+        if out is None:
+            out = np.empty(level.shape, dtype=level.dtype)  # C order: row blocks flatten to views
         step = max(1, _CHUNK // self.size)
         # flat position of entry 0 of each row of a block, and one flat
         # index buffer that every block reuses
@@ -591,22 +601,21 @@ class _Searcher:
 
         Returns |g|, the row of the h of least (64-bit hash, row) and the
         probe target . h^-1, or None when no probe of the level is stored.
-        Probes are built and looked up one block at a time.
+        Probes are looked up in the batches of probe_batches.
         """
         level = self.ball.levels[h_depth]
-        step = max(1, _CHUNK // self.size)
         least, hits, hashes = None, [], []
-        for lo in range(0, level.shape[0], step):
-            block = level[lo : lo + step]
-            g_depth = self.ball.depth_of(self.probes(block), deepest=least)
+        for rows, row_hashes, at in self.probe_batches(level):
+            g_depth = self.ball.depth_of(rows, row_hashes, deepest=least)
+            del rows, row_hashes  # so that the next batch is built without them
             found = g_depth[g_depth >= 0]
             if not found.size:
                 continue
             if least is None or found.min() < least:
                 least, hits, hashes = int(found.min()), [], []
-            k = np.flatnonzero(g_depth == least)
-            hits.append(lo + k)
-            hashes.append(_hash_rows(block[k]))
+            k = at[g_depth == least]
+            hits.append(k)
+            hashes.append(_hash_rows(level[k]))
         if least is None:
             return None
         hits, hashes = np.concatenate(hits), np.concatenate(hashes)
@@ -615,6 +624,35 @@ class _Searcher:
         # _dedup_rows sorts a run of equal hashes
         k = int(hits[np.lexsort(level[hits].T[::-1])[0]])
         return least, k, self.probes(level[k : k + 1])[0]
+
+    def probe_batches(self, level: np.ndarray):
+        """(probes, their hashes, their rows in level) of the probes whose map bit is set.
+
+        Built and screened one block at a time, in batches of about one
+        block of rows.  With generators closed under inverses the probe
+        of h is its inverse h . target^-1 (module docstring).
+        """
+        step = max(1, _CHUNK // self.size)
+        inverse = self.target_inverse
+        # one buffer of probes that every block reuses
+        buffer = np.empty((min(step, level.shape[0]), self.size), dtype=self.dtype)
+        batch, held = [], 0
+        for lo in range(0, level.shape[0], step):
+            block = level[lo : lo + step]
+            probes = buffer[: block.shape[0]]
+            if inverse is None:
+                self.probes(block, probes)
+            else:
+                # inverse is a permutation, so "clip" clips nothing (candidates)
+                np.take(block, inverse, axis=1, out=probes, mode="clip")
+            hashes = _hash_rows(probes)
+            maybe = self.ball._maybe_stored(_index_keys(hashes))
+            batch.append((probes[maybe], hashes[maybe], lo + maybe))
+            held += maybe.size
+            del hashes, maybe  # so that the next block's probes are built without them
+            if held >= step or held and lo + step >= level.shape[0]:
+                yield tuple(np.concatenate(part) for part in zip(*batch))
+                batch, held = [], 0
 
     def mitm(self) -> SearchResult:
         failure = self.grow(self.cfg.max_depth)

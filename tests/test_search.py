@@ -151,6 +151,22 @@ def test_skip_table():
     assert searcher.skip.astype(int).tolist() == [[0, 0], [1, 0], [0, 0]]
 
 
+def is_closed(gens):
+    searcher = S._Searcher(S.SearchConfig(gens, G.make_named("c0"), 3))
+    searcher.embed_tables()
+    return searcher.target_inverse is not None
+
+
+def test_inverse_closed_generators():
+    # the shifted rule-57 gates are involutions; an order-3 gate's inverse
+    # is its square, no generator until it is added
+    assert is_closed(flip_generators())
+    g = G.GroupElement(0, G.canonicalize(0, 1, np.array([1, 2, 0, 3])))
+    assert not is_closed((g,)) and not is_closed(flip_generators() + (g,))
+    assert is_closed(flip_generators() + (g, g.inverse()))
+    assert is_closed((g.inverse(), G.IDENTITY, g, g))
+
+
 MITM_WORDS = [(1, 0), (0, 1, 2, 1), (2, 2, 0, 1, 0, 2)]
 
 
@@ -204,13 +220,14 @@ def projected_bytes(searcher, depth):
 
 
 def test_budget_counts_the_tables_made_with_level_0():
-    # two flips 15 cells apart: five tables of a 16-cell hull, each made
-    # from int64 words, before level 0 is stored
+    # two flips 15 cells apart: six tables of a 16-cell hull, each made
+    # from int64 words, before level 0 is stored; the two flips are
+    # involutions, so the target's inverse is made too
     c0 = G.make_named("c0")
     gens = (c0, c0.shift_conjugate(15))
     searcher = S._Searcher(S.SearchConfig(gens, c0, 3))
     projected = projected_bytes(searcher, 0)
-    assert projected > 5 * searcher.size * searcher.dtype.itemsize + 2 * 8 * searcher.size
+    assert projected > 6 * searcher.size * searcher.dtype.itemsize + 2 * 8 * searcher.size
     tracemalloc.start()
     try:
         r = S.search(S.SearchConfig(gens, c0, 3, memory_budget=projected - 1))
@@ -221,6 +238,9 @@ def test_budget_counts_the_tables_made_with_level_0():
         made_peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
+    tables = [*searcher.gen_tables, *searcher.gen_inverses]
+    tables += [searcher.target_table, searcher.target_inverse]
+    assert sum(t.nbytes for t in tables) == searcher.table_bytes
     assert r.status == "budget-exceeded"
     assert (r.stats["level"], r.stats["levels"], r.stats["budget"]) == (0, [], projected - 1)
     assert r.stats["projected_bytes"] == projected
@@ -517,8 +537,9 @@ def test_index_is_a_stable_sort_of_every_level(monkeypatch, collide):
     assert len(map_sizes) > (not collide), map_sizes
 
 
-def test_probe_temporaries_stay_within_a_block():
-    searcher = S._Searcher(S.SearchConfig(flip_generators(), G.make_named("c0"), 21))
+def test_probe_temporaries_stay_within_a_block(monkeypatch):
+    # c1 is 52 letters away: no probe of levels 24 or 25 is stored
+    searcher = S._Searcher(S.SearchConfig(flip_generators(), G.make_named("c1"), 21))
     searcher.grow(21)
     level = searcher.ball.levels[-1]
     assert level.size >= 4 * S._CHUNK
@@ -534,18 +555,78 @@ def test_probe_temporaries_stay_within_a_block():
     target = searcher.target_table
     for k in (0, level.shape[0] // 2, level.shape[0] - 1):
         assert np.array_equal(out[k][level[k]], target)
-    # split builds and looks up the probes one block at a time: its peak
-    # is one block's index, not a level of probes and their lookup
-    searcher.grow(24)
+    # split builds and screens the probes one block at a time and looks
+    # them up in batches of about one block of rows: its peak is one
+    # block's index and a batch, not a level of probes and their lookup,
+    # whether it gathers inverse probes or scatters probes
+    searcher.grow(25)
     assert searcher.ball.levels[-1].nbytes > 2 * S._CHUNK * np.dtype(np.intp).itemsize
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        assert searcher.split(24) is None
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
-    assert peak <= S._CHUNK * np.dtype(np.intp).itemsize * 1.5, peak
+    step = S._CHUNK // searcher.size
+    depth_of, batches = S._Ball.depth_of, []
+
+    def recorded(ball, rows, *args, **kwargs):
+        batches.append(rows.shape[0])
+        return depth_of(ball, rows, *args, **kwargs)
+
+    monkeypatch.setattr(S._Ball, "depth_of", recorded)
+    for inverse in (searcher.target_inverse, None):
+        searcher.target_inverse = inverse
+        batches.clear()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            assert searcher.split(25) is None
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= S._CHUNK * np.dtype(np.intp).itemsize * 1.5, peak
+        # a full batch was looked up, and it held less than two blocks
+        assert step <= max(batches) < 2 * step, batches
+
+
+@pytest.mark.parametrize("depth", [12, 14])
+def test_gathered_inverse_probes_split_as_scattered_probes(monkeypatch, depth):
+    # prefixes of FLIP_WORD at distances up to 2 * depth, and the flip,
+    # 50 letters away: each level's split is the same whether the probes
+    # are gathered as inverses or scattered
+    gens = flip_generators()
+    targets = [G.make_named("c0")]
+    targets += [S.evaluate_word(tuple("abc".index(c) for c in FLIP_WORD[:n]), gens)
+                for n in (1, depth // 2, depth + 3, 2 * depth)]
+    hits = 0
+    for target in targets:
+        searcher = S._Searcher(S.SearchConfig(gens, target, depth))
+        assert searcher.grow(depth) is None and searcher.target_inverse is not None
+        for h_depth in range(depth + 1):
+            gathered = searcher.split(h_depth)
+            with monkeypatch.context() as patch:
+                patch.setattr(searcher, "target_inverse", None)
+                scattered = searcher.split(h_depth)
+            assert (gathered is None) == (scattered is None), h_depth
+            if gathered is not None:
+                assert gathered[:2] == scattered[:2], h_depth
+                assert np.array_equal(gathered[2], scattered[2])
+                hits += 1
+    assert hits > depth
+
+
+def test_split_walks_the_index_runs_once_a_batch(monkeypatch):
+    # the flip is 50 letters away, so no probe of level 21 is stored; its
+    # five blocks of probes are screened and looked up as one batch, not
+    # once a block against each of the index's runs
+    searcher = S._Searcher(S.SearchConfig(flip_generators(), G.make_named("c0"), 21))
+    assert grow_in_runs(searcher, 21) is None and len(searcher.ball.runs) > 1
+    blocks = -(-searcher.ball.levels[21].shape[0] // (S._CHUNK // searcher.size))
+    assert blocks >= 3
+    depth_of, calls = S._Ball.depth_of, []
+
+    def counted(ball, *args, **kwargs):
+        calls.append(1)
+        return depth_of(ball, *args, **kwargs)
+
+    monkeypatch.setattr(S._Ball, "depth_of", counted)
+    assert searcher.split(21) is None
+    assert 0 < len(calls) < blocks, (len(calls), blocks)
 
 
 def test_growth_holds_one_copy_of_the_candidates():
