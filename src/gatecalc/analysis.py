@@ -346,8 +346,6 @@ def classify_eca(rule: int) -> EcaClass:
     fixes-uniform-point.  Universal verdicts (rules 57 and 99) carry an
     evaluated flip certificate rather than a bare claim.
     """
-    if not 0 <= rule <= 255:
-        raise ValueError("rule number must be in [0, 255]")
     try:
         gate = make_eca(rule)
     except NotInvertibleError as exc:

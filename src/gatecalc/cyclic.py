@@ -20,8 +20,8 @@ other instead, so a projection that is not a permutation fails that.
 
 The module also carries the parity bookkeeping (projected gates are
 always even permutations; the ring rotation is even exactly when the
-binary necklace count is, i.e. for n >= 3), with cycles counted in
-numpy by pointer doubling, and executable forms of the two locality
+binary necklace count is, i.e. for n >= 3), with cycles counted by
+gates.cycle_labels, and executable forms of the two locality
 identities used to transfer tape identities onto rings.
 """
 
@@ -37,6 +37,7 @@ from .gates import (
     InertGate,
     _integer,
     compose_many,
+    cycle_labels,
     embed,
     permutation_table,
     table_cycles,
@@ -103,10 +104,12 @@ class CyclicPerm:
         return self.compose(other)
 
     def is_even(self) -> bool:
-        return _is_even_table(self.perm)
+        """Whether 2^n minus the number of cycles is even."""
+        cycles = np.count_nonzero(cycle_labels(self.perm) == np.arange(self.perm.size))
+        return (self.perm.size - cycles) % 2 == 0
 
     def cycles(self) -> list[list[int]]:
-        """Nontrivial cycles, each starting at its least element."""
+        """Nontrivial cycles in cycle order, each from its least element."""
         return table_cycles(self.perm)
 
     def __eq__(self, other):
@@ -119,21 +122,6 @@ class CyclicPerm:
 
     def __repr__(self):
         return f"CyclicPerm(n={self.n})"
-
-
-def _is_even_table(table: np.ndarray) -> bool:
-    # (N - number of cycles) is even.  Cycles are counted by pointer
-    # doubling: after k rounds each point is labelled with the least of
-    # the 2^k points from it along its cycle, so after ceil(log2 N)
-    # rounds with the least point of its cycle, and exactly one point
-    # of each cycle is its own label
-    points = np.arange(table.size)
-    label, step = points, table
-    for _ in range((table.size - 1).bit_length()):
-        label = np.minimum(label, label[step])
-        step = step[step]
-    cycles = np.count_nonzero(label == points)
-    return (table.size - cycles) % 2 == 0
 
 
 def sign(p: CyclicPerm) -> str:

@@ -232,7 +232,8 @@ class InertGate:
 
     def order(self) -> int:
         """Order as a group element (lcm of table cycle lengths)."""
-        return math.lcm(*map(len, table_cycles(self.table)))
+        lengths = np.bincount(cycle_labels(self.table))
+        return math.lcm(*set(lengths[lengths > 0].tolist()))
 
     # -- plumbing --------------------------------------------------------
 
@@ -267,8 +268,24 @@ def identity_gate() -> InertGate:
     return _IDENTITY_GATE
 
 
+def cycle_labels(table: np.ndarray) -> np.ndarray:
+    """The least point of each point's cycle under a permutation table.
+
+    The one cycle counter, by pointer doubling: after k rounds each point
+    is labelled with the least of the 2^k points from it along its cycle,
+    so after ceil(log2 N) rounds with the least point of its cycle, and
+    exactly one point of each cycle is its own label.
+    """
+    label, step = np.arange(table.size), table
+    for _ in range((table.size - 1).bit_length()):
+        label = np.minimum(label, label[step])
+        step = step[step]
+    return label
+
+
 def table_cycles(table: np.ndarray) -> list[list[int]]:
-    """Nontrivial cycles of a permutation table, each from its least entry."""
+    """Nontrivial cycles of a permutation table, each from its least entry
+    and in cycle order (CyclicPerm.cycles); cycle_labels counts them."""
     table = table.tolist()
     seen = [False] * len(table)
     out = []
@@ -869,34 +886,21 @@ def apply(f: GroupElement, x: str, anchor: int = 0) -> str:
     """
     check_word(x)
     anchor = _integer("anchor", anchor)
-    lo_in, hi_in = anchor, anchor + len(x) - 1
-    g, k = f.inert, f.shift
-    missing: set[int] = set()
-    window_used = False
-    for i in range(lo_in, hi_in + 1):
-        j = i + k
-        if not g.is_identity and g.lo <= j <= g.hi:
-            window_used = True
-        elif not lo_in <= j <= hi_in:
-            missing.add(j)
-    if window_used:
-        for c in range(g.lo, g.hi + 1):
-            if not lo_in <= c <= hi_in:
-                missing.add(c)
+    g = f.inert
+    # output cell i reads cell i + shift of g's image, and a cell of g's
+    # window reads the whole window
+    cells = set(range(anchor + f.shift, anchor + f.shift + len(x)))
+    window = set(range(g.lo, g.hi + 1))  # empty for the identity
+    if cells & window:
+        cells |= window
+    missing = sorted(cells.difference(range(anchor, anchor + len(x))))
     if missing:
-        raise ValueError(f"insufficient context: missing cells {sorted(missing)}")
-    out_win = 0
-    if window_used:
-        u = int(x[g.lo - anchor : g.hi - anchor + 1], 2)
-        out_win = int(g.table[u])
-    bits = []
-    for i in range(lo_in, hi_in + 1):
-        j = i + k
-        if window_used and g.lo <= j <= g.hi:
-            bits.append(str((out_win >> (g.hi - j)) & 1))
-        else:
-            bits.append(x[j - lo_in])
-    return "".join(bits)
+        raise ValueError(f"insufficient context: missing cells {missing}")
+    # all cells read are x's own, so the shift is 0 unless x is empty
+    if not cells & window:
+        return x
+    a, b = g.lo - anchor, g.hi - anchor + 1
+    return x[:a] + format(int(g.table[int(x[a:b], 2)]), f"0{g.width}b") + x[b:]
 
 
 # -- expressions over named generators ----------------------------------

@@ -89,15 +89,18 @@ _FNV_OFFSET = np.uint64(0xCBF29CE484222325)
 _FNV_PRIME = np.uint64(0x100000001B3)
 # table entries per block of rows that hashing, row comparison, candidate
 # building, compaction and probing work through at a time (256k: 8k rows
-# of 32 entries, 512 of 512).  The probes' intp index for a block (2 MB) still fits a 2 MB
-# L2 cache; much smaller blocks pay numpy's per-call cost once per
-# column of a wide row when hashing.
+# of 32 entries, 512 of 512).  Probes scattered, for generators not
+# closed under inverses, take an intp index of a block (2 MB), which
+# still fits a 2 MB L2 cache; gathered probes take none.  Much smaller
+# blocks pay numpy's per-call cost once per column of a wide row when
+# hashing.
 _CHUNK = 1 << 18
 # numpy's array objects and small temporaries in growing any level (~10 KB)
 _OBJECT_BYTES = 1 << 16
 # int64 arrays of the hull alive at once while one table is embedded and
-# narrowed: embed holds two
-_EMBED_WORDS = 2
+# narrowed: embed holds two, beside an inverse gate's table, which is at
+# most half the hull unless embed returns it as it is
+_EMBED_WORDS = 3
 
 
 @dataclass(frozen=True)
@@ -114,6 +117,8 @@ class SearchConfig:
     def __post_init__(self):
         if gates._integer("max_depth", self.max_depth) < 1:
             raise ValueError("max_depth must be >= 1")
+        if gates._integer("memory_budget", self.memory_budget) < 0:
+            raise ValueError("memory_budget must be >= 0")
         if self.strategy not in ("bfs", "mitm"):
             raise ValueError("strategy must be 'bfs' or 'mitm'")
         if self.certify_minimum and self.strategy != "mitm":
@@ -410,7 +415,9 @@ class _Searcher:
         self.gen_tables = [
             embed(g.inert, self.lo, self.hi).astype(self.dtype) for g in self.cfg.generators
         ]
-        self.gen_inverses = [np.argsort(t).astype(self.dtype) for t in self.gen_tables]
+        self.gen_inverses = [
+            embed(g.inert.inverse(), self.lo, self.hi).astype(self.dtype) for g in self.cfg.generators
+        ]
         self.skip = self.skip_table()
         # for each frontier row, the generator k of the candidate that
         # stored it (row = parent . g_k); len(generators) for the identity
@@ -418,8 +425,12 @@ class _Searcher:
         self.target_table = self.target_inverse = None
         if self.target_reachable:
             self.target_table = embed(self.cfg.target.inert, self.lo, self.hi).astype(self.dtype)
-            if {t.tobytes() for t in self.gen_inverses} == {t.tobytes() for t in self.gen_tables}:
-                self.target_inverse = np.argsort(self.target_table).astype(self.dtype)
+            # closed under inverses, one inverse held at a time: inversion
+            # is one-to-one, so this is {g^-1 for g in gens} == gens
+            gens = set(self.cfg.generators)
+            if all(g.inverse() in gens for g in gens):
+                inverse = self.cfg.target.inert.inverse()
+                self.target_inverse = embed(inverse, self.lo, self.hi).astype(self.dtype)
 
     def skip_table(self) -> np.ndarray:
         """skip[j, k]: whether a row stored as parent . g_j skips row . g_k.

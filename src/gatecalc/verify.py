@@ -148,15 +148,14 @@ def criterion_7_word_swap_exhaustive():
 
 def criterion_8_eca_classification():
     """All 256 one-cell CA updates classified, with certificates."""
-    bijective = [r for r in range(256) if analysis.classify_eca(r).verdict
-                 is not analysis.EcaVerdict.NOT_BIJECTIVE]
-    universal = [r for r in range(256) if analysis.classify_eca(r).verdict
-                 is analysis.EcaVerdict.UNIVERSAL]
+    classes = [analysis.classify_eca(r) for r in range(256)]
+    bijective = [c.rule for c in classes if c.verdict is not analysis.EcaVerdict.NOT_BIJECTIVE]
+    universal = [c.rule for c in classes if c.verdict is analysis.EcaVerdict.UNIVERSAL]
     ok = (
         len(bijective) == 16
         and universal == [57, 99]
-        and analysis.classify_eca(51).reason == "equals-c0"
-        and analysis.classify_eca(105).reason == "affine"
+        and classes[51].reason == "equals-c0"
+        and classes[105].reason == "affine"
     )
     return ok, f"{len(bijective)} bijective, universal {universal}"
 

@@ -484,6 +484,15 @@ def test_classify_eca_partition():
     assert A.classify_eca(0).context is not None
 
 
+@pytest.mark.parametrize("rule", ["5", 5.0, True, -1, 256], ids=repr)
+def test_classify_eca_refuses_what_make_eca_refuses(rule):
+    with pytest.raises(ValueError) as refused:
+        G.make_eca(rule)
+    with pytest.raises(ValueError) as classified:
+        A.classify_eca(rule)
+    assert str(classified.value) == str(refused.value)
+
+
 def test_bijective_rules_match_the_mask_pattern():
     # bijective iff bits come in complementary pairs per neighbour context
     for r in range(256):

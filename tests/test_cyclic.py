@@ -228,6 +228,12 @@ def parity_from_cycles(table):
     return sum(len(c) - 1 for c in G.table_cycles(table)) % 2 == 0
 
 
+def parity_from_labels(table):
+    # what CyclicPerm.is_even reads: one point of each cycle is its own label
+    cycles = np.count_nonzero(G.cycle_labels(table) == np.arange(table.size))
+    return (table.size - cycles) % 2 == 0
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     st.integers(1, 4096),
@@ -242,7 +248,7 @@ def test_parity_by_doubling_matches_the_cycle_walk(size, kind, seed):
     elif kind == "transposition" and size > 1:
         i, j = rng.choice(size, 2, replace=False)
         table[[i, j]] = table[[j, i]]
-    assert C._is_even_table(table) == parity_from_cycles(table)
+    assert parity_from_labels(table) == parity_from_cycles(table)
 
 
 def test_parity_of_one_full_length_cycle():
@@ -252,7 +258,21 @@ def test_parity_of_one_full_length_cycle():
         for points in (np.arange(size), shuffled):
             table = np.empty(size, dtype=np.int64)
             table[points] = np.roll(points, -1)
-            assert C._is_even_table(table) == (size % 2 == 1) == parity_from_cycles(table), size
+            assert parity_from_labels(table) == (size % 2 == 1) == parity_from_cycles(table), size
+
+
+@pytest.mark.parametrize("size", [0, 1, 2, 3, 100, 1 << 16])
+def test_cycle_labels_are_the_least_points_of_the_walked_cycles(size):
+    rng = np.random.default_rng(size)
+    for table in (np.arange(size), rng.permutation(size), rng.permutation(size)):
+        walked = np.arange(size)
+        for cycle in G.table_cycles(table):
+            walked[cycle] = cycle[0]
+        assert np.array_equal(G.cycle_labels(table), walked)
+        assert parity_from_labels(table) == parity_from_cycles(table)
+        if size > 1 and size.bit_count() == 1:  # a ring of n >= 1 cells
+            n = size.bit_length() - 1
+            assert C.CyclicPerm(n, table).is_even() == parity_from_cycles(table)
 
 
 def test_projection_is_a_homomorphism_on_shifts():

@@ -221,6 +221,18 @@ def test_inert_gates_have_finite_order():
         assert math.factorial(1 << width) % g.order() == 0
 
 
+def test_order_is_the_lcm_of_the_walked_cycle_lengths():
+    assert G.identity_gate().order() == 1
+    rng = np.random.default_rng(3)
+    for _ in range(200):
+        width = int(rng.integers(1, 7))
+        g = G.canonicalize(0, width - 1, rng.permutation(1 << width))
+        assert g.order() == math.lcm(*map(len, G.table_cycles(g.table)))
+    # one cycle through all 64 words but the first, and a 3-cycle beside a 2-cycle
+    assert G.canonicalize(0, 5, np.r_[0, np.roll(np.arange(1, 64), 1)]).order() == 63
+    assert G.canonicalize(0, 2, np.array([1, 2, 0, 4, 3, 5, 6, 7])).order() == 6
+
+
 def test_window_cap_enforced():
     with G.limits(window_cap=6):
         a = G.make_named("c0")

@@ -167,6 +167,44 @@ def test_inverse_closed_generators():
     assert is_closed((g.inverse(), G.IDENTITY, g, g))
 
 
+def test_inverse_tables_of_non_involutions():
+    # argsort inverts a table here only, as an oracle
+    rng = np.random.default_rng(11)
+    closed_sets = 0
+    for _ in range(60):
+        gens = []
+        for _ in range(int(rng.integers(1, 4))):
+            width, lo = int(rng.integers(2, 4)), int(rng.integers(-1, 2))
+            g = G.GroupElement(0, G.canonicalize(lo, lo + width - 1, rng.permutation(1 << width)))
+            gens += [g, g.inverse()] if rng.random() < 0.5 else [g]
+        gens = tuple(gens[i] for i in rng.permutation(len(gens)))
+        target = S.evaluate_word(tuple(rng.integers(0, len(gens), 3).tolist()), gens)
+        searcher = S._Searcher(S.SearchConfig(gens, target, 3))
+        searcher.embed_tables()
+        tables = searcher.gen_tables
+        for table, inverse in zip(tables, searcher.gen_inverses):
+            assert inverse.dtype == table.dtype
+            assert np.array_equal(inverse, np.argsort(table))
+        closed = {np.argsort(t).astype(t.dtype).tobytes() for t in tables} == {t.tobytes() for t in tables}
+        assert (searcher.target_inverse is None) == (not closed)
+        if closed:
+            closed_sets += 1
+            assert np.array_equal(searcher.target_inverse, np.argsort(searcher.target_table))
+    assert 0 < closed_sets < 60
+
+
+@pytest.mark.parametrize("budget", ["512M", 1.5e6, True, -5, None], ids=repr)
+def test_memory_budgets_that_are_not_byte_counts_are_refused(budget):
+    with pytest.raises(ValueError, match="memory_budget must be"):
+        S.SearchConfig(flip_generators(), G.make_named("c0"), 3, memory_budget=budget)
+
+
+def test_a_zero_memory_budget_refuses_level_0():
+    c0 = G.make_named("c0")
+    r = S.search(S.SearchConfig((c0,), c0, 3, memory_budget=np.int64(0)))
+    assert r.status == "budget-exceeded" and r.stats["level"] == 0
+
+
 MITM_WORDS = [(1, 0), (0, 1, 2, 1), (2, 2, 0, 1, 0, 2)]
 
 
