@@ -14,7 +14,7 @@ All public value types (InertGate, GroupElement, CyclicPerm, GateExpr,
 Program) are immutable and safe to share between threads.
 """
 
-from .bitcore import Gf2Poly, diff_set, gf2_divides, int_to_word, word_to_int
+from .bitcore import diff_set, gf2_divides, int_to_word, word_to_int
 from .gates import (
     ExpansionCapError,
     GateExpr,

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bitcore import Gf2Poly, check_word, diff_set, gf2_divides
+from .bitcore import check_word, diff_set, gf2_divides
 from .gates import (
     GateExpr,
     GroupElement,
@@ -180,7 +180,7 @@ def _in_span(w: str, value: int) -> bool:
     # Window bit p is the cell hi - p, so a value read from its low bit
     # lists cells from the right; w is read from the right too, and
     # reversing both operands keeps divisibility
-    return gf2_divides(Gf2Poly.normalize(int(w, 2)), Gf2Poly.normalize(value))
+    return gf2_divides(int(w, 2), value)
 
 
 # -- word-swap classification ---------------------------------------------
@@ -290,52 +290,45 @@ class EcaClass:
     certificate: dict | None = None
 
 
+def _flip_value(rule: int, sign: int, leftmost_first: bool = False) -> GroupElement:
+    # the flip program over the rule's update, each letter's cell times sign
+    letters = {k: ("e", sign * cell) for k, (_, cell) in FLIP_PROGRAM_LETTERS.items()}
+    expr = GateExpr.from_letters(RULE57_FLIP_PROGRAM, letters)
+    return evaluate_expr(expr, {"e": make_eca(rule)}, leftmost_first=leftmost_first)
+
+
 def flip_certificate(rule: int) -> dict:
     """Evaluate the flip program for rule 57 (or its mirror 99).
 
     Returns a record with the program, the letter placement used and
     whether the composition equals the flip; raises for other rules.
     """
-    if rule == 57:
-        letters = {k: ("e", cell) for k, (_, cell) in FLIP_PROGRAM_LETTERS.items()}
-        gen = make_eca(57)
-    elif rule == 99:
-        # conjugating the whole identity by tape reversal mirrors cells
-        letters = {k: ("e", -cell) for k, (_, cell) in FLIP_PROGRAM_LETTERS.items()}
-        gen = make_eca(99)
-    else:
+    if rule not in (57, 99):
         raise ValueError("certificates exist for rules 57 and 99 only")
-    expr = GateExpr.from_letters(RULE57_FLIP_PROGRAM, letters)
-    value = evaluate_expr(expr, {"e": gen})
+    # conjugating the whole identity by tape reversal mirrors cells
+    sign = 1 if rule == 57 else -1
     return {
         "rule": rule,
         "program": RULE57_FLIP_PROGRAM,
-        "letter_cells": {k: cell for k, (_, cell) in letters.items()},
-        "flip_reached": value == make_named("c0"),
+        "letter_cells": {k: sign * cell for k, (_, cell) in FLIP_PROGRAM_LETTERS.items()},
+        "flip_reached": _flip_value(rule, sign) == make_named("c0"),
     }
 
 
 def flip_program_report() -> dict:
-    """Evaluate the flip program under all four reading conventions.
+    """Evaluate the rule-57 flip program under all four reading conventions.
 
     Two letter placements (as defined, and mirrored) times two reading
     orders (first letter applied last, or first).  Because every
     generator involved is an involution the two orders always agree;
     the report records what actually validates rather than assuming.
     """
-    gen = {"e": make_eca(57)}
     c0 = make_named("c0")
-    out = {}
-    for placement in ("standard", "mirrored"):
-        sign = 1 if placement == "standard" else -1
-        letters = {
-            k: ("e", sign * cell) for k, (_, cell) in FLIP_PROGRAM_LETTERS.items()
-        }
-        expr = GateExpr.from_letters(RULE57_FLIP_PROGRAM, letters)
-        for order, leftmost_first in (("first-acts-last", False), ("first-acts-first", True)):
-            value = evaluate_expr(expr, gen, leftmost_first=leftmost_first)
-            out[f"{placement}/{order}"] = value == c0
-    return out
+    return {
+        f"{placement}/{order}": _flip_value(57, sign, leftmost_first) == c0
+        for placement, sign in (("standard", 1), ("mirrored", -1))
+        for order, leftmost_first in (("first-acts-last", False), ("first-acts-first", True))
+    }
 
 
 def classify_eca(rule: int) -> EcaClass:

@@ -7,16 +7,14 @@ serialized records all index words the same way, so there is exactly one
 place where a mirror-image bug could be introduced (here), and it is
 pinned by tests.
 
-Binary polynomials are kept bit-packed in a plain int, bit i holding the
-coefficient of x^i, together with a Laurent offset (the exponent of the
-lowest recorded term).  Divisibility deliberately ignores the offset:
-the intended use is membership of a finite-support vector in the span of
-all shifts of another vector, and that span is shift-invariant.
+Binary polynomials are plain ints, bit i holding the coefficient of x^i;
+a word given instead reads index i as x^i.  Divisibility drops factors
+of x from both operands: the intended use is membership of a
+finite-support vector in the span of all shifts of another vector, and
+that span is shift-invariant.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 # Words longer than this have no integer fast path and are not needed;
 # every object handled by the library fits in windows of width <= 24.
@@ -59,84 +57,46 @@ def diff_set(u: str, v: str) -> str:
     return int_to_word(int(u, 2) ^ int(v, 2), len(u)) if u else ""
 
 
-@dataclass(frozen=True)
-class Gf2Poly:
-    """Binary polynomial with a Laurent offset.
-
-    Normalized so that either coeffs == 0 (the zero polynomial, offset 0)
-    or bit 0 of coeffs is set, with the offset recording the exponent of
-    that lowest term.  Instantiate via from_word() or normalize().
-    """
-
-    coeffs: int
-    offset: int = 0
-
-    @staticmethod
-    def normalize(coeffs: int, offset: int = 0) -> "Gf2Poly":
-        if coeffs < 0:
-            raise ValueError("negative coefficient mask")
-        if coeffs == 0:
-            return Gf2Poly(0, 0)
-        shift = (coeffs & -coeffs).bit_length() - 1
-        return Gf2Poly(coeffs >> shift, offset + shift)
-
-    @classmethod
-    def from_word(cls, w: str, offset: int = 0) -> "Gf2Poly":
-        """Word index i contributes the term x^(offset + i)."""
-        check_word(w)
-        return cls.normalize(int(w[::-1], 2) if w else 0, offset)
-
-    @property
-    def is_zero(self) -> bool:
-        return self.coeffs == 0
-
-    @property
-    def degree(self) -> int:
-        """Degree of the packed part (offset ignored); -1 for zero."""
-        return self.coeffs.bit_length() - 1
+def _poly(x: str | int) -> int:
+    # the packed polynomial of a word (index i is x^i) or of an int mask
+    # (bit i is x^i), divided by the highest power of x that divides it
+    if isinstance(x, str):
+        check_word(x)
+        x = int(x[::-1], 2) if x else 0
+    elif x < 0:
+        raise ValueError("negative coefficient mask")
+    return x >> (x & -x).bit_length() - 1 if x else 0
 
 
-def _poly_mod(a: int, b: int) -> int:
-    # remainder of a modulo b over GF(2), b != 0
-    db = b.bit_length()
-    while a.bit_length() >= db:
-        a ^= b << (a.bit_length() - db)
-    return a
+def gf2_divides(divisor: str | int, dividend: str | int) -> bool:
+    """True iff dividend is a GF(2)[x] multiple of divisor, up to powers of x.
 
-
-def gf2_divides(divisor: Gf2Poly | str, dividend: Gf2Poly | str) -> bool:
-    """True iff dividend is a GF(2)[x] multiple of divisor, offsets ignored.
-
+    Each operand is a word or a non-negative int mask (see _poly).
     Equivalently: the finite-support vector encoded by the dividend lies
     in the span of all shifts of the divisor vector.
     """
-    if isinstance(divisor, str):
-        divisor = Gf2Poly.from_word(divisor)
-    if isinstance(dividend, str):
-        dividend = Gf2Poly.from_word(dividend)
-    if divisor.is_zero:
+    d, s = _poly(divisor), _poly(dividend)
+    if not d:
         raise ValueError("zero divisor")
-    if dividend.is_zero:
-        return True
-    return _poly_mod(dividend.coeffs, divisor.coeffs) == 0
+    db = d.bit_length()
+    while s.bit_length() >= db:
+        s ^= d << s.bit_length() - db
+    return not s
 
 
-def shift_span_contains(w: str, s: str) -> bool:
+def shift_span_contains(w: str | int, s: str | int) -> bool:
     """Brute-force check that s is a sum of shifts of w.
 
-    Independent oracle for gf2_divides: enumerates every GF(2) combination
-    of the placements of w inside a window wide enough to cover s.  Only
-    intended for short words.
+    Independent oracle for gf2_divides, with operands as there:
+    enumerates every GF(2) combination of the placements of w inside a
+    window wide enough to cover s.  Only intended for short words.
     """
-    check_word(w)
-    check_word(s)
-    pw = Gf2Poly.from_word(w)
-    ps = Gf2Poly.from_word(s)
-    if pw.is_zero:
+    pw, ps = _poly(w), _poly(s)
+    if not pw:
         raise ValueError("zero divisor")
-    if ps.is_zero:
+    positions = ps.bit_length() - pw.bit_length() + 1
+    if not ps:
         return True
-    positions = ps.degree - pw.degree + 1
     if positions <= 0:
         return False
     if positions > 20:
@@ -145,7 +105,7 @@ def shift_span_contains(w: str, s: str) -> bool:
         acc = 0
         for i in range(positions):
             if combo >> i & 1:
-                acc ^= pw.coeffs << i
-        if acc == ps.coeffs:
+                acc ^= pw << i
+        if acc == ps:
             return True
     return False

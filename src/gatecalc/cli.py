@@ -181,29 +181,15 @@ def _cmd_project(args) -> int:
 def _cmd_parity(args) -> int:
     if not 1 <= args.max_n <= 64:
         raise ValueError(f"--max-n must be in [1, 64], got {args.max_n}")
-    rows = []
-    sigma = gates.make_named("sigma")
-    for n in range(1, args.max_n + 1):
-        formula = cyclic.necklace_count(n)
-        orbits = cyclic.necklace_count_by_orbits(n) if n <= cyclic.RING_CAP else None
-        rotation_sign = (
-            cyclic.sign(cyclic.project_formula(sigma, n))
-            if 2 <= n <= cyclic.RING_CAP
-            else None
-        )
-        rows.append(
-            {"n": n, "formula": formula, "orbits": orbits, "rotation_sign": rotation_sign}
-        )
+    rows = list(cyclic.necklace_table(args.max_n))
     lines = [f"{'n':>3} {'count':>10} {'orbits':>10} {'rotation':>9}"]
     for r in rows:
         lines.append(
-            f"{r['n']:>3} {r['formula']:>10} "
-            f"{r['orbits'] if r['orbits'] is not None else '-':>10} "
-            f"{r['rotation_sign'] or '-':>9}"
+            f"{r.n:>3} {r.formula:>10} {'-' if r.orbits is None else r.orbits:>10} "
+            f"{r.rotation_sign or '-':>9}"
         )
-    _emit(args, {"command": "parity", "rows": rows}, lines)
-    mismatch = any(r["orbits"] is not None and r["orbits"] != r["formula"] for r in rows)
-    return 1 if mismatch else 0
+    _emit(args, {"command": "parity", "rows": [r._asdict() for r in rows]}, lines)
+    return 0 if all(r.agrees for r in rows) else 1
 
 
 def _cmd_grammar(args) -> int:

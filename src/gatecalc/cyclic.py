@@ -21,14 +21,16 @@ other instead, so a projection that is not a permutation fails that.
 The module also carries the parity bookkeeping (projected gates are
 always even permutations; the ring rotation is even exactly when the
 binary necklace count is, i.e. for n >= 3), with cycles counted by
-gates.cycle_labels, and executable forms of the two locality
-identities used to transfer tape identities onto rings.
+gates.cycle_labels and the counts, by formula and by orbits, checked
+against the rotation's parity in one table, and executable forms of the
+two locality identities used to transfer tape identities onto rings.
 """
 
 from __future__ import annotations
 
 import enum
-from typing import Sequence
+import math
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -39,6 +41,7 @@ from .gates import (
     compose_many,
     cycle_labels,
     embed,
+    make_named,
     permutation_table,
     table_cycles,
 )
@@ -228,28 +231,12 @@ def project_periodic(f: GroupElement, n: int) -> CyclicPerm:
 # -- necklaces and parity ------------------------------------------------
 
 
-def euler_phi(n: int) -> int:
-    result = n
-    p = 2
-    m = n
-    while p * p <= m:
-        if m % p == 0:
-            while m % p == 0:
-                m //= p
-            result -= result // p
-        p += 1
-    if m > 1:
-        result -= result // m
-    return result
-
-
 def necklace_count(n: int) -> int:
-    """Number of binary words of length n up to rotation (formula)."""
+    """Number of binary words of length n up to rotation, by Burnside's
+    lemma: rotation by k fixes the 2^gcd(k, n) words of period gcd(k, n)."""
     if not 1 <= _integer("n", n) <= 64:
         raise ValueError("n must be in [1, 64]")
-    total = sum(euler_phi(d) * (1 << (n // d)) for d in range(1, n + 1) if n % d == 0)
-    assert total % n == 0
-    return total // n
+    return sum(1 << math.gcd(k, n) for k in range(n)) // n
 
 
 def necklace_count_by_orbits(n: int) -> int:
@@ -262,6 +249,32 @@ def necklace_count_by_orbits(n: int) -> int:
     for r in range(1, n):
         np.minimum(least, ((w << r) | (w >> (n - r))) & mask, out=least)
     return int((least == w).sum())
+
+
+class NecklaceRow(NamedTuple):
+    n: int
+    formula: int
+    orbits: int | None  # to RING_CAP
+    rotation_sign: str | None  # from n = 2 to RING_CAP
+    agrees: bool
+
+
+def necklace_table(max_n: int) -> Iterator[NecklaceRow]:
+    """For n = 1..max_n, the necklace count by formula and by orbits, the
+    parity of the ring rotation, and whether the three agree.
+
+    The rotation's cycles are the necklaces, so it is even exactly when
+    2^n minus the count is; a column past its range reads None.
+    """
+    sigma = make_named("sigma")
+    for n in range(1, max_n + 1):
+        formula = necklace_count(n)
+        orbits = necklace_count_by_orbits(n) if n <= RING_CAP else None
+        rotation = sign(project_formula(sigma, n)) if 2 <= n <= RING_CAP else None
+        expected = "odd" if ((1 << n) - formula) % 2 else "even"
+        yield NecklaceRow(
+            n, formula, orbits, rotation, orbits in (None, formula) and rotation in (None, expected)
+        )
 
 
 # -- locality identities -------------------------------------------------

@@ -48,16 +48,18 @@ from .bitcore import check_word
 # of atom tuples.  A fixed limit: a longer program can still be evaluated.
 MAX_EXPANDED_ATOMS = 1 << 20
 
+# Leaf-table words one Program evaluation, so one product, keeps at once
+# (8 MiB); past it a leaf table is made again at each use.
+EMBED_BUDGET = 1 << 20
+
 
 @dataclass(frozen=True)
 class Limits:
     """The table limits, changed only for a block by limits().  window_cap,
     the widest table window, is checked before any table is made; 24 (a
-    16M-entry table) is also its ceiling.  embed_budget is the leaf-table
-    words one Program evaluation, so one product, keeps at once (8 MiB)."""
+    16M-entry table) is also its ceiling."""
 
     window_cap: int = 24
-    embed_budget: int = 1 << 20
 
 
 _LIMITS = contextvars.ContextVar("gatecalc_limits", default=Limits())
@@ -456,13 +458,13 @@ class Program:
         once from its factors, in order, which by associativity gives the
         table of its expansion.  A leaf table is made at its first use and
         kept until its last if the leaf tables kept hold fewer than
-        embed_budget words, and made again at each use if not.  Every table
+        EMBED_BUDGET words, and made again at each use if not.  Every table
         is freed after the gather that uses it last, so the live tables are
         bounded by the width of the program and the budget, not its length.
         """
         uses = dict(self.uses)
         memo: dict = {}
-        room = _LIMITS.get().embed_budget  # words more leaf tables may be kept in
+        room = EMBED_BUDGET  # words more leaf tables may be kept in
         for name in self.order:
             first, order = self._interned[name]
             for k in self.cells[name]:

@@ -250,41 +250,19 @@ def synthesize_nct(u: str, v: str) -> dict[str, GateExpr]:
     return dict(zip(TARGETS, flat))
 
 
-def standard_generating_checks() -> list[dict]:
+def standard_generating_checks() -> list[tuple[str, bool]]:
     """Re-derive the identities behind the standard generating sets.
 
     Verifies that the swap is three controlled flips, that the doubly
     controlled flip is a pattern swap, and that the swap is an
-    involution.  Returns one record per identity.
+    involution.  Returns one (name, holds) row per identity.
     """
-    sigma = make_named("sigma")
-    c1 = make_named("c1")
-    rc1 = make_named("rc1")
-    s = make_named("swap")
-    checks = []
+    sigma, c1, rc1, s = (make_named(name) for name in ("sigma", "c1", "rc1", "swap"))
     lhs = compose_many([c1, compose_many([sigma.inverse(), rc1, sigma]), c1])
-    checks.append(
-        {
-            "name": "swap from three controlled flips",
-            "passed": lhs == s,
-        }
-    )
-    checks.append(
-        {
-            "name": "doubly controlled flip is the swap of 011 and 111",
-            "passed": make_named("c2") == make_word_swap("011", "111"),
-        }
-    )
-    checks.append(
-        {
-            "name": "cell swap is an involution",
-            "passed": s.compose(s).is_identity,
-        }
-    )
-    checks.append(
-        {
-            "name": "mirrored controlled flip is rc1",
-            "passed": shift_conjugate(rc1, 1) == make_word_swap("10", "11"),
-        }
-    )
-    return checks
+    return [
+        ("swap from three controlled flips", lhs == s),
+        ("doubly controlled flip is the swap of 011 and 111",
+         make_named("c2") == make_word_swap("011", "111")),
+        ("cell swap is an involution", s.compose(s).is_identity),
+        ("mirrored controlled flip is rc1", shift_conjugate(rc1, 1) == make_word_swap("10", "11")),
+    ]

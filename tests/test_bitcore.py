@@ -2,7 +2,6 @@ import pytest
 
 from gatecalc import bitcore
 from gatecalc.bitcore import (
-    Gf2Poly,
     diff_set,
     gf2_divides,
     int_to_word,
@@ -85,11 +84,24 @@ def test_gf2_divides_matches_brute_force():
             assert gf2_divides(w, s) == shift_span_contains(w, s), (w, s)
 
 
-def test_gf2_poly_normalization():
-    p = Gf2Poly.from_word("0110")
-    assert p.coeffs == 0b11 and p.offset == 1
-    assert Gf2Poly.from_word("0000").is_zero
-    q = Gf2Poly.normalize(0b1100, offset=-3)
-    assert q.coeffs == 0b11 and q.offset == -1
-    # offsets are ignored by divisibility
-    assert gf2_divides(Gf2Poly(0b101, -7), Gf2Poly(0b10001, 3))
+def test_gf2_divides_reads_int_masks():
+    # an int mask holds x^i at bit i; a word reads index i as x^i
+    assert gf2_divides(0b11, 0b101) and gf2_divides("11", 0b101) and gf2_divides(0b11, "101")
+    assert not gf2_divides(0b111, 0b101)
+    assert gf2_divides(0b1011, 0) and gf2_divides("0110", 0b11)
+    # factors of x are dropped from both operands
+    for i in range(4):
+        for j in range(4):
+            assert gf2_divides(0b101 << i, 0b10001 << j)
+            assert gf2_divides(0b11 << i, 0b110 << j)
+            assert not gf2_divides(0b111 << i, 0b101 << j)
+            assert shift_span_contains(0b101 << i, 0b10001 << j)
+            assert not shift_span_contains(0b111 << i, 0b101 << j)
+    for refused in (lambda: gf2_divides(-1, 1), lambda: gf2_divides(1, -1), lambda: shift_span_contains(-3, 1)):
+        with pytest.raises(ValueError, match="negative coefficient mask"):
+            refused()
+    with pytest.raises(ValueError, match="zero divisor"):
+        gf2_divides(0, 1)
+    for a in range(1, 32):
+        for b in range(128):
+            assert gf2_divides(a, b) == shift_span_contains(a, b), (a, b)

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from gatecalc import cli, gates
+from gatecalc import cli, cyclic, gates, verify
 
 
 def run(capsys, *argv):
@@ -95,6 +95,25 @@ def test_parity(capsys):
     rows = json.loads(out)["rows"]
     odd = [r["n"] for r in rows if r["rotation_sign"] == "odd"]
     assert odd == [2]
+    assert all(r["agrees"] for r in rows)
+
+
+def test_parity_exits_1_on_a_wrong_rotation_parity(capsys, monkeypatch):
+    # the printed parity is compared with the one the count predicts, so a
+    # wrong parity kernel fails both the command and criterion 6
+    is_even = cyclic.CyclicPerm.is_even
+    monkeypatch.setattr(cyclic.CyclicPerm, "is_even", lambda p: not is_even(p))
+    code, out, _ = run(capsys, "parity", "--max-n", "6")
+    assert code == 1
+    assert out.splitlines()[2].split() == ["2", "3", "3", "even"]
+    assert verify.criterion_6_necklace_parity()[0] is False
+
+
+def test_parity_exits_1_on_a_wrong_orbit_count(capsys, monkeypatch):
+    count = cyclic.necklace_count_by_orbits
+    monkeypatch.setattr(cyclic, "necklace_count_by_orbits", lambda n: count(n) + (n == 5))
+    assert run(capsys, "parity", "--max-n", "6")[0] == 1
+    assert verify.criterion_6_necklace_parity() == (False, "mismatches at n=[5], rotation odd at n=[2]")
 
 
 @pytest.mark.parametrize("max_n", ["0", "-5", "65"])

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -291,6 +293,33 @@ def test_necklace_counts():
         assert C.necklace_count(n) == C.necklace_count_by_orbits(n)
     for n in range(3, 33):
         assert C.necklace_count(n) % 2 == 0
+
+
+def test_necklace_count_is_the_divisor_sum():
+    # the classic formula, (1/n) sum over d | n of phi(d) 2^(n/d), with phi
+    # counted directly
+    def phi(d):
+        return sum(math.gcd(k, d) == 1 for k in range(1, d + 1))
+
+    for n in range(1, 65):
+        total = sum(phi(d) << n // d for d in range(1, n + 1) if n % d == 0)
+        assert C.necklace_count(n) * n == total
+
+
+def test_necklace_table_columns():
+    rows = list(C.necklace_table(C.RING_CAP + 2))
+    assert [r.n for r in rows] == list(range(1, C.RING_CAP + 3))
+    assert all(r.agrees for r in rows)
+    assert [r.formula for r in rows] == [C.necklace_count(n) for n in range(1, C.RING_CAP + 3)]
+    assert [r.n for r in rows if r.orbits is None] == [C.RING_CAP + 1, C.RING_CAP + 2]
+    assert [r.n for r in rows if r.rotation_sign is None] == [1, C.RING_CAP + 1, C.RING_CAP + 2]
+    assert [r.n for r in rows if r.rotation_sign == "odd"] == [2]
+
+
+def test_necklace_table_flags_a_wrong_orbit_count(monkeypatch):
+    count = C.necklace_count_by_orbits
+    monkeypatch.setattr(C, "necklace_count_by_orbits", lambda n: count(n) + (n == 5))
+    assert [r.n for r in C.necklace_table(8) if not r.agrees] == [5]
 
 
 def test_parity_of_counts_matches_rotation_sign():

@@ -244,11 +244,11 @@ def test_window_cap_enforced():
 
 def test_limits_hold_only_inside_their_block():
     default = G.Limits()
-    assert (default.window_cap, default.embed_budget) == (24, 1 << 20)
+    assert default.window_cap == 24 and G.EMBED_BUDGET == 1 << 20
     with G.limits(window_cap=8) as outer:
-        assert outer == G.Limits(8, default.embed_budget)
-        with G.limits(embed_budget=64) as inner:
-            assert inner == G.Limits(8, 64)
+        assert outer == G.Limits(8)
+        with G.limits(window_cap=7) as inner:
+            assert inner == G.Limits(7)
         with pytest.raises(RuntimeError):
             with G.limits(window_cap=6):
                 raise RuntimeError
@@ -782,7 +782,7 @@ PROPERTY_CAP = 9
 # the default keeps every leaf table; 64 words keeps as many as fit in
 # 64 words, and the first in any case, and makes the others again at
 # each use
-EMBED_BUDGETS = (G.Limits().embed_budget, 64)
+EMBED_BUDGETS = (G.EMBED_BUDGET, 64)
 
 
 def outcome(fn):
@@ -800,7 +800,8 @@ def test_one_pass_equals_pairwise_chain(elements):
     with G.limits(window_cap=PROPERTY_CAP):
         expected = outcome(lambda: pairwise_chain(elements))
     for budget in EMBED_BUDGETS:
-        with G.limits(window_cap=PROPERTY_CAP, embed_budget=budget):
+        with G.limits(window_cap=PROPERTY_CAP), pytest.MonkeyPatch.context() as mp:
+            mp.setattr(G, "EMBED_BUDGET", budget)
             assert outcome(lambda: G.compose_many(elements)) == expected
             assert outcome(lambda: G.evaluate_expr(expr, gens)) == expected
 
@@ -826,7 +827,8 @@ def test_repeated_atoms_equal_pairwise_chain(case):
         with G.limits(window_cap=PROPERTY_CAP):
             expected = outcome(lambda: pairwise_chain(elements))
         for budget in EMBED_BUDGETS:
-            with G.limits(window_cap=PROPERTY_CAP, embed_budget=budget):
+            with G.limits(window_cap=PROPERTY_CAP), pytest.MonkeyPatch.context() as mp:
+                mp.setattr(G, "EMBED_BUDGET", budget)
                 assert outcome(lambda: G.compose_many(elements)) == expected
                 got = outcome(lambda: G.evaluate_expr(expr, gens, leftmost_first))
                 assert got == expected
@@ -974,7 +976,7 @@ def test_chain_succeeds_through_cancellation_past_the_cap():
     assert err.value.required_width == 31
 
 
-def test_products_keep_no_more_leaf_tables_than_the_budget():
+def test_products_keep_no_more_leaf_tables_than_the_budget(monkeypatch):
     # c1 at cells 0..14: 15 distinct tables of 2^16 words on a 16-cell hull,
     # as a flat product and as a one-rule program
     parts = [G.make_named("c1").shift_conjugate(k) for k in range(15)]
@@ -982,15 +984,15 @@ def test_products_keep_no_more_leaf_tables_than_the_budget():
     gens = {"c1": G.make_named("c1")}
     table_bytes = (1 << 16) * np.dtype(np.int64).itemsize
     expected = pairwise_chain(parts)
+    monkeypatch.setattr(G, "EMBED_BUDGET", 4 << 16)
     for evaluate in (lambda: G.compose_many(parts), lambda: G.evaluate_program(program, gens)[0]):
-        with G.limits(embed_budget=4 << 16):
+        assert evaluate() == expected
+        tracemalloc.start()
+        try:
             assert evaluate() == expected
-            tracemalloc.start()
-            try:
-                assert evaluate() == expected
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
         # four leaf tables, a leaf made again for one use, the product so
         # far and its gather; all 15 tables at once would be 17
         assert peak <= 8 * table_bytes, peak / table_bytes

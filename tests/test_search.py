@@ -750,6 +750,25 @@ def letters(word):
     return "".join("abc"[i] for i in word)
 
 
+def test_ball_levels_follow_the_free_product_recurrences():
+    # a table-free oracle for dedup and both growth skips.  e57@-1 and
+    # e57@1 commute, so three copies give a quotient of (Z/2 x Z/2) * Z/2,
+    # whose spheres hold F(k+3) words; four copies at -1..2 double from
+    # level 2.  Both break only at level 12, by the shortest relations
+    # beyond the commutations
+    fib = [0, 1]
+    while len(fib) < 16:
+        fib.append(fib[-1] + fib[-2])
+    e57 = G.make_eca(57)
+    for cells, expected in (
+        ((-1, 0, 1), [1] + [fib[k + 3] for k in range(1, 12)] + [605]),
+        ((-1, 0, 1, 2), [1, 4] + [9 << k - 2 for k in range(2, 12)] + [9207]),
+    ):
+        gens = tuple(e57.shift_conjugate(k) for k in cells)
+        r = S.search(S.SearchConfig(gens, G.make_named("c0"), 12))
+        assert r.status == "not-found" and r.stats["levels"] == expected
+
+
 def test_flip_word_search_mitm():
     # the full run: depth 25 over the three shifted rule-57 gates
     gens = flip_generators()

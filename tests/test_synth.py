@@ -265,4 +265,4 @@ def test_synthesis_past_the_expansion_cap_is_refused():
 def test_standard_generating_checks_all_pass():
     checks = S.standard_generating_checks()
     assert len(checks) == 4
-    assert all(c["passed"] for c in checks)
+    assert all(holds for _, holds in checks)
