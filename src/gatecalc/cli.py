@@ -3,15 +3,16 @@
 Exit codes: 0 success / all checks pass, 1 a verification or synthesis
 check failed, 2 usage error (bad flags, malformed input, impossible
 requests).  Human-readable output by default, a versioned JSON record
-with --json.  Environment fallbacks: GATECALC_WINDOW_CAP for the table
-window cap, GATECALC_MEM for the search memory budget.
+with --json.  Every setting has one way in, its flag; the table window
+cap is the constant gates.WINDOW_CAP.  A gate is written in the one
+expression grammar of gates.GateExpr wherever it is read: --expr, each
+--gen token and --target.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import re
 import sys
 
@@ -37,27 +38,15 @@ def _parse_mem(text: str) -> int:
     return int(m.group(1)) * scale
 
 
-def _parse_cap(text: str | int) -> int:
-    try:
-        return int(text)
-    except ValueError:
-        raise ValueError(f"bad window cap {text!r}") from None
-
-
-def _gate_from_args(args) -> gates.GroupElement:
-    if args.name:
-        return gates.named_or_eca(args.name)
-    expr = gates.GateExpr.parse(args.expr)
+def _parse_gate(text: str) -> gates.GroupElement:
+    # "c0@1 e57 e57@-1": the first atom acts last
+    expr = gates.GateExpr.parse(text)
     gens = {name: gates.named_or_eca(name) for name, _ in expr.atoms}
     return gates.evaluate_expr(expr, gens)
 
 
-def _parse_gate_token(text: str) -> gates.GroupElement:
-    # "e57@1" etc: a named generator with an optional cell
-    if "@" in text:
-        name, _, cell = text.partition("@")
-        return gates.named_or_eca(name).shift_conjugate(int(cell))
-    return gates.named_or_eca(text)
+def _gate_from_args(args) -> gates.GroupElement:
+    return gates.named_or_eca(args.name) if args.name else _parse_gate(args.expr)
 
 
 # -- subcommand handlers ---------------------------------------------------
@@ -238,17 +227,16 @@ def _cmd_grammar(args) -> int:
 
 
 def _cmd_search(args) -> int:
-    gens = tuple(_parse_gate_token(s) for s in args.gen.split(","))
-    target = _parse_gate_token(args.target)
+    gens = tuple(_parse_gate(s) for s in args.gen.split(","))
+    target = _parse_gate(args.target)
     # SearchConfig holds the default budget
-    mem = args.mem or os.environ.get("GATECALC_MEM")
     cfg = search.SearchConfig(
         gens,
         target,
         args.max_depth,
         strategy=args.strategy,
         certify_minimum=args.certify_min,
-        **({"memory_budget": _parse_mem(mem)} if mem else {}),
+        **({"memory_budget": _parse_mem(args.mem)} if args.mem else {}),
     )
     result = search.search(cfg)
     payload = {
@@ -308,12 +296,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="calculus of reversible gates and shifts on the binary tape",
     )
     parser.add_argument("--json", action="store_true", help="machine-readable output")
-    parser.add_argument(
-        "--window-cap",
-        type=int,
-        default=None,
-        help="max table window width, 1..24 (env GATECALC_WINDOW_CAP)",
-    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gate", help="canonical form of a gate or expression")
@@ -365,11 +347,11 @@ def build_parser() -> argparse.ArgumentParser:
     pv.set_defaults(fn=_cmd_grammar)
 
     p = sub.add_parser("search", help="search for a word reaching a target gate")
-    p.add_argument("--gen", required=True, help="comma-separated gates, e.g. e57@-1,e57,e57@1")
-    p.add_argument("--target", required=True)
+    p.add_argument("--gen", required=True, help="comma-separated expressions, e.g. e57@-1,e57,e57@1")
+    p.add_argument("--target", required=True, help="gate expression, e.g. c0")
     p.add_argument("--strategy", choices=["bfs", "mitm"], default="bfs")
     p.add_argument("--max-depth", type=int, required=True)
-    p.add_argument("--mem", default=None, help="memory budget, e.g. 512M or 8G (env GATECALC_MEM)")
+    p.add_argument("--mem", default=None, help="memory budget, e.g. 512M or 8G (default 512M)")
     p.add_argument(
         "--certify-min",
         action="store_true",
@@ -389,13 +371,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    cap = args.window_cap
-    if cap is None:
-        cap = os.environ.get("GATECALC_WINDOW_CAP") or None
     try:
-        changes = {} if cap is None else {"window_cap": _parse_cap(cap)}
-        with gates.limits(**changes):  # for this command only
-            return args.fn(args)
+        return args.fn(args)
     except (ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -151,10 +151,6 @@ def _check_size(n: int, need: int | None = None) -> None:
     check_ring_size(n)
 
 
-def _check_ring(f: GroupElement, n: int) -> None:
-    _check_size(n, min_ring(f))
-
-
 def _rotate(words: np.ndarray, k: int, n: int) -> np.ndarray:
     # every n-cell word rotated so that cell i of the image reads cell i+k
     k %= n
@@ -173,7 +169,7 @@ def project_formula(f: GroupElement, n: int) -> CyclicPerm:
     The ring must fit the padded rule (n >= 2R + 2), whose extra cell
     passes through, so the table of the window alone is the same.
     """
-    _check_ring(f, n)
+    _check_size(n, min_ring(f))
     return _project_tight(f, n)
 
 
@@ -199,7 +195,7 @@ def project_periodic(f: GroupElement, n: int) -> CyclicPerm:
     period back and rotates it by the shift part.  It shares no code
     with project_formula.
     """
-    _check_ring(f, n)
+    _check_size(n, min_ring(f))
     g = f.inert
     # w << 2n | w << n | w, as a product since the periods do not overlap
     buf = np.arange(1 << n, dtype=np.int64) * (1 << 2 * n | 1 << n | 1)
@@ -286,7 +282,7 @@ def check_conjugation_identity(g: InertGate, n: int, m: int) -> bool:
     Checks  g_n . rot^m == rot^m . (g shifted by m)_n  on the full ring.
     """
     f = GroupElement(0, g)
-    _check_ring(f, n)
+    _check_size(n, min_ring(f))
     lhs = project_formula(f, n).compose(CyclicPerm.rotation(n, m))
     rhs = CyclicPerm.rotation(n, m).compose(
         project_formula(f.shift_conjugate(m), n)

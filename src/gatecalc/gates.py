@@ -31,13 +31,11 @@ are canonicalized unchecked (tests compare products with a checked chain).
 
 from __future__ import annotations
 
-import contextlib
-import contextvars
 import functools
 import itertools
 import math
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Hashable, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -52,39 +50,14 @@ MAX_EXPANDED_ATOMS = 1 << 20
 # (8 MiB); past it a leaf table is made again at each use.
 EMBED_BUDGET = 1 << 20
 
-
-@dataclass(frozen=True)
-class Limits:
-    """The table limits, changed only for a block by limits().  window_cap,
-    the widest table window, is checked before any table is made; 24 (a
-    16M-entry table) is also its ceiling."""
-
-    window_cap: int = 24
-
-
-_LIMITS = contextvars.ContextVar("gatecalc_limits", default=Limits())
-
-
-@contextlib.contextmanager
-def limits(**changes):
-    """Run a block, in this thread, with the named Limits fields changed, and
-    yield the limits in force; the outer ones are back when the block ends.
-    TypeError for an unknown field, ValueError for a window_cap outside 1..24."""
-    new = replace(_LIMITS.get(), **changes)
-    if not 1 <= new.window_cap <= Limits.window_cap:
-        bound = "at least 1" if new.window_cap < 1 else f"at most {Limits.window_cap}"
-        raise ValueError(f"window cap must be {bound}, got {new.window_cap}")
-    token = _LIMITS.set(new)
-    try:
-        yield new
-    finally:
-        _LIMITS.reset(token)
+# Widest table window: checked before any table is made, so no table
+# holds more than 2^24 (16M) entries.
+WINDOW_CAP = 24
 
 
 def _check_width(width: int) -> None:  # before a table of that width is made
-    cap = _LIMITS.get().window_cap
-    if width > cap:
-        raise WindowCapError(width, cap)
+    if width > WINDOW_CAP:
+        raise WindowCapError(width, WINDOW_CAP)
 
 
 class WindowCapError(ValueError):

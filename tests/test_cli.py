@@ -179,8 +179,12 @@ def test_search_budget(capsys):
     assert "budget-exceeded" in out
 
 
-def test_memory_budget_from_the_environment(capsys, monkeypatch):
+def test_the_environment_sets_no_limit(capsys, monkeypatch):
+    # the window cap is a constant and the memory budget is set by --mem only
+    monkeypatch.setenv("GATECALC_WINDOW_CAP", "4")
     monkeypatch.setenv("GATECALC_MEM", "1K")
+    code, _, _ = run(capsys, "gate", "--expr", "c0 c0@6")
+    assert code == 0
     code, out, _ = run(
         capsys,
         "--json",
@@ -191,8 +195,7 @@ def test_memory_budget_from_the_environment(capsys, monkeypatch):
         "--max-depth", "25",
     )
     assert code == 0
-    record = json.loads(out)
-    assert record["status"] == "budget-exceeded" and record["stats"]["budget"] == 1024
+    assert json.loads(out)["status"] == "found"
 
 
 def test_search_for_a_generator_itself(capsys):
@@ -218,6 +221,37 @@ def test_search_target_outside_hull(capsys):
     )
     assert code == 0
     assert "not-found" in out and "target outside hull" in out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gate", "--expr", "c0@+1"],
+        ["search", "--gen", "c0@+1", "--target", "c0", "--max-depth", "2"],
+        ["search", "--gen", "c0", "--target", "c0@+1", "--max-depth", "2"],
+    ],
+    ids=["expr", "gen", "target"],
+)
+def test_every_gate_argument_reads_the_one_expression_grammar(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert "bad expression atom 'c0@+1'" in err
+    assert out == ""
+
+
+def test_search_generators_and_target_may_be_products(capsys):
+    code, out, err = run(
+        capsys,
+        "--json",
+        "search",
+        "--gen", "c0@1 c0,c0",
+        "--target", "c0@1",
+        "--max-depth", "2",
+    )
+    assert code == 0, err
+    record = json.loads(out)
+    # c0 flips one cell, so the two generators commute
+    assert record["status"] == "found" and sorted(record["word"]) == [0, 1]
 
 
 def test_certify_min_with_bfs_is_a_usage_error(capsys):
@@ -268,44 +302,29 @@ def test_usage_error_exit_code():
 
 
 def test_window_cap_flag(capsys):
-    code, _, err = run(
-        capsys, "--window-cap", "4", "gate", "--expr", "c0 c0@6"
-    )
-    assert code == 2
-    assert "window cap exceeded" in err
-
-
-@pytest.mark.parametrize("from_env", [False, True])
-def test_window_cap_lasts_only_for_its_command(capsys, monkeypatch, from_env):
-    if from_env:
-        monkeypatch.setenv("GATECALC_WINDOW_CAP", "5")
-        argv = ["gate", "--expr", "c0 c0@6"]
-    else:
-        argv = ["--window-cap", "5", "gate", "--expr", "c0 c0@6"]
-    code, _, err = run(capsys, *argv)
-    assert code == 2 and "window cap exceeded" in err
-    with gates.limits() as now:
-        assert now == gates.Limits()
-    monkeypatch.delenv("GATECALC_WINDOW_CAP", raising=False)
-    assert not gates.make_word_swap("0" * 6, "1" * 6).is_identity
-
-
-def test_ring_size_is_bounded_by_the_ring_cap_not_the_window_cap(capsys):
-    code, out, _ = run(capsys, "--window-cap", "4", "project", "--name", "swap", "--n", "6")
+    code, _, _ = run(capsys, "gate", "--expr", "c0 c0@23")
     assert code == 0
-    assert "permutation of {0,1}^6, parity even" in out
+    # the hull of c0 and c0@30 is 31 cells, past the cap of 24: refused
+    # before a table is built
+    code, out, err = run(capsys, "gate", "--expr", "c0 c0@30")
+    assert code == 2
+    assert "window cap exceeded: need width 31, cap is 24" in err
+    assert out == ""
 
 
 @pytest.mark.parametrize(
     "argv,env,message",
     [
-        (["gate", "--name", "c0"], "abc", "bad window cap 'abc'"),
-        (["--window-cap", "0", "gate", "--name", "c0"], None, "at least 1, got 0"),
-        (["--window-cap", "-3", "gate", "--name", "c0"], None, "at least 1, got -3"),
-        (["gate", "--name", "c0"], "-3", "at least 1, got -3"),
-        # past the hard ceiling, refused before a table is built
-        (["--window-cap", "25", "gate", "--name", "c0"], None, "at most 24, got 25"),
-        (["gate", "--expr", "c0 c0@33"], "40", "at most 24, got 40"),
+        # one cell past the cap, refused before a table is built
+        pytest.param(
+            ["gate", "--expr", "c0 c0@24"], None, "need width 25, cap is 24",
+            id="argv4-None-at most 24, got 25",
+        ),
+        # the environment cannot raise the cap
+        pytest.param(
+            ["gate", "--expr", "c0 c0@33"], "40", "need width 34, cap is 24",
+            id="argv5-40-at most 24, got 40",
+        ),
     ],
 )
 def test_malformed_window_cap_is_a_usage_error(capsys, monkeypatch, argv, env, message):
@@ -313,10 +332,15 @@ def test_malformed_window_cap_is_a_usage_error(capsys, monkeypatch, argv, env, m
         monkeypatch.setenv("GATECALC_WINDOW_CAP", env)
     code, out, err = run(capsys, *argv)
     assert code == 2
-    assert message in err
+    assert "window cap exceeded: " + message in err
     assert out == ""
-    with gates.limits() as now:
-        assert now == gates.Limits()
+
+
+def test_ring_size_is_bounded_by_the_ring_cap_not_the_window_cap(capsys, monkeypatch):
+    monkeypatch.setattr(gates, "WINDOW_CAP", 4)
+    code, out, _ = run(capsys, "project", "--name", "swap", "--n", "6")
+    assert code == 0
+    assert "permutation of {0,1}^6, parity even" in out
 
 
 @pytest.mark.parametrize(

@@ -1,7 +1,6 @@
 import itertools
 import math
 import random
-import threading
 import tracemalloc
 
 import numpy as np
@@ -233,42 +232,20 @@ def test_order_is_the_lcm_of_the_walked_cycle_lengths():
     assert G.canonicalize(0, 2, np.array([1, 2, 0, 4, 3, 5, 6, 7])).order() == 6
 
 
-def test_window_cap_enforced():
-    with G.limits(window_cap=6):
-        a = G.make_named("c0")
-        b = G.make_named("c0").shift_conjugate(10)
-        with pytest.raises(G.WindowCapError) as err:
-            a.compose(b)
-        assert err.value.required_width == 11
+def test_window_cap_enforced(monkeypatch):
+    monkeypatch.setattr(G, "WINDOW_CAP", 6)
+    a = G.make_named("c0")
+    b = G.make_named("c0").shift_conjugate(10)
+    with pytest.raises(G.WindowCapError) as err:
+        a.compose(b)
+    assert err.value.required_width == 11 and err.value.cap == 6
 
 
 def test_limits_hold_only_inside_their_block():
-    default = G.Limits()
-    assert default.window_cap == 24 and G.EMBED_BUDGET == 1 << 20
-    with G.limits(window_cap=8) as outer:
-        assert outer == G.Limits(8)
-        with G.limits(window_cap=7) as inner:
-            assert inner == G.Limits(7)
-        with pytest.raises(RuntimeError):
-            with G.limits(window_cap=6):
-                raise RuntimeError
-        with G.limits() as now:
-            assert now == outer
-        with pytest.raises(G.WindowCapError):
-            G.make_named("ck", 8)
-        seen = []  # another thread runs with the default limits
-        thread = threading.Thread(target=lambda: seen.append(G._LIMITS.get()))
-        thread.start()
-        thread.join(timeout=10)
-        assert seen == [default]
-    with G.limits() as now:
-        assert now == default
-    with pytest.raises(TypeError):
-        with G.limits(window=8):
-            pass
-    for cap, message in ((0, "at least 1, got 0"), (25, "at most 24, got 25")):
-        with pytest.raises(ValueError, match=message), G.limits(window_cap=cap):
-            pass
+    assert G.WINDOW_CAP == 24 and G.EMBED_BUDGET == 1 << 20
+    assert G.make_named("c0").compose(G.make_named("c0").shift_conjugate(23)).inert.width == 24
+    with pytest.raises(G.WindowCapError, match="need width 25, cap is 24"):
+        G.make_named("c0").compose(G.make_named("c0").shift_conjugate(24))
 
 
 # -- conjugations ----------------------------------------------------------
@@ -330,7 +307,7 @@ def test_named_gates():
         G.make_named("ck")
 
 
-def test_fixed_generators_are_built_once():
+def test_fixed_generators_are_built_once(monkeypatch):
     for name in ("identity", "sigma", "c0", "c1", "c2", "rc1", "swap"):
         g = G.make_named(name)
         assert G.make_named(name) is g
@@ -338,7 +315,8 @@ def test_fixed_generators_are_built_once():
             assert not g.inert.table.flags.writeable
     # ck is built on every call: whether it fits the cap depends on k
     assert G.make_named("ck", 10).inert.width == 11
-    with G.limits(window_cap=8), pytest.raises(G.WindowCapError):
+    monkeypatch.setattr(G, "WINDOW_CAP", 8)
+    with pytest.raises(G.WindowCapError):
         G.make_named("ck", 10)
 
 
@@ -404,11 +382,11 @@ def test_word_swap_basics():
         G.make_word_swap("01", "011")
 
 
-def test_word_swap_wider_than_the_cap_is_refused():
-    with G.limits(window_cap=8):
-        assert G.make_word_swap("0" * 8, "1" * 8).inert.width == 8
-        with pytest.raises(G.WindowCapError) as err:
-            G.make_word_swap("0" * 9, "1" * 9)
+def test_word_swap_wider_than_the_cap_is_refused(monkeypatch):
+    monkeypatch.setattr(G, "WINDOW_CAP", 8)
+    assert G.make_word_swap("0" * 8, "1" * 8).inert.width == 8
+    with pytest.raises(G.WindowCapError) as err:
+        G.make_word_swap("0" * 9, "1" * 9)
     assert err.value.required_width == 9
 
 
@@ -797,10 +775,10 @@ def outcome(fn):
 def test_one_pass_equals_pairwise_chain(elements):
     gens = {f"g{i}": f for i, f in enumerate(elements)}
     expr = G.GateExpr(tuple((name, 0) for name in gens))
-    with G.limits(window_cap=PROPERTY_CAP):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(G, "WINDOW_CAP", PROPERTY_CAP)
         expected = outcome(lambda: pairwise_chain(elements))
-    for budget in EMBED_BUDGETS:
-        with G.limits(window_cap=PROPERTY_CAP), pytest.MonkeyPatch.context() as mp:
+        for budget in EMBED_BUDGETS:
             mp.setattr(G, "EMBED_BUDGET", budget)
             assert outcome(lambda: G.compose_many(elements)) == expected
             assert outcome(lambda: G.evaluate_expr(expr, gens)) == expected
@@ -824,10 +802,10 @@ def test_repeated_atoms_equal_pairwise_chain(case):
         # function order: the first element is applied last
         order = expr.atoms[::-1] if leftmost_first else expr.atoms
         elements = [gens[name].shift_conjugate(k) for name, k in order]
-        with G.limits(window_cap=PROPERTY_CAP):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(G, "WINDOW_CAP", PROPERTY_CAP)
             expected = outcome(lambda: pairwise_chain(elements))
-        for budget in EMBED_BUDGETS:
-            with G.limits(window_cap=PROPERTY_CAP), pytest.MonkeyPatch.context() as mp:
+            for budget in EMBED_BUDGETS:
                 mp.setattr(G, "EMBED_BUDGET", budget)
                 assert outcome(lambda: G.compose_many(elements)) == expected
                 got = outcome(lambda: G.evaluate_expr(expr, gens, leftmost_first))
@@ -950,7 +928,8 @@ def test_named_generators_are_canonical_permutations():
 @settings(max_examples=200, deadline=None)
 @given(chains)
 def test_products_are_canonical_permutations(elements):
-    with G.limits(window_cap=PROPERTY_CAP):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(G, "WINDOW_CAP", PROPERTY_CAP)
         for product in (lambda: G.compose_many(elements), lambda: G.compose_many(elements[::-1])):
             f = outcome(product)
             if isinstance(f, G.GroupElement):

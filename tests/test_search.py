@@ -356,13 +356,14 @@ def test_depths_that_are_not_integers_are_refused(depth):
     assert S.search(S.SearchConfig((c0,), c0, np.int64(2))).status == "found"
 
 
-def test_common_window_obeys_the_window_cap():
+def test_common_window_obeys_the_window_cap(monkeypatch):
     # the three shifted rule-57 gates span cells -2..2
-    with G.limits(window_cap=4), pytest.raises(G.WindowCapError) as err:
+    monkeypatch.setattr(G, "WINDOW_CAP", 4)
+    with pytest.raises(G.WindowCapError) as err:
         S.search(S.SearchConfig(flip_generators(), G.make_named("c0"), 3))
     assert err.value.required_width == 5 and err.value.cap == 4
-    with G.limits(window_cap=5):
-        assert S.search(S.SearchConfig(flip_generators(), G.make_named("c0"), 3)).status == "not-found"
+    monkeypatch.setattr(G, "WINDOW_CAP", 5)
+    assert S.search(S.SearchConfig(flip_generators(), G.make_named("c0"), 3)).status == "not-found"
 
 
 def test_hashing_has_no_false_merges():
