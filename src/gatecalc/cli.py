@@ -227,7 +227,12 @@ def _cmd_grammar(args) -> int:
 
 
 def _cmd_search(args) -> int:
-    gens = tuple(_parse_gate(s) for s in args.gen.split(","))
+    tokens = args.gen.split(",")
+    for i, token in enumerate(tokens, 1):
+        # would parse as the identity, a letter that never grows the ball
+        if not token.strip():
+            raise ValueError(f"--gen token {i} of {len(tokens)} is empty")
+    gens = tuple(_parse_gate(s) for s in tokens)
     target = _parse_gate(args.target)
     # SearchConfig holds the default budget
     cfg = search.SearchConfig(
@@ -248,7 +253,7 @@ def _cmd_search(args) -> int:
     lines = [f"status: {result.status}"]
     if result.word is not None:
         lines.append(f"word ({len(result.word)} letters): " + " ".join(
-            args.gen.split(",")[i] for i in result.word
+            tokens[i] for i in result.word
         ))
     if "minimal_length" in result.stats:
         lines.append(f"certified minimal length: {result.stats['minimal_length']}")

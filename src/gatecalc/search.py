@@ -5,26 +5,29 @@ window hull, so a state is just a permutation table of the hull words
 and group-element equality is table equality.  The ball around the
 identity is grown level by level with numpy.  A level is a matrix of
 distinct table rows, kept in build order in the buffer its candidates
-were built in (dropped rows leave slack at its end).  A hash index of
-sorted runs maps a table to its depth: the top 32 bits of each row's
-64-bit content hash, numbered by level and physical row.  A new level's
-keys, sorted already, merge into the last run by one stable sort while
-the two hold at most _CHUNK keys, else start a run (as in an LSM-tree,
-O'Neil et al. 1996).  Nearly every lookup misses, so a presence map, one
-bit for each value of a key's top bits (a one-hash Bloom filter, Bloom
-1970), screens the keys first: a clear bit proves the row absent, and
-only the keys whose bit is set are sorted, so that they walk each run
-once from left to right, and searched.  The map is sized to the ball, at
-least 16 bits per stored state, and rebuilt as the ball grows: keys
-spread over the whole map, so a moderate ball would touch every page of
-a map sized for the largest one.  Duplicates are found by sorting
-candidates on the hash and comparing equal-hash rows in full, and every
-index hit is confirmed on the full table, so a hash can never merge two
-distinct states.  Rows are compared as one np.void item each, viewed as
-the widest unsigned words that tile them.  Hashing, row comparison,
-candidate building, compaction, marking and probing each work through
-one block of rows or keys at a time, so their temporaries stay in cache
-and do not grow with the level.
+were built in (dropped rows leave slack at its end).  Rows are hashed
+by a multilinear hash, the sum of their 64-bit words times fixed odd
+multipliers mod 2^64 (Lemire & Kaser 2014), which is one matmul for any
+number of rows and columns.  A hash index of sorted runs maps a table to
+its depth: the top 32 bits of each row's hash, numbered by level and
+physical row.  A new level's keys, sorted already, merge into the last
+run by one stable sort while the two hold at most _CHUNK keys, else
+start a run (as in an LSM-tree, O'Neil et al. 1996).  Nearly every
+lookup misses, so a presence map, one bit for each value of a key's
+top bits (a one-hash Bloom filter, Bloom 1970), screens the keys first:
+a clear bit proves the row absent, and only the keys whose bit is set
+are sorted, so that they walk each run once from left to right, and
+searched.  The map is sized to the ball, at least 16 bits per stored
+state, and rebuilt as the ball grows: keys spread over the whole map,
+so a moderate ball would touch every page of a map sized for the
+largest one.  Duplicates are found by sorting candidates on the hash
+and comparing equal-hash rows in full, and every index hit is
+confirmed on the full table, so a hash can never merge two distinct
+states.  Rows are compared as one np.void item each, viewed as the
+widest unsigned words that tile them.  Row comparison, candidate
+building, compaction, marking and probing each work through one block
+of rows or keys at a time, so their temporaries stay in cache and do
+not grow with the level.
 
 Words are tuples of generator indices, first index applied last, as in
 GateExpr.  BFS returns the lexicographically least shortest word.
@@ -36,9 +39,8 @@ h . target^-1 is looked up instead: a column gather, as growth builds
 candidates, where the probe itself is a scatter.  Probes are screened
 by the presence map block by block, and those that pass are looked up
 in batches of about one block, so each index run is walked once a
-batch.  Within a level the least |g| wins, then the h of least (64-bit
-hash, row), the order in which dedup sorts rows, so the choice does not
-depend on where h is kept.
+batch.  Within a level the least |g| wins, then the least h, entry by
+entry, so the choice depends neither on where h is kept nor on the hash.
 
 The search returns a split of least |g| + |h|, then least |h|; its
 length D is the exact distance whenever D <= 2T, with T the deepest
@@ -85,15 +87,12 @@ import numpy as np
 from . import gates
 from .gates import GroupElement, compose_many, embed
 
-_FNV_OFFSET = np.uint64(0xCBF29CE484222325)
-_FNV_PRIME = np.uint64(0x100000001B3)
-# table entries per block of rows that hashing, row comparison, candidate
+# table entries per block of rows that row comparison, candidate
 # building, compaction and probing work through at a time (256k: 8k rows
 # of 32 entries, 512 of 512).  Probes scattered, for generators not
 # closed under inverses, take an intp index of a block (2 MB), which
 # still fits a 2 MB L2 cache; gathered probes take none.  Much smaller
-# blocks pay numpy's per-call cost once per column of a wide row when
-# hashing.
+# blocks pay numpy's per-call cost more often.
 _CHUNK = 1 << 18
 # numpy's array objects and small temporaries in growing any level (~10 KB)
 _OBJECT_BYTES = 1 << 16
@@ -141,7 +140,11 @@ class SearchResult:
 
 
 def _hash_rows(rows: np.ndarray) -> np.ndarray:
-    """FNV-1a over the 64-bit words of each row, one block of rows at a time."""
+    """Multilinear hash of each row: sum of w_i * m_i mod 2^64, one matmul.
+
+    w_i are the row's little-endian 64-bit words, zero-padded, and m_i is
+    splitmix64(i + 1) | 1: the state i + 1 plus the golden gamma, mixed.
+    """
     data = np.ascontiguousarray(rows).view(np.uint8)
     # explicit, so that zero rows reshape too
     data = data.reshape(rows.shape[0], rows.shape[1] * rows.itemsize)
@@ -151,16 +154,10 @@ def _hash_rows(rows: np.ndarray) -> np.ndarray:
             [data, np.zeros((data.shape[0], pad), dtype=np.uint8)], axis=1
         )
     words = data.view(np.uint64)
-    h = np.full(rows.shape[0], _FNV_OFFSET, dtype=np.uint64)
-    # rows of _CHUNK entries; their words stay in cache while every
-    # column is folded in
-    step = max(1, _CHUNK * rows.itemsize // data.shape[1])
-    for lo in range(0, words.shape[0], step):
-        block, hb = words[lo : lo + step], h[lo : lo + step]
-        for col in range(words.shape[1]):
-            hb ^= block[:, col]
-            hb *= _FNV_PRIME
-    return h
+    z = np.arange(1, words.shape[1] + 1, dtype=np.uint64) + np.uint64(0x9E3779B97F4A7C15)
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return words @ (z ^ (z >> np.uint64(31)) | np.uint64(1))
 
 
 def _items(rows: np.ndarray) -> np.ndarray:
@@ -198,7 +195,8 @@ def _equal_rows(a: np.ndarray, ia: np.ndarray, b: np.ndarray, ib: np.ndarray) ->
 
 
 def _index_keys(hashes: np.ndarray) -> np.ndarray:
-    # the top half of the hash, which the last FNV multiply mixes best
+    # the top half of the hash: a product's top bits depend on all of its
+    # factors' bits below them, so they are mixed best
     return (hashes >> np.uint64(32)).astype(np.uint32)
 
 
@@ -610,12 +608,12 @@ class _Searcher:
     def split(self, h_depth: int) -> tuple[int, int, np.ndarray] | None:
         """Least |g| with target = g . h over the states h of one level.
 
-        Returns |g|, the row of the h of least (64-bit hash, row) and the
-        probe target . h^-1, or None when no probe of the level is stored.
+        Returns |g|, the row of the least h, entry by entry, and the probe
+        target . h^-1, or None when no probe of the level is stored.
         Probes are looked up in the batches of probe_batches.
         """
         level = self.ball.levels[h_depth]
-        least, hits, hashes = None, [], []
+        least, hits = None, []
         for rows, row_hashes, at in self.probe_batches(level):
             g_depth = self.ball.depth_of(rows, row_hashes, deepest=least)
             del rows, row_hashes  # so that the next batch is built without them
@@ -623,16 +621,11 @@ class _Searcher:
             if not found.size:
                 continue
             if least is None or found.min() < least:
-                least, hits, hashes = int(found.min()), [], []
-            k = at[g_depth == least]
-            hits.append(k)
-            hashes.append(_hash_rows(level[k]))
+                least, hits = int(found.min()), []
+            hits.append(at[g_depth == least])
         if least is None:
             return None
-        hits, hashes = np.concatenate(hits), np.concatenate(hashes)
-        hits = hits[hashes == hashes.min()]
-        # distinct rows that share a hash: the least row, the order in which
-        # _dedup_rows sorts a run of equal hashes
+        hits = np.concatenate(hits)
         k = int(hits[np.lexsort(level[hits].T[::-1])[0]])
         return least, k, self.probes(level[k : k + 1])[0]
 

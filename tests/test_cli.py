@@ -239,6 +239,18 @@ def test_every_gate_argument_reads_the_one_expression_grammar(capsys, argv):
     assert out == ""
 
 
+@pytest.mark.parametrize(
+    "gen, message",
+    [("e57,,e57@1", "token 2 of 3"), ("e57,", "token 2 of 2"), (" ,e57", "token 1 of 2")],
+)
+def test_an_empty_gen_token_is_a_usage_error(capsys, gen, message):
+    # a doubled, trailing or leading comma would add the identity as a letter
+    code, out, err = run(capsys, "search", "--gen", gen, "--target", "c0", "--max-depth", "2")
+    assert code == 2
+    assert f"--gen {message} is empty" in err
+    assert out == ""
+
+
 def test_search_generators_and_target_may_be_products(capsys):
     code, out, err = run(
         capsys,

@@ -390,20 +390,31 @@ def colliding_hash(monkeypatch, mask):
     monkeypatch.setattr(S, "_hash_rows", lambda rows: real_hash(rows) & np.uint64(mask))
 
 
-def fnv_reference(row):
-    # FNV-1a over the row's little-endian 64-bit words, zero-padded
+MASK_64 = (1 << 64) - 1
+
+
+def splitmix64(state):
+    z = (state + 0x9E3779B97F4A7C15) & MASK_64
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK_64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK_64
+    return z ^ (z >> 31)
+
+
+def multilinear_reference(row):
+    # the row's little-endian 64-bit words, zero-padded, times
+    # splitmix64(i + 1) | 1, summed mod 2^64 in Python ints
     data = row.tobytes()
     data += bytes(-len(data) % 8)
-    h = 0xCBF29CE484222325
-    for at in range(0, len(data), 8):
-        h = ((h ^ int.from_bytes(data[at : at + 8], "little")) * 0x100000001B3) % (1 << 64)
-    return h
+    words = [int.from_bytes(data[at : at + 8], "little") for at in range(0, len(data), 8)]
+    return sum(w * (splitmix64(i + 1) | 1) for i, w in enumerate(words)) & MASK_64
 
 
 @pytest.mark.parametrize(
     "dtype, width", [(np.uint8, 64), (np.uint16, 64), (np.uint32, 64), (np.uint8, 4)]
 )
 def test_hash_rows_do_not_depend_on_blocks(dtype, width):
+    # the first output of splitmix64 seeded with 0, as published
+    assert splitmix64(0) == 0xE220A8397B1DCDAF
     rng = np.random.default_rng(3)
     per_block = S._CHUNK // width
     rows = rng.integers(0, np.iinfo(dtype).max, (2 * per_block + 5, width), dtype=dtype)
@@ -411,7 +422,23 @@ def test_hash_rows_do_not_depend_on_blocks(dtype, width):
     picks = [0, per_block - 1, per_block, per_block + 1, 2 * per_block, rows.shape[0] - 1]
     picks += rng.integers(0, rows.shape[0], 20).tolist()
     for i in picks:
-        assert S._hash_rows(rows[i : i + 1])[0] == together[i] == fnv_reference(rows[i])
+        assert S._hash_rows(rows[i : i + 1])[0] == together[i] == multilinear_reference(rows[i])
+
+
+def test_hash_quality_on_the_flip_ball():
+    # the 676,982 states of the depth-25 flip ball: distinct full hashes,
+    # about as many equal index keys as random 32-bit keys would give
+    # (n^2 / 2^33, 53), and level 25's probes screened out by the map
+    searcher = S._Searcher(S.SearchConfig(flip_generators(), G.make_named("c0"), 25))
+    assert searcher.grow(25) is None and searcher.ball.states == 676982
+    hashes = np.sort(np.concatenate([S._hash_rows(level) for level in searcher.ball.levels]))
+    assert not np.any(hashes[1:] == hashes[:-1])
+    keys = np.sort(S._index_keys(hashes))
+    n = keys.size
+    assert np.count_nonzero(keys[1:] == keys[:-1]) <= 2 * n * n / 2**33
+    level = searcher.ball.levels[25]
+    passed = sum(at.size for _, _, at in searcher.probe_batches(level))
+    assert passed <= level.shape[0] / 16, (passed, level.shape[0])
 
 
 # a _CHUNK below the sizes of the balls these tests grow, so that index
@@ -719,6 +746,26 @@ def test_hash_collisions_cannot_merge_states(monkeypatch):
     assert run() == real
 
 
+def test_split_does_not_depend_on_the_hash(monkeypatch):
+    # a complemented hash reverses every order by hash, and sends every
+    # key to other bits of the map; the split still takes the least row
+    gens = flip_generators()
+
+    def run():
+        out = []
+        for word, depth in [*((w, 4) for w in MITM_WORDS), (None, 25)]:
+            target = G.make_named("c0") if word is None else S.evaluate_word(word, gens)
+            r = S.search(S.SearchConfig(gens, target, depth, strategy="mitm", certify_minimum=True))
+            out.append((r.word, r.stats["minimal_length"], r.stats["levels"], r.stats["states"]))
+        return out
+
+    real = run()
+    assert letters(real[-1][0]) == FLIP_WORD
+    real_hash = S._hash_rows
+    monkeypatch.setattr(S, "_hash_rows", lambda rows: ~real_hash(rows))
+    assert run() == real
+
+
 def test_search_imports_no_masked_arrays():
     # the first np.unique of a process imports numpy.ma, 10-20 ms that the
     # first search of a process would pay; a fresh process shows it
@@ -742,9 +789,9 @@ def test_search_imports_no_masked_arrays():
 
 
 # the word both mitm modes return for the flip at depth 25, with
-# a, b, c for e57@-1, e57, e57@1; any change of the rule that picks
-# the split shows here
-FLIP_WORD = "abacbcbabcbacbabcbcbabacbacbcbababcbacbabcbabacbcb"
+# a, b, c for e57@-1, e57, e57@1: its split takes the least row h of
+# level 25; any change of the rule that picks the split shows here
+FLIP_WORD = "cbacbabcbcbacbcbcbcbabacbacbcbabababacbababcbacbab"
 
 
 def letters(word):
@@ -817,17 +864,17 @@ def test_controlled_flip_distances_certified_at_depth_26(name, found, bound):
     assert r.stats[bound] == 52
     assert r.stats["states"] == 1072454
     if found == "found":
-        assert len(r.word) == 52 and S.evaluate_word(r.word, gens) == target
+        assert letters(r.word) == "babacbcbcbacbacbcbcbacbcbcbcbababcbabacbacbabacbacba"
+        assert S.evaluate_word(r.word, gens) == target
 
 
 def all_levels_split(searcher, target_table):
-    """Scan every stored level: least |g| + |h|, then least |h|, then first h,
-    the h of least (hash, row)."""
+    """Scan every stored level: least |g| + |h|, then least |h|, then the
+    least h, entry by entry."""
     depth = {row.tobytes(): d for d, level in enumerate(searcher.ball.levels) for row in level}
     best = None
     for h_depth, level in enumerate(searcher.ball.levels):
-        hashes = S._hash_rows(level)
-        for k in sorted(range(len(level)), key=lambda k: (int(hashes[k]), level[k].tolist())):
+        for k in sorted(range(len(level)), key=lambda k: level[k].tolist()):
             h = level[k]
             probe = np.empty_like(h)
             probe[h] = target_table  # target . h^-1
