@@ -595,15 +595,15 @@ def _canonical(lo: int, hi: int, table: np.ndarray) -> InertGate:
     # and the gate may keep
     width = hi - lo + 1
     changed_mask = int(np.bitwise_or.reduce(table ^ np.arange(1 << width), initial=0))
+    if not changed_mask:  # no word moves: the identity, with no support to scan
+        return _IDENTITY_GATE
 
     def in_support(p: int) -> bool:
         bit = 1 << p
         return bool(changed_mask & bit or (flip_difference(table, p) & ~bit).any())
 
     # only the outermost cells of the support matter: scan in from both ends
-    p_min = next((p for p in range(width) if in_support(p)), None)
-    if p_min is None:
-        return _IDENTITY_GATE
+    p_min = next(p for p in range(width) if in_support(p))
     p_max = next(p for p in range(width - 1, p_min - 1, -1) if in_support(p))
     if p_min == 0 and p_max == width - 1:
         return InertGate(lo, hi, table)

@@ -23,18 +23,20 @@ The construction depends on the pair only through its difference word
 d = u xor v and the flips that conjugate (u, v) to (0^n, d), so it is
 built once per d as a straight-line program P_d (gates.Program) over c0
 and f = the swap of 0^n and d: each strip step is one rule over the step
-before, and the four programs share their rules.  No program is
-returned unverified, and the proof is split the same way:
+before, equal rules are one rule, and the four programs share their
+rules.  c2 conjugates the three-cell core by a word w of s and flips,
+and closes with w^-1 written forwards: s and the same flips, as each is
+an involution.  No program is returned unverified, and the proof is
+split the same way:
 
 * once per d, P_d is evaluated step by step, each rule's table gathered
   once, and each of its four values must equal its target gate; a
   verified P_d is kept in a bounded cache, and a failed one raises and
   is never kept;
 * per pair, P_d is expanded with f defined as the given swap
-  conjugated by the flips of u, and likewise the symbol f_rev that
-  marks where c2 reads f backwards (Program.expand's definitions).
-  Those two definitions alone are evaluated, and each must equal f
-  exactly, so the expansion has P_d's values by substitution.
+  conjugated by the flips of u (Program.expand's definitions).  That
+  definition alone is evaluated, as a one-rule Program, and must equal
+  f exactly, so the expansion has P_d's values by substitution.
 
 What is returned is that expansion with adjacent equal atoms
 cancelled, and it has the same value: substituting each rule's
@@ -98,7 +100,11 @@ def peephole(program: Program, generators: Mapping[str, GroupElement], defined: 
 
 
 def _rule(rules: dict, *factors: tuple) -> int:
-    # a new rule, numbered after every rule it can mention
+    # the rule with these factors: an existing one if any, else a new one,
+    # numbered after every rule it can mention
+    for name, existing in rules.items():
+        if existing == factors:
+            return name
     rules[len(rules)] = factors
     return len(rules) - 1
 
@@ -112,18 +118,6 @@ def _strip_left(rules: dict, f) -> int:
 def _strip_right(rules: dict, f, n: int) -> int:
     # f_{0^n, v0}  ->  f_{0^(n-1), v}
     return _rule(rules, ("c0", n - 1), (f, 0), ("c0", n - 1), (f, 0))
-
-
-def _reversed(rules: dict, name: int, done: dict) -> int:
-    # a rule expanding to the expansion of name read backwards; done maps
-    # each symbol already reversed to its reversal, and any other
-    # generator reads the same backwards
-    if name not in done:
-        done[name] = _rule(rules, *(
-            (_reversed(rules, sym, done) if sym in rules else done.get(sym, sym), k)
-            for sym, k in reversed(rules[name])
-        ))
-    return done[name]
 
 
 def eliminate_bit(v: str, side: str) -> GateExpr:
@@ -178,9 +172,9 @@ def _core_program(rules: dict, d: str, keep: str) -> int:
 
 
 def _program_d(d: str) -> Program:
-    # straight-line program over {c0, f, f_rev} with one start per TARGETS
-    # entry, for a difference word d with a single interior 1; f_rev marks
-    # where f is read backwards, and as a generator it is f
+    # straight-line program over {c0, f} with one start per TARGETS entry,
+    # for a difference word d with a single interior 1; equal rules are
+    # one rule, so the cores share their strip steps
     rules: dict = {}
     # f_{00,10} conjugated by a flip at cell 1 is the controlled flip
     c1 = _rule(rules, ("c0", 1), (_core_program(rules, d, "10"), 0), ("c0", 1))
@@ -189,10 +183,13 @@ def _program_d(d: str) -> Program:
     rc1 = _rule(rules, (rc1_at_1, -1))
     # the classic three-gate identity: s = c1 . (rc1 one cell right) . c1
     s = _rule(rules, (c1, 0), (rc1_at_1, 0), (c1, 0))
-    # conjugate f_{000,010} by (swap cells 0,1 then flips at 1, 2)
-    wrap = _rule(rules, ("c0", 1), ("c0", 2), (s, 0))
+    # conjugate f_{000,010} by wrap = (swap cells 0,1 then flips at 1, 2);
+    # s and the flips are involutions, so wrap^-1 = s c0@1 c0@2, and the
+    # flips commute, so in this order each c0@1 meets the one s begins or
+    # ends with and cancels
+    wrap = _rule(rules, ("c0", 2), ("c0", 1), (s, 0))
     core = _core_program(rules, d, "010")
-    c2 = _rule(rules, (wrap, 0), (core, 0), (_reversed(rules, wrap, {"f": "f_rev"}), 0))
+    c2 = _rule(rules, (wrap, 0), (core, 0), (s, 0), ("c0", 1), ("c0", 2))
     return Program(rules, (c1, rc1, s, c2))
 
 
@@ -200,18 +197,19 @@ def _program_d(d: str) -> Program:
 def _verified_program_d(d: str) -> tuple[Program, GroupElement]:
     """P_d = _program_d(d) and its generator f, once P_d is verified.
 
-    Each of P_d's four values over {c0, f, f_rev = f} is compared
-    against its target gate.  Raises gates.ExpansionCapError, before any
-    table is gathered, when P_d expands past the cap; every pair's expansion
-    of it is at least as long.  A failed check raises, so it is never
-    cached.
+    Each of P_d's four values over {c0, f} is compared against its
+    target gate; for c2 that also checks its closing conjugator, written
+    forwards, against its opening one.  Raises gates.ExpansionCapError,
+    before any table is gathered, when P_d expands past the cap; every
+    pair's expansion of it is at least as long.  A failed check raises,
+    so it is never cached.
     """
     program = _program_d(d)
     longest = max(program.lengths())
     if longest > MAX_EXPANDED_ATOMS:
         raise ExpansionCapError(longest, MAX_EXPANDED_ATOMS)
     f = make_word_swap("0" * len(d), d)
-    gens = {"c0": make_named("c0"), "f": f, "f_rev": f}
+    gens = {"c0": make_named("c0"), "f": f}
     targets = [make_named(target) for target in TARGETS.values()]
     for name, ok in zip(TARGETS, program_matches(program, gens, targets)):
         if not ok:
@@ -220,11 +218,10 @@ def _verified_program_d(d: str) -> tuple[Program, GroupElement]:
 
 
 def _conjugations(u: str) -> dict:
-    # the rules f and f_rev over {c0, fuv}: conjugate (u, v) to (all zeros,
-    # d) by flipping the cells where u is 1, and the same read backwards
+    # the rule f over {c0, fuv}: conjugate (u, v) to (all zeros, d) by
+    # flipping the cells where u is 1
     flips = tuple(("c0", j) for j, ch in enumerate(u) if ch == "1")
-    f = (*flips, ("fuv", 0), *flips)
-    return {"f": f, "f_rev": f[::-1]}
+    return {"f": (*flips, ("fuv", 0), *flips)}
 
 
 def synthesize_nct(u: str, v: str) -> dict[str, GateExpr]:
@@ -245,7 +242,7 @@ def synthesize_nct(u: str, v: str) -> dict[str, GateExpr]:
     program_d, f = _verified_program_d(diff_set(u, v))
     conjugations = _conjugations(u)
     flat = peephole(program_d, gens, conjugations)  # raises before evaluating if too long
-    if not all(program_matches(Program(conjugations, ("f", "f_rev")), gens, [f, f])):
+    if not all(program_matches(Program(conjugations, ["f"]), gens, [f])):
         raise AssertionError("conjugated pattern swap failed verification")
     return dict(zip(TARGETS, flat))
 

@@ -36,6 +36,12 @@ def raw_apply(lo, hi, table, x, anchor):
 def test_canonicalize_identity_window():
     g = G.canonicalize(-3, 3, np.arange(128))
     assert g.is_identity
+    # any width and offset, and a product g.g^-1, give the identity gate itself
+    for width in range(1, 9):
+        for lo in (-width, 0, 3):
+            assert G.canonicalize(lo, lo + width - 1, np.arange(1 << width)) is G.identity_gate()
+        g = G.canonicalize(0, width - 1, np.random.default_rng(width).permutation(1 << width))
+        assert g.compose(g.inverse()) is G.identity_gate()
 
 
 def test_canonicalize_flip_padded():

@@ -21,7 +21,7 @@ def evaluate(expr, u, v):
 
 
 def pair_program(u, v):
-    # the pair's program written out: P_d after the definitions of f and f_rev
+    # the pair's program written out: P_d after the definition of f
     program_d = S._program_d(diff_set(u, v))
     return G.Program({**S._conjugations(u), **program_d.rules}, program_d.starts)
 
@@ -186,8 +186,8 @@ def test_outputs_match_their_pinned_digest():
         for name in ("c1", "rc1", "s", "c2"):
             atoms += len(programs[name])
             digest.update(f"{u} {v} {name} {programs[name].to_string()}\n".encode())
-    assert len(programs_to_length_6()) == 392 and atoms == 422_078
-    assert digest.hexdigest() == "ea54165f17a756560388741f67336eaa091649a5454707838a2843aa88f16b97"
+    assert len(programs_to_length_6()) == 392 and atoms == 420_072
+    assert digest.hexdigest() == "4eb430777bcecc795429e4a988443cb65b30f8d2eff75d6695ed16466a0a776b"
 
 
 @functools.cache
@@ -212,11 +212,8 @@ def test_a_wrong_conjugation_is_refused_with_its_difference_word_cached(monkeypa
     S.synthesize_nct("0000", "0010")  # the same difference word, so P_d is cached
     real = S._conjugations
 
-    def one_flip_dropped(u):
-        # flips of u with one 1 dropped conjugate fuv to another swap
-        return real(u.replace("1", "0", 1))
-
-    wrong = [one_flip_dropped, lambda u: {**real(u), "f_rev": one_flip_dropped(u)["f_rev"]}]
+    # the flips of u with one flip too few or one too many conjugate fuv to another swap
+    wrong = [lambda u: real(u.replace("1", "0", 1)), lambda u: real(u.replace("0", "1", 1))]
     for conjugations in wrong:
         hits = S._verified_program_d.cache_info().hits
         monkeypatch.setattr(S, "_conjugations", conjugations)
@@ -245,6 +242,40 @@ def test_a_wrong_strip_rule_is_refused_and_never_cached(monkeypatch):
         S._verified_program_d.cache_clear()
 
 
+def test_a_c2_closed_by_the_wrong_conjugator_is_refused_and_never_cached(monkeypatch):
+    u, v = "00100", "00000"
+    S._verified_program_d.cache_clear()
+    real = S._rule
+
+    def c0_at_2_dropped(rules, *factors):
+        # c2 closed by s c0@1 alone: c2's value after one flip too few
+        if factors[-2:] == (("c0", 1), ("c0", 2)):
+            factors = factors[:-1]
+        return real(rules, *factors)
+
+    monkeypatch.setattr(S, "_rule", c0_at_2_dropped)
+    try:
+        for _ in range(2):
+            with pytest.raises(AssertionError, match="synthesized program for c2 failed verification"):
+                S.synthesize_nct(u, v)
+            assert S._verified_program_d.cache_info().currsize == 0
+        monkeypatch.undo()
+        for name, expr in S.synthesize_nct(u, v).items():
+            assert evaluate(expr, u, v) == G.make_named(S.TARGETS[name])
+    finally:
+        S._verified_program_d.cache_clear()
+
+
+def test_no_program_d_to_length_10_has_two_equal_rules():
+    for n in range(3, 11):
+        for i in range(1, n - 1):
+            rules = S._program_d("0" * i + "1" + "0" * (n - 1 - i)).rules
+            assert len(set(rules.values())) == len(rules), (n, i)
+    # the cores share their strip steps: at length 6, 13 rules where
+    # building each core on its own would take 17
+    assert len(S._program_d("001000").rules) == 13
+
+
 def test_program_lengths_are_exact_before_cancellation():
     for u, v in [("00100", "00000"), ("0101", "0111"), *sample_to_length_8()[::6]]:
         program = pair_program(u, v)
@@ -259,7 +290,7 @@ def test_synthesis_past_the_expansion_cap_is_refused():
     with pytest.raises(G.ExpansionCapError):
         S.synthesize_nct(u, v)
     u, v = "0" * 17, "0" * 8 + "1" + "0" * 8  # the longest central pair that fits
-    assert len(S.synthesize_nct(u, v)["c2"]) == 638_978
+    assert len(S.synthesize_nct(u, v)["c2"]) == 638_972
 
 
 def test_standard_generating_checks_all_pass():
