@@ -165,24 +165,53 @@ def test_each_letter_is_the_projected_rule_57_update():
             assert np.array_equal(table_of(GR._ring_planes(str(k), n), n), expected), (n, k)
 
 
-@pytest.mark.parametrize("n", [4, 7, 8, 9, 16, 17, 20])
+@pytest.mark.parametrize("n", range(4, C.RING_CAP + 1))
 def test_planes_of_a_table_are_its_bit_slices(n):
-    # the third byte of an entry is read from n = 17 on, up to RING_CAP
-    table = np.random.default_rng(n).permutation(1 << n)
-    planes = GR._planes(table, n)
-    assert len(planes) == n and np.array_equal(table_of(planes, n), table)
-    assert GR._planes(np.arange(1 << n), n) == GR._ring_planes("", n)
+    # the target's planes are the bit slices of its projected table: the
+    # five targets at the anchor, the identity and the shift on every
+    # ring, and up to n = 12 seeded random gates whose windows start on
+    # either side of the seam, some periods away, with nonzero shift parts
+    anchor = GR.measure_anchor()
+    elements = [G.shift_conjugate(G.make_named(t), anchor) for t in GR.STANDARD_TARGETS.values()]
+    elements += [G.IDENTITY, G.make_named("sigma")]
+    rng = np.random.default_rng(n)
+    for width in range(1, 6) if n <= 12 else ():
+        for lo in range(n - width, n + 1):  # ends at the seam, straddles it, starts there
+            lo += n * int(rng.integers(-3, 3))
+            gate = G.canonicalize(lo, lo + width - 1, rng.permutation(1 << width))
+            shift = int(rng.integers(1, n)) * int(rng.choice([-1, 1]))
+            elements.append(G.GroupElement(shift, gate))
+    for f in (f for f in elements if C.min_ring(f) <= n):
+        planes = GR._target_planes(f, n)
+        assert len(planes) == n
+        assert np.array_equal(table_of(planes, n), C.project_formula(f, n).perm), (f, n)
+    assert GR._target_planes(G.IDENTITY, n) == GR._ring_planes("", n)
+
+
+def test_target_planes_refuse_a_ring_below_min_ring(monkeypatch):
+    # project_formula's precondition, checked before any plane is built
+    def forbidden(*args, **kwargs):
+        raise AssertionError("built planes below the target's min_ring")
+
+    monkeypatch.setattr(GR, "_identity_planes", forbidden)
+    f = G.GroupElement(0, G.canonicalize(0, 4, np.random.default_rng(5).permutation(32)))
+    assert f.inert.width == 5 and C.min_ring(f) == 6
+    for n in (1, 4, 5):
+        with pytest.raises(C.RingTooSmallError, match="gate needs n >= 6"):
+            GR._target_planes(f, n)
+    with pytest.raises(C.RingTooSmallError):
+        GR.verify_on_ring("N3", f, 5, 0)
 
 
 @pytest.mark.parametrize("n", [21, 30, 8.0])
 def test_ring_check_refuses_the_ring_size_before_building_planes(n, monkeypatch):
-    # a float or a ring past RING_CAP is refused by the target's projection,
-    # which is made before anything of 2^n bits: at n = 30, 2^30-bit planes
+    # a float or a ring past RING_CAP is refused before anything of 2^n
+    # bits is built: at n = 30, 2^30-bit planes
     def forbidden(*args, **kwargs):
         raise AssertionError("built planes before the ring size was checked")
 
     monkeypatch.setattr(GR, "_ring_planes", forbidden)
-    monkeypatch.setattr(GR, "_planes", forbidden)
+    monkeypatch.setattr(GR, "_target_planes", forbidden)
     with pytest.raises(ValueError, match="ring size"):
         GR.verify_on_ring("N3", G.make_named("c0"), n, 3)
 
@@ -224,9 +253,9 @@ def test_ring_check_frees_its_permutations():
         left, peak = (m - base for m in tracemalloc.get_traced_memory())
     finally:
         tracemalloc.stop()
-    # all of it the target's projection; the 16 planes are a quarter
-    # of a permutation
-    assert peak <= 4.5 * perm_bytes, peak / perm_bytes
+    # no 2^n-entry table at all: the program's 16 planes and the
+    # target's are a quarter of a permutation each (0.59 measured)
+    assert peak <= 0.75 * perm_bytes, peak / perm_bytes
     # anything a reference cycle kept alive would still be here
     assert left < perm_bytes, left / perm_bytes
 
