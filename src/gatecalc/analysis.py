@@ -13,7 +13,11 @@ flipped): a gate is affine iff each is constant, linear iff affine and
 and a lamplighter map iff each cell's constant flips just that cell;
 one-sided flow reads which output cells each input cell can reach.
 For a pattern swap, the one-sided and coset tests read only the two
-words that its record names and their one-flip neighbours.
+words that its record names and their one-flip neighbours.  A verified
+swap verdict is checked once per subgroup and difference word d, on the
+swap of 0^n and d: by the conjugation lemma (see _generators_in) it
+stands for the swap of every pair with difference d, and its record
+keeps that read sparse.
 The classifiers:
 
 * word swaps: the swap of patterns u, v (with the flip and the shift)
@@ -167,20 +171,10 @@ def in_GV(g: InertGate, w: str) -> bool:
         raise ValueError("w must be a nonzero vector")
     if g.is_identity:
         return True
-    for value in _displacements(g):
-        if value and not _in_span(w, value):
-            return False
-    return True
-
-
-@functools.lru_cache(maxsize=4096)
-def _in_span(w: str, value: int) -> bool:
-    # once per (w, value): a pattern swap's displacements are 0 and its
-    # difference word, so pairs with one difference share the answer.
-    # Window bit p is the cell hi - p, so a value read from its low bit
+    # window bit p is the cell hi - p, so a value read from its low bit
     # lists cells from the right; w is read from the right too, and
     # reversing both operands keeps divisibility
-    return gf2_divides(int(w, 2), value)
+    return all(gf2_divides(int(w, 2), value) for value in _displacements(g) if value)
 
 
 # -- word-swap classification ---------------------------------------------
@@ -211,7 +205,7 @@ class SwapClass:
     verified: bool | None = None
 
 
-def _member(subgroup: str, g: InertGate, d: str | None) -> bool:
+def _member(subgroup: str, g: InertGate, d: str) -> bool:
     # looked up at each call, so that a rebinding of the predicates is seen
     if subgroup == "GR":
         return in_GR(g)
@@ -221,14 +215,20 @@ def _member(subgroup: str, g: InertGate, d: str | None) -> bool:
 
 
 @functools.lru_cache(maxsize=4096)
-def _flip_and_shift_in(subgroup: str, d: str | None) -> bool:
-    """Do the flip and the shift's inert part lie in the subgroup?
+def _generators_in(subgroup: str, d: str) -> bool:
+    """Do the flip, the shift's inert part and swap(0^n, d) lie in the subgroup?
 
-    subgroup is 'GR', 'GL' or 'GV'; d is the spanning word of G_V(d) and
-    None for the others.  Neither gate depends on a pair, so each
-    (subgroup, d) is checked once.
+    subgroup is 'GR', 'GL' or 'GV'; d is a difference word u xor v, and
+    for GV also the spanning word of G_V(d).  This one check covers the
+    swap of every pair u, v with that difference.  XOR by u maps u to
+    0^n and v to d, so swap(0^n, d) is swap(u, v) conjugated by the
+    flips of the cells where u is 1.  Each flip c0@j is
+    sigma^-j . c0 . sigma^j, so it lies in the subgroup once c0 and sigma
+    do.  Therefore, with c0 and sigma in the subgroup, swap(u, v) lies in
+    it exactly when swap(0^n, d) does.
     """
-    return all(_member(subgroup, make_named(name).inert, d) for name in ("c0", "sigma"))
+    gates = (make_named("c0").inert, make_named("sigma").inert, _word_swap("0" * len(d), d))
+    return all(_member(subgroup, g, d) for g in gates)
 
 
 def classify_swap(u: str, v: str, verify: bool = True) -> SwapClass:
@@ -237,9 +237,10 @@ def classify_swap(u: str, v: str, verify: bool = True) -> SwapClass:
     Universal iff they differ in exactly one position which is interior
     (so the difference word matches 0*0100*).  Non-universal verdicts
     name a containing proper subgroup; with verify=True the membership
-    of all three generators' inert parts is checked, not assumed: the
-    swap's for each pair, the flip's and the shift's once per subgroup
-    and difference word.
+    of the flip, the shift and the swap of 0^n and d = u xor v is
+    checked, not assumed, once per subgroup and d.  By the conjugation
+    lemma in _generators_in that check covers every pair with
+    difference d, and the reference swap's record keeps its read sparse.
     """
     d = diff_set(u, v)  # the one check of u and v
     ones = d.count("1")
@@ -247,11 +248,8 @@ def classify_swap(u: str, v: str, verify: bool = True) -> SwapClass:
     if not n:
         raise ValueError("patterns must be nonempty")
 
-    def verified(subgroup: str, witness: str | None = None) -> bool | None:
-        if not verify:
-            return None
-        swap = _word_swap(u, v)  # its table is made only for a verdict that is verified
-        return _member(subgroup, swap, witness) and _flip_and_shift_in(subgroup, witness)
+    def verified(subgroup: str) -> bool | None:
+        return _generators_in(subgroup, d) if verify else None
 
     if not ones:
         trivial = _word_swap(u, v).is_identity if verify else None  # u == v: no table
@@ -268,7 +266,7 @@ def classify_swap(u: str, v: str, verify: bool = True) -> SwapClass:
             )
         return SwapClass(SwapVerdict.UNIVERSAL, None, None, None)
     return SwapClass(
-        SwapVerdict.COSET_PRESERVING, "coset-preserving subgroup", d, verified("GV", d)
+        SwapVerdict.COSET_PRESERVING, "coset-preserving subgroup", d, verified("GV")
     )
 
 

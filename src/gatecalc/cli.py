@@ -168,8 +168,6 @@ def _cmd_project(args) -> int:
 
 
 def _cmd_parity(args) -> int:
-    if not 1 <= args.max_n <= 64:
-        raise ValueError(f"--max-n must be in [1, 64], got {args.max_n}")
     rows = list(cyclic.necklace_table(args.max_n))
     lines = [f"{'n':>3} {'count':>10} {'orbits':>10} {'rotation':>9}"]
     for r in rows:

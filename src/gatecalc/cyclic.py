@@ -93,7 +93,7 @@ class CyclicPerm:
     def rotation(cls, n: int, k: int = 1) -> "CyclicPerm":
         """Ring shift: cell i of the image reads cell i+k of the source."""
         _check_size(n)
-        return cls._built(n, _rotate(np.arange(1 << n, dtype=np.int64), k, n))
+        return cls._built(n, _rotate(np.arange(1 << n, dtype=np.int64), _integer("k", k), n))
 
     def compose(self, other: "CyclicPerm") -> "CyclicPerm":
         """self after other."""
@@ -260,8 +260,15 @@ def necklace_table(max_n: int) -> Iterator[NecklaceRow]:
     parity of the ring rotation, and whether the three agree.
 
     The rotation's cycles are the necklaces, so it is even exactly when
-    2^n minus the count is; a column past its range reads None.
+    2^n minus the count is; a column past its range reads None.  max_n
+    is checked here, before any row is computed.
     """
+    if not 1 <= _integer("max_n", max_n) <= 64:
+        raise ValueError(f"max_n must be in [1, 64], got {max_n}")
+    return _necklace_rows(max_n)
+
+
+def _necklace_rows(max_n: int) -> Iterator[NecklaceRow]:
     sigma = make_named("sigma")
     for n in range(1, max_n + 1):
         formula = necklace_count(n)
@@ -283,6 +290,7 @@ def check_conjugation_identity(g: InertGate, n: int, m: int) -> bool:
     """
     f = GroupElement(0, g)
     _check_size(n, min_ring(f))
+    m = _integer("m", m)
     lhs = project_formula(f, n).compose(CyclicPerm.rotation(n, m))
     rhs = CyclicPerm.rotation(n, m).compose(
         project_formula(f.shift_conjugate(m), n)
@@ -310,6 +318,7 @@ def check_locality_homomorphism(
     project_formula whenever the latter's precondition holds.
     """
     _check_size(n)
+    h = _integer("h", h)
     fs = list(fs)
     if not fs:
         return LocalityOutcome.HOLDS

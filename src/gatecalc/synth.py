@@ -235,9 +235,9 @@ def synthesize_nct(u: str, v: str) -> dict[str, GateExpr]:
     names; all four land at cell 0.  The part of that check which
     depends only on u xor v is done once per difference word.
     """
-    verdict = classify_swap(u, v, verify=False)
+    verdict = classify_swap(u, v)
     if verdict.verdict is not SwapVerdict.UNIVERSAL:
-        raise NotUniversalError(u, v, classify_swap(u, v))
+        raise NotUniversalError(u, v, verdict)
     gens = {"c0": make_named("c0"), "fuv": make_word_swap(u, v)}
     program_d, f = _verified_program_d(diff_set(u, v))
     conjugations = _conjugations(u)

@@ -357,9 +357,10 @@ def test_predicates_match_definitions_on_gates_that_move_few_words(drawn, lo):
         check_coset_definition(table, lo, w)
 
 
-def test_a_wide_swap_is_classified_within_one_table():
-    # a width-20 swap moves 2 of 2^20 words: verifying it reads those and
-    # their neighbours, and scans the table in blocks
+def test_a_wide_swap_is_classified_within_one_table(cold_membership_cache):
+    # a width-20 swap moves 2 of 2^20 words: a cold verification builds
+    # the one table of the swap of 0^20 and d, and reads from its record
+    # only the moved words and their neighbours
     u = "0" * 20
     table_bytes = 8 << 20
     for v, verdict in [
@@ -435,9 +436,39 @@ def test_verified_classification_equals_a_direct_check_of_every_gate():
 
 @pytest.fixture
 def cold_membership_cache():
-    A._flip_and_shift_in.cache_clear()
+    A._generators_in.cache_clear()
     yield
-    A._flip_and_shift_in.cache_clear()
+    A._generators_in.cache_clear()
+
+
+def test_every_swap_is_a_member_exactly_when_the_swap_of_zero_and_its_difference_is():
+    # the conjugation lemma behind the verification once per difference
+    # word, on every ordered pair u != v to length 7; each pair's swap is
+    # read whole, from a copy without its record
+    pairs = 0
+    for n in range(1, 8):
+        for iu, iv in itertools.permutations(range(1 << n), 2):
+            g = G.make_word_swap(int_to_word(iu, n), int_to_word(iv, n)).inert
+            whole = G.InertGate(g.lo, g.hi, g.table)
+            d = int_to_word(iu ^ iv, n)
+            reference = G.make_word_swap("0" * n, d).inert
+            for member in (A.in_GR, A.in_GL, lambda x: A.in_GV(x, d)):
+                assert member(whole) == member(reference), (iu, iv, n)
+            pairs += 1
+    assert pairs == 21590
+
+
+def test_verifying_every_pair_of_length_6_builds_one_swap_per_difference(
+    monkeypatch, cold_membership_cache
+):
+    built = []
+    real = A._word_swap
+    monkeypatch.setattr(A, "_word_swap", lambda u, v: built.append(u != v) or real(u, v))
+    for iu in range(64):
+        for iv in range(64):
+            A.classify_swap(int_to_word(iu, 6), int_to_word(iv, 6), verify=True)
+    # the 63 nonzero differences but the 4 universal ones
+    assert sum(built) == 59
 
 
 @pytest.mark.parametrize(
@@ -445,13 +476,14 @@ def cold_membership_cache():
 )
 def test_a_flip_outside_the_subgroup_is_reported(monkeypatch, cold_membership_cache,
                                                  predicate, u, v):
-    # the flip's membership, read once per subgroup, still decides verified
+    # the flip's membership, read once per subgroup and difference word,
+    # still decides verified
     c0 = G.make_named("c0").inert
     real = getattr(A, predicate)
     monkeypatch.setattr(A, predicate, lambda g, *w: g is not c0 and real(g, *w))
     assert A.classify_swap(u, v).verified is False
     monkeypatch.undo()
-    A._flip_and_shift_in.cache_clear()
+    A._generators_in.cache_clear()
     assert A.classify_swap(u, v).verified is True
 
 

@@ -120,7 +120,7 @@ def test_parity_exits_1_on_a_wrong_orbit_count(capsys, monkeypatch):
 def test_parity_rejects_max_n_outside_1_to_64(capsys, max_n):
     code, out, err = run(capsys, "parity", "--max-n", max_n)
     assert code == 2
-    assert f"--max-n must be in [1, 64], got {max_n}" in err
+    assert f"max_n must be in [1, 64], got {max_n}" in err
     assert out == ""
 
 

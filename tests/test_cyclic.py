@@ -84,6 +84,36 @@ def test_necklace_sizes_that_are_not_integers_are_refused(count, n):
     assert count(np.int64(4)) == count(4) == 6
 
 
+C0 = G.make_named("c0")
+
+
+@pytest.mark.parametrize(
+    "call,match",
+    [
+        (lambda: C.CyclicPerm.rotation(5, 1.5), "k must be an integer"),
+        (lambda: C.CyclicPerm.rotation(5, True), "k must be an integer"),
+        (lambda: C.check_conjugation_identity(C0.inert, 4, 1.5), "m must be an integer"),
+        (lambda: C.check_conjugation_identity(C0.inert, 4, True), "m must be an integer"),
+        (lambda: C.check_locality_homomorphism([C0], 6, 1.5), "h must be an integer"),
+        (lambda: C.check_locality_homomorphism([C0], 6, True), "h must be an integer"),
+        (lambda: C.necklace_table(0), r"max_n must be in \[1, 64\], got 0"),
+        (lambda: C.necklace_table(-3), r"max_n must be in \[1, 64\], got -3"),
+        (lambda: C.necklace_table(65), r"max_n must be in \[1, 64\], got 65"),
+        (lambda: C.necklace_table(True), "max_n must be an integer"),
+        (lambda: C.necklace_table(2.5), "max_n must be an integer"),
+    ],
+    ids=[
+        "rotation-float", "rotation-bool", "conjugation-float", "conjugation-bool",
+        "locality-float", "locality-bool", "necklace-0", "necklace-negative",
+        "necklace-65", "necklace-bool", "necklace-float",
+    ],
+)
+def test_ring_arguments_that_are_not_integers_in_range_are_refused_on_entry(call, match):
+    # necklace_table refuses when called, before any row is computed
+    with pytest.raises(ValueError, match=match):
+        call()
+
+
 def test_formula_matches_periodic_exhaustively():
     # includes windows across the seam via large offsets
     for _ in range(60):
