@@ -11,13 +11,14 @@ flip differences of each cell, table(u) xor table(u with the cell
 flipped): a gate is affine iff each is constant, linear iff affine and
 0 is fixed, a wire permutation iff linear and each constant is one bit,
 and a lamplighter map iff each cell's constant flips just that cell;
-one-sided flow reads which output cells each input cell can reach.
-For a pattern swap, the one-sided and coset tests read only the two
-words that its record names and their one-flip neighbours.  A verified
-swap verdict is checked once per subgroup and difference word d, on the
-swap of 0^n and d: by the conjugation lemma (see _generators_in) it
-stands for the swap of every pair with difference d, and its record
-keeps that read sparse.
+one-sided flow reads which output cells each input cell can reach.  The
+coset test reads each word's displacement table(u) xor u.  Every test
+reads the whole table, through gates.flip_difference and
+gates.word_moves, in blocks of gates.READ_BLOCK words, so it holds
+about one table, the gate's own.  A verified swap verdict is checked
+once per subgroup and difference word d, on the swap of 0^n and d: by
+the conjugation lemma (see _generators_in) it stands for the swap of
+every pair with difference d.
 The classifiers:
 
 * word swaps: the swap of patterns u, v (with the flip and the shift)
@@ -48,6 +49,7 @@ from .gates import (
     flip_difference,
     make_eca,
     make_named,
+    word_moves,
     _word_swap,
 )
 
@@ -67,49 +69,32 @@ def _flip_constants(g: InertGate) -> list[int] | None:
     """Each cell's flip difference, or None if one of them is not constant."""
     out = []
     for p in range(g.width):
-        diff = flip_difference(g.table, p)
-        if (diff != diff[0]).any():
+        first = g.table[0] ^ g.table[1 << p]  # word 0's flip difference comes first
+        if any((diff != first).any() for diff in flip_difference(g.table, p)):
             return None
-        out.append(int(diff[0]))
+        out.append(int(first))
     return out
-
-
-def _moved(g: InertGate) -> dict[int, int] | None:
-    """A pattern swap's two words with their images, from its record; None for any other gate."""
-    if g.swapped is None:
-        return None
-    x, y = g.swapped
-    return {x: y, y: x}
 
 
 def _reach(g: InertGate):
     """For each cell p in turn, the mask of output bits that flipping p can change."""
-    moved = _moved(g)
-    if moved is None:
-        return (int(np.bitwise_or.reduce(flip_difference(g.table, p))) for p in range(g.width))
-    # only the pairs (x, x ^ bit) that hold a moved word: a pair of unmoved
-    # words differs by bit alone, and there is one unless every pair for
-    # the bit holds a moved word
-    half, out = g.table.size >> 1, []
-    for bit in (1 << p for p in range(g.width)):
-        untouched = len(moved) < half or len({x & ~bit for x in moved}) < half
-        reach = bit if untouched else 0
-        for x, image in moved.items():
-            reach |= image ^ moved.get(x ^ bit, x ^ bit)
-        out.append(reach)
-    return out
+    for p in range(g.width):
+        reach = 0
+        for diff in flip_difference(g.table, p):
+            reach |= int(np.bitwise_or.reduce(diff, axis=None))
+        yield reach
 
 
 def _displacements(g: InertGate) -> set[int]:
     """The distinct values table(u) xor u xor table(0) over every window word u."""
-    moved = _moved(g)
-    if moved is None:
-        # counted, not np.unique, whose first call imports numpy.ma
-        return set(np.bincount(g.table ^ np.arange(g.table.size) ^ g.table[0]).nonzero()[0].tolist())
-    t0 = moved.get(0, 0)
-    values = {image ^ x ^ t0 for x, image in moved.items()}
-    if len(moved) < g.table.size:  # an unmoved word u gives u ^ u ^ table(0)
-        values.add(t0)
+    values = set()
+    for moves in word_moves(g.table):  # each block a new array, sorted in place
+        # distinct by sorting: np.unique's first call imports numpy.ma, and
+        # counting would take up to 2^n counts per block
+        moves ^= g.table[0]
+        moves.sort()
+        values.add(int(moves[0]))
+        values.update(moves[1:][moves[1:] != moves[:-1]].tolist())
     return values
 
 
@@ -205,15 +190,6 @@ class SwapClass:
     verified: bool | None = None
 
 
-def _member(subgroup: str, g: InertGate, d: str) -> bool:
-    # looked up at each call, so that a rebinding of the predicates is seen
-    if subgroup == "GR":
-        return in_GR(g)
-    if subgroup == "GL":
-        return in_GL(g)
-    return in_GV(g, d)
-
-
 @functools.lru_cache(maxsize=4096)
 def _generators_in(subgroup: str, d: str) -> bool:
     """Do the flip, the shift's inert part and swap(0^n, d) lie in the subgroup?
@@ -227,8 +203,10 @@ def _generators_in(subgroup: str, d: str) -> bool:
     do.  Therefore, with c0 and sigma in the subgroup, swap(u, v) lies in
     it exactly when swap(0^n, d) does.
     """
+    # looked up at each call, so that a rebinding of the predicates is seen
+    member = {"GR": in_GR, "GL": in_GL, "GV": lambda g: in_GV(g, d)}[subgroup]
     gates = (make_named("c0").inert, make_named("sigma").inert, _word_swap("0" * len(d), d))
-    return all(_member(subgroup, g, d) for g in gates)
+    return all(member(g) for g in gates)
 
 
 def classify_swap(u: str, v: str, verify: bool = True) -> SwapClass:
@@ -240,7 +218,7 @@ def classify_swap(u: str, v: str, verify: bool = True) -> SwapClass:
     of the flip, the shift and the swap of 0^n and d = u xor v is
     checked, not assumed, once per subgroup and d.  By the conjugation
     lemma in _generators_in that check covers every pair with
-    difference d, and the reference swap's record keeps its read sparse.
+    difference d.
     """
     d = diff_set(u, v)  # the one check of u and v
     ones = d.count("1")

@@ -36,7 +36,7 @@ import itertools
 import math
 import re
 from dataclasses import dataclass
-from typing import Callable, Hashable, Iterable, Mapping, Sequence
+from typing import Callable, Hashable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -49,6 +49,11 @@ MAX_EXPANDED_ATOMS = 1 << 20
 # Leaf-table words one Program evaluation, so one product, keeps at once
 # (8 MiB); past it a leaf table is made again at each use.
 EMBED_BUDGET = 1 << 20
+
+# Words one block of a whole-table read holds (512 KiB of int64), so that
+# reading a gate through flip_difference or word_moves holds about one
+# table, its own.
+READ_BLOCK = 1 << 16
 
 # Widest table window: checked before any table is made, so no table
 # holds more than 2^24 (16M) entries.
@@ -110,22 +115,18 @@ class InertGate:
     ``table[u]`` is the image of the window word with integer code ``u``
     (MSB-first, window cell ``lo`` as the top bit).  The identity is the
     distinguished gate with an empty window rather than a width-0 table.
-    ``swapped`` is the pair of window words, ascending, that a pattern swap
-    from :func:`make_word_swap` exchanges, so that they need not be found
-    in its table; it is None for every other gate, also one derived from
-    a swap.  Instances are immutable; construct via :func:`canonicalize`,
+    Instances are immutable; construct via :func:`canonicalize`,
     :func:`make_word_swap` and friends.
     """
 
-    __slots__ = ("lo", "hi", "table", "swapped", "_hash")
+    __slots__ = ("lo", "hi", "table", "_hash")
 
-    def __init__(self, lo: int, hi: int, table: np.ndarray, swapped: tuple[int, int] | None = None):
+    def __init__(self, lo: int, hi: int, table: np.ndarray):
         # expects already-canonical data; use canonicalize() to build
         self.lo = lo
         self.hi = hi
         table.setflags(write=False)
         self.table = table
-        self.swapped = swapped
         self._hash = None  # on first use: hashing copies the whole table
 
     # -- basic shape ---------------------------------------------------
@@ -535,10 +536,22 @@ def program_matches(
     ]
 
 
-def flip_difference(table: np.ndarray, p: int) -> np.ndarray:
-    """table[u] ^ table[u | 1 << p] for every word u with bit p clear, in order of u."""
+def flip_difference(table: np.ndarray, p: int) -> Iterator[np.ndarray]:
+    """table[u] ^ table[u | 1 << p] for every word u with bit p clear, in order
+    of u, in blocks of at most READ_BLOCK words."""
     pairs = table.reshape(-1, 2, 1 << p)  # images of words without, with bit p
-    return (pairs[:, 0] ^ pairs[:, 1]).reshape(-1)
+    rows, cols = max(1, READ_BLOCK >> p), READ_BLOCK
+    for r in range(0, pairs.shape[0], rows):
+        for c in range(0, pairs.shape[2], cols):
+            block = pairs[r:r + rows, :, c:c + cols]
+            yield (block[:, 0] ^ block[:, 1]).reshape(-1)
+
+
+def word_moves(table: np.ndarray) -> Iterator[np.ndarray]:
+    """table[u] ^ u for every word u, in order of u, in blocks of at most READ_BLOCK words."""
+    for start in range(0, table.size, READ_BLOCK):
+        block = table[start:start + READ_BLOCK]
+        yield block ^ np.arange(start, start + block.size, dtype=np.int64)
 
 
 def _integer(name: str, value) -> int:
@@ -594,13 +607,17 @@ def _canonical(lo: int, hi: int, table: np.ndarray) -> InertGate:
     # words of [lo, hi], within the cap, which the caller will not change
     # and the gate may keep
     width = hi - lo + 1
-    changed_mask = int(np.bitwise_or.reduce(table ^ np.arange(1 << width), initial=0))
+    changed_mask = 0
+    for moves in word_moves(table):
+        changed_mask |= int(np.bitwise_or.reduce(moves))
     if not changed_mask:  # no word moves: the identity, with no support to scan
         return _IDENTITY_GATE
 
     def in_support(p: int) -> bool:
         bit = 1 << p
-        return bool(changed_mask & bit or (flip_difference(table, p) & ~bit).any())
+        if changed_mask & bit:
+            return True
+        return any((diff & ~bit).any() for diff in flip_difference(table, p))
 
     # only the outermost cells of the support matter: scan in from both ends
     p_min = next(p for p in range(width) if in_support(p))
@@ -815,7 +832,7 @@ def _word_swap(u: str, v: str) -> InertGate:
     table[iu], table[iv] = iv, iu
     # a swap of two distinct words depends on every cell, so [0, n - 1]
     # is already the canonical window
-    return InertGate(0, n - 1, table, (min(iu, iv), max(iu, iv)))
+    return InertGate(0, n - 1, table)
 
 
 def make_eca(rule: int) -> GroupElement:

@@ -244,45 +244,7 @@ def test_in_GV_swap_difference_span():
         assert A.in_GV(f, d)
 
 
-# -- the moved-word path ----------------------------------------------------------
-
-
-def moved_word_results(g, d, predicates):
-    # what the three predicates read and, for short swaps, what they answer
-    out = (list(A._reach(g)), A._displacements(g))
-    if predicates:
-        out += (A.in_GR(g), A.in_GL(g), A.in_GV(g, d), A.in_GV(g, "1"), A.in_GV(g, "11"))
-    return out
-
-
-def test_moved_words_and_whole_tables_agree_on_every_pair_to_length_8():
-    # each swap read from its record against the same table in a gate
-    # without one, which is read whole
-    swaps = [
-        (G.make_word_swap(int_to_word(iu, n), int_to_word(iv, n)).inert, int_to_word(iu ^ iv, n))
-        for n in range(1, 9)
-        for iu, iv in itertools.combinations(range(1 << n), 2)
-    ]
-    assert len(swaps) == 43435 and all(A._moved(g) is not None for g, _ in swaps)
-    for g, d in swaps:
-        whole = G.InertGate(g.lo, g.hi, g.table)
-        assert A._moved(whole) is None
-        short = g.width <= 6
-        assert moved_word_results(g, d, short) == moved_word_results(whole, d, short), g.swapped
-
-
-def test_a_swap_reads_its_moved_words_from_its_record():
-    # the record against the words that the same table moves
-    for n in range(1, 9):
-        for iu, iv in itertools.combinations(range(1 << n), 2):
-            g = G.make_word_swap(int_to_word(iu, n), int_to_word(iv, n)).inert
-            at = (g.table != np.arange(g.table.size)).nonzero()[0].tolist()
-            assert A._moved(g) == {x: g.table.item(x) for x in at}, g.swapped
-    # a gate derived from a swap carries no record, and is read whole
-    g = G.make_word_swap("0110", "0100").inert
-    for derived in (g.shift_by(2), g.mirror(), g.inverse(), g.compose(G.make_named("c0").inert)):
-        assert derived.swapped is None and A._moved(derived) is None
-    assert G.make_word_swap("01", "01").inert.swapped is None  # the identity
+# -- gates that move few words -------------------------------------------------------
 
 
 def cycled_table(width, words, k=1):
@@ -292,8 +254,7 @@ def cycled_table(width, words, k=1):
     return table
 
 
-def test_the_bound_decides_the_path():
-    # gates that move 16 and 17 words, each read whole
+def test_tables_that_move_16_and_17_words_match_the_definitions():
     words = [int(w) for w in np.random.default_rng(8).choice(64, 17, replace=False)]
     for table in (cycled_table(6, words[:-1]), cycled_table(6, words)):
         check_definitions(table)
@@ -358,9 +319,8 @@ def test_predicates_match_definitions_on_gates_that_move_few_words(drawn, lo):
 
 
 def test_a_wide_swap_is_classified_within_one_table(cold_membership_cache):
-    # a width-20 swap moves 2 of 2^20 words: a cold verification builds
-    # the one table of the swap of 0^20 and d, and reads from its record
-    # only the moved words and their neighbours
+    # a cold verification builds the one 2^20-entry table of the swap of
+    # 0^20 and d, and reads it whole in blocks of READ_BLOCK words
     u = "0" * 20
     table_bytes = 8 << 20
     for v, verdict in [
@@ -376,6 +336,38 @@ def test_a_wide_swap_is_classified_within_one_table(cold_membership_cache):
             tracemalloc.stop()
         assert cls.verdict is verdict and cls.verified is True
         assert peak < 1.5 * table_bytes, (v, peak)
+
+
+# -- reads in blocks --------------------------------------------------------------
+
+
+def block_read_tables():
+    tables = []
+    for width in (1, 2):
+        tables += itertools.permutations(range(1 << width))
+    tables += [window_table(G.make_eca(rule).inert) for rule in (57, 99, 105, 51)]
+    tables += [
+        window_table(G.make_word_swap(int_to_word(iu, 4), int_to_word(iv, 4)).inert)
+        for iu, iv in itertools.combinations(range(16), 2)
+    ]
+    rng = np.random.default_rng(38)
+    tables += [rng.permutation(1 << width) for width in (4, 5) for _ in range(4)]
+    return tables
+
+
+@pytest.mark.parametrize("block", [1, 2, 4, 8])
+def test_reads_in_blocks_of_any_size_match_the_definitions(monkeypatch, block):
+    # blocks smaller than a table, so that flip differences are read in
+    # several row blocks (low cells) and several column blocks (high cells)
+    monkeypatch.setattr(G, "READ_BLOCK", block)
+    for table in block_read_tables():
+        check_definitions(table)
+        for w in ("1", "11", "101"):
+            check_coset_definition(table, 0, w)
+        width = (len(table) - 1).bit_length()
+        g = G.canonicalize(0, width - 1, np.array(table))
+        # with an idle cell on each side, canonicalize scans them out again
+        assert G.canonicalize(-1, width, G.embed(g, -1, width)) == g, table
 
 
 # -- swap classification -----------------------------------------------------------
@@ -443,17 +435,15 @@ def cold_membership_cache():
 
 def test_every_swap_is_a_member_exactly_when_the_swap_of_zero_and_its_difference_is():
     # the conjugation lemma behind the verification once per difference
-    # word, on every ordered pair u != v to length 7; each pair's swap is
-    # read whole, from a copy without its record
+    # word, on every ordered pair u != v to length 7
     pairs = 0
     for n in range(1, 8):
         for iu, iv in itertools.permutations(range(1 << n), 2):
             g = G.make_word_swap(int_to_word(iu, n), int_to_word(iv, n)).inert
-            whole = G.InertGate(g.lo, g.hi, g.table)
             d = int_to_word(iu ^ iv, n)
             reference = G.make_word_swap("0" * n, d).inert
             for member in (A.in_GR, A.in_GL, lambda x: A.in_GV(x, d)):
-                assert member(whole) == member(reference), (iu, iv, n)
+                assert member(g) == member(reference), (iu, iv, n)
             pairs += 1
     assert pairs == 21590
 
