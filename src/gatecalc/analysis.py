@@ -12,13 +12,14 @@ flipped): a gate is affine iff each is constant, linear iff affine and
 0 is fixed, a wire permutation iff linear and each constant is one bit,
 and a lamplighter map iff each cell's constant flips just that cell;
 one-sided flow reads which output cells each input cell can reach.  The
-coset test reads each word's displacement table(u) xor u.  Every test
-reads the whole table, through gates.flip_difference and
-gates.word_moves, in blocks of gates.READ_BLOCK words, so it holds
-about one table, the gate's own.  A verified swap verdict is checked
-once per subgroup and difference word d, on the swap of 0^n and d: by
-the conjugation lemma (see _generators_in) it stands for the swap of
-every pair with difference d.
+coset test reads each word's displacement table(u) xor u, and stops at
+the first one outside the span.  Every test reads the table through
+gates.flip_difference and gates.word_moves, in blocks of
+gates.READ_BLOCK words, so it holds about one table, the gate's own.
+A swap verdict depends only on the difference word d = u xor v: it is
+computed, and verified on the swap of 0^n and d, once per d and
+cached, and by the conjugation lemma (see _classify_difference) it
+stands for the swap of every pair with difference d.
 The classifiers:
 
 * word swaps: the swap of patterns u, v (with the flip and the shift)
@@ -39,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bitcore import check_word, diff_set, gf2_divides
+from .bitcore import check_word, gf2_divides, int_to_word, word_xor
 from .gates import (
     GateExpr,
     GroupElement,
@@ -85,17 +86,24 @@ def _reach(g: InertGate):
         yield reach
 
 
-def _displacements(g: InertGate) -> set[int]:
-    """The distinct values table(u) xor u xor table(0) over every window word u."""
-    values = set()
+def _displacements(g: InertGate):
+    """The distinct values table(u) xor u xor table(0), each once.
+
+    They come one block of word_moves at a time, so a caller that stops
+    at the first value it refuses holds about one block, not every value.
+    """
+    seen = set()
     for moves in word_moves(g.table):  # each block a new array, sorted in place
         # distinct by sorting: np.unique's first call imports numpy.ma, and
         # counting would take up to 2^n counts per block
         moves ^= g.table[0]
         moves.sort()
-        values.add(int(moves[0]))
-        values.update(moves[1:][moves[1:] != moves[:-1]].tolist())
-    return values
+        distinct = moves[1:][moves[1:] != moves[:-1]].tolist()
+        distinct.append(int(moves[0]))
+        for value in distinct:
+            if value not in seen:
+                seen.add(value)
+                yield value
 
 
 # -- linear and wire structure --------------------------------------------
@@ -190,25 +198,6 @@ class SwapClass:
     verified: bool | None = None
 
 
-@functools.lru_cache(maxsize=4096)
-def _generators_in(subgroup: str, d: str) -> bool:
-    """Do the flip, the shift's inert part and swap(0^n, d) lie in the subgroup?
-
-    subgroup is 'GR', 'GL' or 'GV'; d is a difference word u xor v, and
-    for GV also the spanning word of G_V(d).  This one check covers the
-    swap of every pair u, v with that difference.  XOR by u maps u to
-    0^n and v to d, so swap(0^n, d) is swap(u, v) conjugated by the
-    flips of the cells where u is 1.  Each flip c0@j is
-    sigma^-j . c0 . sigma^j, so it lies in the subgroup once c0 and sigma
-    do.  Therefore, with c0 and sigma in the subgroup, swap(u, v) lies in
-    it exactly when swap(0^n, d) does.
-    """
-    # looked up at each call, so that a rebinding of the predicates is seen
-    member = {"GR": in_GR, "GL": in_GL, "GV": lambda g: in_GV(g, d)}[subgroup]
-    gates = (make_named("c0").inert, make_named("sigma").inert, _word_swap("0" * len(d), d))
-    return all(member(g) for g in gates)
-
-
 def classify_swap(u: str, v: str, verify: bool = True) -> SwapClass:
     """Classify the pattern swap by the positions where u and v differ.
 
@@ -216,35 +205,51 @@ def classify_swap(u: str, v: str, verify: bool = True) -> SwapClass:
     (so the difference word matches 0*0100*).  Non-universal verdicts
     name a containing proper subgroup; with verify=True the membership
     of the flip, the shift and the swap of 0^n and d = u xor v is
-    checked, not assumed, once per subgroup and d.  By the conjugation
-    lemma in _generators_in that check covers every pair with
-    difference d.
+    checked, not assumed.  The verdict depends on d alone (see
+    _classify_difference): u and v are checked on every call, and then
+    the verdict is one cache lookup under d, computed and verified once
+    per difference word and verify mode.
     """
-    d = diff_set(u, v)  # the one check of u and v
-    ones = d.count("1")
-    n = len(d)
-    if not n:
+    d = word_xor(u, v)  # the one check of u and v
+    if not u:
         raise ValueError("patterns must be nonempty")
+    return _classify_difference(d, len(u), verify)
 
-    def verified(subgroup: str) -> bool | None:
-        return _generators_in(subgroup, d) if verify else None
 
-    if not ones:
-        trivial = _word_swap(u, v).is_identity if verify else None  # u == v: no table
+@functools.lru_cache(maxsize=4096)
+def _classify_difference(d: int, n: int, verify: bool) -> SwapClass:
+    """The verdict of every swap of two length-n words whose xor is d.
+
+    A verified verdict checks that the flip, the shift's inert part and
+    swap(0^n, d) lie in the subgroup.  This one check covers the swap of
+    every pair u, v with that difference.  XOR by u maps u to 0^n and v
+    to d, so swap(0^n, d) is swap(u, v) conjugated by the flips of the
+    cells where u is 1.  Each flip c0@j is sigma^-j . c0 . sigma^j, so it
+    lies in the subgroup once c0 and sigma do.  Therefore, with c0 and
+    sigma in the subgroup, swap(u, v) lies in it exactly when
+    swap(0^n, d) does.
+    """
+    word = int_to_word(d, n)
+
+    # the predicates are passed in at each miss, so that a rebinding is seen
+    def verified(member) -> bool | None:
+        if not verify:
+            return None
+        gates = (make_named("c0").inert, make_named("sigma").inert, _word_swap("0" * n, word))
+        return all(member(g) for g in gates)
+
+    if not d:
+        trivial = _word_swap(word, word).is_identity if verify else None  # no table
         return SwapClass(SwapVerdict.TRIVIAL, "trivial group", None, trivial)
-    if ones == 1:
-        i = d.index("1")
-        if i == n - 1:
-            return SwapClass(
-                SwapVerdict.RIGHT_ONE_SIDED, "right-flow subgroup", None, verified("GR")
-            )
-        if i == 0:
-            return SwapClass(
-                SwapVerdict.LEFT_ONE_SIDED, "left-flow subgroup", None, verified("GL")
-            )
+    if d == 1:  # the last position: index n - 1 is the low bit
+        return SwapClass(SwapVerdict.RIGHT_ONE_SIDED, "right-flow subgroup", None, verified(in_GR))
+    if d == 1 << n - 1:  # the first position
+        return SwapClass(SwapVerdict.LEFT_ONE_SIDED, "left-flow subgroup", None, verified(in_GL))
+    if not d & d - 1:  # one interior position
         return SwapClass(SwapVerdict.UNIVERSAL, None, None, None)
     return SwapClass(
-        SwapVerdict.COSET_PRESERVING, "coset-preserving subgroup", d, verified("GV")
+        SwapVerdict.COSET_PRESERVING, "coset-preserving subgroup", word,
+        verified(lambda g: in_GV(g, word)),
     )
 
 

@@ -47,14 +47,19 @@ def int_to_word(value: int, length: int) -> str:
     return format(value, f"0{length}b") if length else ""
 
 
-def diff_set(u: str, v: str) -> str:
-    """Characteristic word of the coordinates where u and v differ."""
+def word_xor(u: str, v: str) -> int:
+    """Integer encoding of the coordinates where equal-length words u and v differ."""
     check_word(u)
     check_word(v)
     if len(u) != len(v):
         raise ValueError(f"unequal lengths: {len(u)} vs {len(v)}")
     # checked above: int() rather than word_to_int, which would check again
-    return int_to_word(int(u, 2) ^ int(v, 2), len(u)) if u else ""
+    return int(u, 2) ^ int(v, 2) if u else 0
+
+
+def diff_set(u: str, v: str) -> str:
+    """Characteristic word of the coordinates where u and v differ."""
+    return int_to_word(word_xor(u, v), len(u))
 
 
 def _poly(x: str | int) -> int:

@@ -668,7 +668,7 @@ class GroupElement:
             "shift_power": self.shift,
             "window_lo": None if win is None else win[0],
             "window_hi": None if win is None else win[1],
-            "table": [int(v) for v in self.inert.table],
+            "table": self.inert.table.tolist(),
         }
 
     @classmethod

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import tracemalloc
 
@@ -338,6 +339,21 @@ def test_a_wide_swap_is_classified_within_one_table(cold_membership_cache):
         assert peak < 1.5 * table_bytes, (v, peak)
 
 
+def test_a_coset_test_holds_one_block_until_it_is_refuted():
+    # a random 20-cell gate leaves the cosets of the span of 11 at its
+    # first displacement of odd weight, long before it has seen the
+    # hundreds of thousands of distinct displacements it has
+    g = G.canonicalize(0, 19, np.random.default_rng(85).permutation(1 << 20))
+    tracemalloc.start()
+    try:
+        member = A.in_GV(g, "11")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not member
+    assert peak < 6 << 20, peak
+
+
 # -- reads in blocks --------------------------------------------------------------
 
 
@@ -428,9 +444,9 @@ def test_verified_classification_equals_a_direct_check_of_every_gate():
 
 @pytest.fixture
 def cold_membership_cache():
-    A._generators_in.cache_clear()
+    A._classify_difference.cache_clear()
     yield
-    A._generators_in.cache_clear()
+    A._classify_difference.cache_clear()
 
 
 def test_every_swap_is_a_member_exactly_when_the_swap_of_zero_and_its_difference_is():
@@ -473,8 +489,49 @@ def test_a_flip_outside_the_subgroup_is_reported(monkeypatch, cold_membership_ca
     monkeypatch.setattr(A, predicate, lambda g, *w: g is not c0 and real(g, *w))
     assert A.classify_swap(u, v).verified is False
     monkeypatch.undo()
-    A._generators_in.cache_clear()
+    A._classify_difference.cache_clear()
     assert A.classify_swap(u, v).verified is True
+
+
+def test_a_warm_cache_replaces_no_check(monkeypatch, cold_membership_cache):
+    pairs = [(int_to_word(iu, 6), int_to_word(iv, 6)) for iu in range(64) for iv in range(64)]
+    first = {verify: [A.classify_swap(u, v, verify) for u, v in pairs] for verify in (True, False)}
+    assert all(cls.verified is None for cls in first[False])
+    calls = []
+    for name in ("in_GR", "in_GL", "in_GV", "_word_swap"):
+        monkeypatch.setattr(A, name, lambda *args, name=name: calls.append(name))
+    for verify in (True, False):
+        assert [A.classify_swap(u, v, verify) for u, v in pairs] == first[verify]
+        # int(w, 2) reads each malformed word below as a number, and the
+        # differences of length 6 it gives are cached by now, so only the
+        # check of the words can refuse them
+        for u, v, error, message in [
+            (" 00001", "000001", ValueError, "'0'/'1' only"),
+            ("+00001", "000001", ValueError, "'0'/'1' only"),
+            ("000011", "0_0001", ValueError, "'0'/'1' only"),
+            ("000001", "0000011", ValueError, "unequal lengths"),
+            ("", "", ValueError, "patterns must be nonempty"),
+            (1, "000001", TypeError, "binary word expected"),
+        ]:
+            with pytest.raises(error, match=message):
+                A.classify_swap(u, v, verify)
+    assert calls == []
+
+
+def test_verified_swap_verdicts_to_length_8_are_pinned():
+    # every pair, n then u then v ascending, hashed as concatenated reprs
+    digest = hashlib.sha256()
+    pairs = 0
+    for n in range(1, 9):
+        for iu in range(1 << n):
+            for iv in range(1 << n):
+                cls = A.classify_swap(int_to_word(iu, n), int_to_word(iv, n), verify=True)
+                digest.update(repr(cls).encode())
+                pairs += 1
+    assert pairs == 87380
+    assert digest.hexdigest() == (
+        "58e08863e244c8309f7e695e722cb1807341866b25c89265ec0a4f8f525532de"
+    )
 
 
 def test_classify_swap_length_mismatch():
