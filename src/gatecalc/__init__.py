@@ -26,18 +26,14 @@ from .gates import (
     WindowCapError,
     apply,
     canonicalize,
-    compose,
     compose_many,
     evaluate_expr,
     evaluate_program,
     identity_gate,
-    inverse,
     make_eca,
     make_named,
     make_word_swap,
     program_matches,
-    reverse_conjugate,
-    shift_conjugate,
 )
 from .cyclic import (
     CyclicPerm,

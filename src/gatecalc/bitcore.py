@@ -48,7 +48,11 @@ def int_to_word(value: int, length: int) -> str:
 
 
 def word_xor(u: str, v: str) -> int:
-    """Integer encoding of the coordinates where equal-length words u and v differ."""
+    """Integer encoding of the coordinates where equal-length words u and v differ.
+
+    The one check of a word pair (each word as check_word, then equal
+    lengths): make_word_swap, classify_swap and diff_set call it.
+    """
     check_word(u)
     check_word(v)
     if len(u) != len(v):

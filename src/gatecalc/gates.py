@@ -40,7 +40,7 @@ from typing import Callable, Hashable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .bitcore import check_word
+from .bitcore import check_word, word_xor
 
 # Longest flat expression Program.expand builds: 2^20 atoms, some 100 MB
 # of atom tuples.  A fixed limit: a longer program can still be evaluated.
@@ -702,11 +702,6 @@ IDENTITY = GroupElement(0, _IDENTITY_GATE)
 # -- operations on group elements ----------------------------------------
 
 
-def compose(f: GroupElement, g: GroupElement) -> GroupElement:
-    """Normal form of f after g; shift powers add."""
-    return f.compose(g)
-
-
 def compose_many(gates: Iterable[GroupElement]) -> GroupElement:
     """Compose a sequence, first element applied last (function order).
 
@@ -748,18 +743,6 @@ def _compose_elements(atoms: Sequence[tuple[Hashable, int]], elements: Mapping[H
     return GroupElement(shifts[-1], inert)
 
 
-def inverse(f: GroupElement) -> GroupElement:
-    return f.inverse()
-
-
-def shift_conjugate(f: GroupElement, k: int) -> GroupElement:
-    return f.shift_conjugate(k)
-
-
-def reverse_conjugate(f: GroupElement) -> GroupElement:
-    return f.reverse_conjugate()
-
-
 # -- named generators ---------------------------------------------------
 
 
@@ -774,20 +757,26 @@ def _controlled_not(k: int) -> InertGate:
     return _canonical(0, k, np.where((idx & low) == low, idx ^ (1 << k), idx))
 
 
-def make_named(name: str, k: int | None = None) -> GroupElement:
-    """Build a generator by name.
+# the two name families with a number: ck<k> and e<rule>
+_FAMILY_RE = re.compile(r"(ck|e)(\d+)")
+
+
+def make_named(name: str) -> GroupElement:
+    """Build a generator by name: the one resolver of gate names.
 
     Known names: identity, sigma (the shift), c0 (flip cell 0),
-    c1 (flip cell 0 iff cell 1 is 1), c2 (Toffoli), ck (needs k),
-    rc1 (mirrored c1: flip cell 0 iff cell -1 is 1), swap (cells 0, 1).
-    Every name but ck is built once and the same element returned after.
+    c1 (flip cell 0 iff cell 1 is 1), c2 (Toffoli), rc1 (mirrored c1:
+    flip cell 0 iff cell -1 is 1), swap (cells 0, 1), ck<k> (flip cell 0
+    iff cells 1..k all hold 1) and e<rule> (make_eca(rule)).  Each fixed
+    name is built once and the same element returned after; ck<k> and
+    e<rule> are built on every call, as whether a ck fits the cap
+    depends on k.
     """
-    if name == "ck":
-        # not kept: its width, and so whether it fits the cap, depends on k
-        if k is None or _integer("k", k) < 0:
-            raise ValueError("ck needs k >= 0")
-        return GroupElement(0, _controlled_not(k))
-    return _fixed_named(name)
+    m = _FAMILY_RE.fullmatch(name)
+    if m is None:
+        return _fixed_named(name)
+    k = int(m.group(2))
+    return GroupElement(0, _controlled_not(k)) if m.group(1) == "ck" else make_eca(k)
 
 
 @functools.cache
@@ -811,10 +800,7 @@ def _fixed_named(name: str) -> GroupElement:
 
 def make_word_swap(u: str, v: str) -> GroupElement:
     """The involution exchanging the patterns u and v at cells [0, n-1]."""
-    check_word(u)
-    check_word(v)
-    if len(u) != len(v):
-        raise ValueError(f"unequal lengths: {len(u)} vs {len(v)}")
+    word_xor(u, v)  # the one check of a word pair
     if not u:
         raise ValueError("patterns must be nonempty")
     return GroupElement(0, _word_swap(u, v))
@@ -854,17 +840,6 @@ def make_eca(rule: int) -> GroupElement:
     words = np.arange(8, dtype=np.int64)
     centre = (rule >> words) & 1
     return GroupElement(0, _canonical(-1, 1, (words & 0b101) | (centre << 1)))
-
-
-def named_or_eca(name: str) -> GroupElement:
-    """Resolve 'c0', 'swap', 'ck3', 'e57', ... (CLI-facing)."""
-    m = re.fullmatch(r"e(\d+)", name)
-    if m:
-        return make_eca(int(m.group(1)))
-    m = re.fullmatch(r"ck(\d+)", name)
-    if m:
-        return make_named("ck", int(m.group(1)))
-    return make_named(name)
 
 
 # -- finite application -------------------------------------------------

@@ -54,7 +54,6 @@ from .gates import (
     evaluate_program,
     make_eca,
     make_named,
-    shift_conjugate,
 )
 # kept in this namespace: perfbench's tracer test rebinds grammar.compose_many
 from .gates import compose_many  # noqa: F401
@@ -173,7 +172,7 @@ def verify_semantics(start: str, target: GroupElement) -> SemanticsReport:
     generators = {"e57": make_eca(57)}
     chrono = evaluate_program(_program(start), generators)[0]
     reverse = evaluate_program(_REVERSED[start], generators)[0]
-    anchor = next((c for c in ANCHOR_RANGE if chrono == shift_conjugate(target, c)), None)
+    anchor = next((c for c in ANCHOR_RANGE if chrono == target.shift_conjugate(c)), None)
     return SemanticsReport(
         start=start,
         target=STANDARD_TARGETS.get(start, "?"),
@@ -212,7 +211,7 @@ def verify_on_ring(start: str, target: GroupElement, n: int, anchor: int | None 
     string = expand(start)
     if anchor is None:
         anchor = measure_anchor()
-    expected = _target_planes(shift_conjugate(target, anchor), n)
+    expected = _target_planes(target.shift_conjugate(anchor), n)
     return _ring_planes(string, n) == expected
 
 

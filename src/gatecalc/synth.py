@@ -51,7 +51,7 @@ from __future__ import annotations
 import functools
 from typing import Mapping
 
-from .bitcore import check_word, diff_set
+from .bitcore import check_word, word_xor
 from .gates import (
     MAX_EXPANDED_ATOMS,
     ExpansionCapError,
@@ -62,7 +62,7 @@ from .gates import (
     make_named,
     make_word_swap,
     program_matches,
-    shift_conjugate,
+    _word_swap,
 )
 # kept in this namespace: perfbench's tracer test rebinds synth.evaluate_expr
 from .gates import evaluate_expr  # noqa: F401
@@ -146,9 +146,11 @@ def eliminate_bit(v: str, side: str) -> GateExpr:
     else:
         raise ValueError("side must be 'left' or 'right'")
     program = Program(rules, [top])
-    gens = {"c0": make_named("c0"), "f": make_word_swap("0" * n, v)}
+    # the swaps of words built from v, which is checked above, are not checked again
+    gens = {"c0": make_named("c0"), "f": GroupElement(0, _word_swap("0" * n, v))}
     expr = peephole(program, gens)[0]
-    if not all(program_matches(program, gens, [make_word_swap("0" * (n - 1), reduced)])):
+    target = GroupElement(0, _word_swap("0" * (n - 1), reduced))
+    if not all(program_matches(program, gens, [target])):
         raise AssertionError("elimination program failed verification")
     return expr
 
@@ -208,7 +210,7 @@ def _verified_program_d(d: str) -> tuple[Program, GroupElement]:
     longest = max(program.lengths())
     if longest > MAX_EXPANDED_ATOMS:
         raise ExpansionCapError(longest, MAX_EXPANDED_ATOMS)
-    f = make_word_swap("0" * len(d), d)
+    f = GroupElement(0, _word_swap("0" * len(d), d))  # built here: not checked again
     gens = {"c0": make_named("c0"), "f": f}
     targets = [make_named(target) for target in TARGETS.values()]
     for name, ok in zip(TARGETS, program_matches(program, gens, targets)):
@@ -235,11 +237,11 @@ def synthesize_nct(u: str, v: str) -> dict[str, GateExpr]:
     names; all four land at cell 0.  The part of that check which
     depends only on u xor v is done once per difference word.
     """
-    verdict = classify_swap(u, v)
+    verdict = classify_swap(u, v)  # checks u and v
     if verdict.verdict is not SwapVerdict.UNIVERSAL:
         raise NotUniversalError(u, v, verdict)
-    gens = {"c0": make_named("c0"), "fuv": make_word_swap(u, v)}
-    program_d, f = _verified_program_d(diff_set(u, v))
+    gens = {"c0": make_named("c0"), "fuv": GroupElement(0, _word_swap(u, v))}
+    program_d, f = _verified_program_d(format(word_xor(u, v), f"0{len(u)}b"))
     conjugations = _conjugations(u)
     flat = peephole(program_d, gens, conjugations)  # raises before evaluating if too long
     if not all(program_matches(Program(conjugations, ["f"]), gens, [f])):
@@ -261,5 +263,5 @@ def standard_generating_checks() -> list[tuple[str, bool]]:
         ("doubly controlled flip is the swap of 011 and 111",
          make_named("c2") == make_word_swap("011", "111")),
         ("cell swap is an involution", s.compose(s).is_identity),
-        ("mirrored controlled flip is rc1", shift_conjugate(rc1, 1) == make_word_swap("10", "11")),
+        ("mirrored controlled flip is rc1", rc1.shift_conjugate(1) == make_word_swap("10", "11")),
     ]

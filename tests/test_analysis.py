@@ -89,7 +89,7 @@ def test_wire_and_lamplighter_examples():
 
 def test_one_sided_examples():
     for k in range(5):
-        ck = G.make_named("ck", k)
+        ck = G.make_named(f"ck{k}")
         assert A.in_GL(ck.inert)
         assert A.in_GR(ck.reverse_conjugate().inert)
         if k >= 1:
@@ -170,7 +170,7 @@ def test_predicates_match_definitions_on_small_and_structured_gates():
             swap = G.make_word_swap(int_to_word(iu, n), int_to_word(iv, n)).inert
             tables.append(window_table(swap))
     for k in range(4):
-        ck = G.make_named("ck", k)
+        ck = G.make_named(f"ck{k}")
         tables += [window_table(ck.inert), window_table(ck.reverse_conjugate().inert)]
     u = np.arange(8)
     for pi in itertools.permutations(range(3)):

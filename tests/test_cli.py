@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from gatecalc import cli, cyclic, gates, verify
+from gatecalc import analysis, cli, cyclic, gates, verify
 
 
 def run(capsys, *argv):
@@ -16,7 +16,7 @@ def run(capsys, *argv):
 
 
 def test_gate_named(capsys):
-    code, out, _ = run(capsys, "gate", "--name", "e57")
+    code, out, _ = run(capsys, "gate", "--expr", "e57")
     assert code == 0
     assert "-1 .. 1" in out
 
@@ -33,6 +33,24 @@ def test_classify_eca(capsys):
     code, out, _ = run(capsys, "classify", "eca", "--rule", "57")
     assert code == 0
     assert "universal" in out and "certificate verified" in out
+
+
+def test_a_flip_certificate_that_fails_raises(monkeypatch):
+    # classify_eca refuses a certificate that misses the flip, so the CLI
+    # never sees one: it raises instead of exiting 1
+    monkeypatch.setattr(analysis, "_flip_value", lambda *args, **kwargs: gates.make_named("c1"))
+    with pytest.raises(AssertionError, match="rule 57"):
+        analysis.classify_eca(57)
+    with pytest.raises(AssertionError, match="rule 57"):
+        cli.main(["classify", "eca", "--rule", "57"])
+
+
+@pytest.mark.parametrize("argv", [["gate", "--name", "c0"], ["project", "--name", "swap", "--n", "6"]])
+def test_a_gate_is_read_only_through_expr(capsys, argv):
+    with pytest.raises(SystemExit) as exit_:
+        cli.main(argv)
+    assert exit_.value.code == 2
+    assert "--expr" in capsys.readouterr().err
 
 
 def test_classify_eca_all_json(capsys):
@@ -76,7 +94,7 @@ def test_synthesize_non_universal(capsys):
 
 
 def test_project(capsys):
-    code, out, _ = run(capsys, "--json", "project", "--name", "c0", "--n", "4")
+    code, out, _ = run(capsys, "--json", "project", "--expr", "c0", "--n", "4")
     assert code == 0
     payload = json.loads(out)
     assert payload["sign"] == "even"
@@ -84,7 +102,7 @@ def test_project(capsys):
 
 
 def test_project_ring_too_small(capsys):
-    code, _, err = run(capsys, "project", "--name", "e57", "--n", "3")
+    code, _, err = run(capsys, "project", "--expr", "e57", "--n", "3")
     assert code == 2
     assert "ring too small" in err
 
@@ -350,7 +368,7 @@ def test_malformed_window_cap_is_a_usage_error(capsys, monkeypatch, argv, env, m
 
 def test_ring_size_is_bounded_by_the_ring_cap_not_the_window_cap(capsys, monkeypatch):
     monkeypatch.setattr(gates, "WINDOW_CAP", 4)
-    code, out, _ = run(capsys, "project", "--name", "swap", "--n", "6")
+    code, out, _ = run(capsys, "project", "--expr", "swap", "--n", "6")
     assert code == 0
     assert "permutation of {0,1}^6, parity even" in out
 

@@ -107,12 +107,10 @@ def test_tables_and_records_that_are_not_integers_are_refused(build):
     "build",
     [
         lambda: G.make_named("c0").shift_conjugate(1.5),
-        lambda: G.make_named("ck", True),
-        lambda: G.make_named("ck", 2.0),
         lambda: G.make_eca(57.0),
         lambda: G.apply(G.make_named("c0"), "01", anchor=0.5),
     ],
-    ids=["float-conjugate", "bool-ck", "float-ck", "float-eca", "float-anchor"],
+    ids=["float-conjugate", "float-eca", "float-anchor"],
 )
 def test_builders_refuse_arguments_that_are_not_integers(build):
     with pytest.raises(ValueError, match="must be an integer"):
@@ -148,7 +146,7 @@ def test_integer_records_and_tables_of_any_integer_type_load():
 def test_controlled_flip_past_the_cap_is_refused_before_its_table_is_made():
     # ck60 would need a 2^61-entry table
     with pytest.raises(G.WindowCapError) as err:
-        G.make_named("ck", 60)
+        G.make_named("ck60")
     assert err.value.required_width == 61
 
 
@@ -303,14 +301,49 @@ def test_reverse_conjugate_is_an_automorphism():
 # -- named gates ------------------------------------------------------------
 
 
+def _controlled_flip(k):
+    return G.GroupElement(0, G._controlled_not(k))
+
+
+# the rules whose centre cell is a bijection in every (left, right) context
+_BIJECTIVE_RULES = [r for r in range(256) if all((r >> w ^ r >> (w | 2)) & 1 for w in (0, 1, 4, 5))]
+
+
 def test_named_gates():
-    assert G.make_named("ck", 1) == G.make_named("c1")
+    assert G.make_named("ck1") == G.make_named("c1")
     assert G.make_named("c2") == G.make_word_swap("011", "111")
     assert G.make_named("identity").is_identity
     with pytest.raises(ValueError):
         G.make_named("nope")
-    with pytest.raises(ValueError):
-        G.make_named("ck")
+    with pytest.raises(G.NotInvertibleError):
+        G.make_named("e1")
+    assert len(_BIJECTIVE_RULES) == 16
+
+
+# each name of make_named's grammar and the constructor it stands for
+_NAMES = [
+    ("identity", lambda: G.IDENTITY),
+    ("sigma", lambda: G.GroupElement(1, G.identity_gate())),
+    ("c0", lambda: _controlled_flip(0)),
+    ("c1", lambda: _controlled_flip(1)),
+    ("c2", lambda: _controlled_flip(2)),
+    ("rc1", lambda: _controlled_flip(1).reverse_conjugate()),
+    ("swap", lambda: G.make_word_swap("01", "10")),
+    *[(f"ck{k}", lambda k=k: _controlled_flip(k)) for k in range(7)],
+    *[(f"e{rule}", lambda rule=rule: G.make_eca(rule)) for rule in _BIJECTIVE_RULES],
+]
+
+
+@pytest.mark.parametrize("name,build", _NAMES, ids=[name for name, _ in _NAMES])
+def test_make_named_reads_the_whole_name_grammar(name, build):
+    assert G.make_named(name) == build()
+
+
+@pytest.mark.parametrize("name", ["ck", "e", "ck-1", "e256", "E57", "ck 3"])
+def test_names_outside_the_grammar_are_refused(name):
+    message = r"rule number must be in \[0, 255\]" if name == "e256" else "unknown generator"
+    with pytest.raises(ValueError, match=message):
+        G.make_named(name)
 
 
 def test_fixed_generators_are_built_once(monkeypatch):
@@ -319,11 +352,12 @@ def test_fixed_generators_are_built_once(monkeypatch):
         assert G.make_named(name) is g
         if not g.inert.is_identity:
             assert not g.inert.table.flags.writeable
-    # ck is built on every call: whether it fits the cap depends on k
-    assert G.make_named("ck", 10).inert.width == 11
+    # ck<k> and e<rule> are built on every call: whether a ck fits the cap depends on k
+    assert G.make_named("ck10").inert.width == 11
+    assert G.make_named("e57") is not G.make_named("e57")
     monkeypatch.setattr(G, "WINDOW_CAP", 8)
     with pytest.raises(G.WindowCapError):
-        G.make_named("ck", 10)
+        G.make_named("ck10")
 
 
 def test_gates_one_cell_apart_do_not_collide(monkeypatch):
@@ -601,7 +635,7 @@ def test_matching_equals_comparing_the_evaluated_values():
         values,
         [values[0], x.shift_conjugate(1), G.IDENTITY],  # x one cell right
         [x, values[0], x],
-        [G.GroupElement(1, values[0].inert), G.compose(x, x), G.make_named("c0")],
+        [G.GroupElement(1, values[0].inert), x * x, G.make_named("c0")],
         [G.make_named("c0").shift_conjugate(9), G.make_named("c0"), G.make_named("sigma")],
     ]
     for expected in candidates:
@@ -923,7 +957,7 @@ def test_named_generators_are_canonical_permutations():
     for name in ("c0", "c1", "c2", "rc1", "swap"):
         assert_canonical_permutation(G.make_named(name).inert)
     for k in range(6):
-        assert_canonical_permutation(G.make_named("ck", k).inert)
+        assert_canonical_permutation(G.make_named(f"ck{k}").inert)
     for rule in range(256):
         try:
             assert_canonical_permutation(G.make_eca(rule).inert)

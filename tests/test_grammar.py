@@ -122,7 +122,7 @@ def test_ring_detects_wrong_target():
 def test_ring_check_compares_every_cell():
     # the flip at cell 3 together with a flip at any other cell differs
     # from N3's ring permutation in that cell's plane alone
-    at = lambda k: G.shift_conjugate(G.make_named("c0"), k)
+    at = lambda k: G.make_named("c0").shift_conjugate(k)
     for n in (6, 8, 10):
         assert GR.verify_on_ring("N3", at(3), n, 0)
         for k in set(range(n)) - {3}:
@@ -172,7 +172,7 @@ def test_planes_of_a_table_are_its_bit_slices(n):
     # ring, and up to n = 12 seeded random gates whose windows start on
     # either side of the seam, some periods away, with nonzero shift parts
     anchor = GR.measure_anchor()
-    elements = [G.shift_conjugate(G.make_named(t), anchor) for t in GR.STANDARD_TARGETS.values()]
+    elements = [G.make_named(t).shift_conjugate(anchor) for t in GR.STANDARD_TARGETS.values()]
     elements += [G.IDENTITY, G.make_named("sigma")]
     rng = np.random.default_rng(n)
     for width in range(1, 6) if n <= 12 else ():
@@ -269,7 +269,7 @@ def test_ring_check_peak_does_not_depend_on_the_listed_order():
     )
     perm_bytes = (1 << 16) * np.dtype(np.int64).itemsize
     e57 = G.make_eca(57)
-    leaf = lambda _, k: C.project_formula(G.shift_conjugate(e57, k), 16).perm
+    leaf = lambda _, k: C.project_formula(e57.shift_conjugate(k), 16).perm
     fold = letter_fold(GR.expand("T3"), 16)
     peaks = []
     for productions in (GR.PRODUCTIONS, digits_first):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gatecalc import analysis, bitcore
 from gatecalc import gates as G
 from gatecalc import synth as S
 from gatecalc.analysis import SwapVerdict, classify_swap
@@ -84,6 +85,23 @@ def test_synthesize_rejects_non_universal():
     assert err.value.verdict.verdict is SwapVerdict.LEFT_ONE_SIDED
     with pytest.raises(S.NotUniversalError):
         S.synthesize_nct("01", "01")
+
+
+def test_a_warm_synthesis_makes_four_word_checks(monkeypatch):
+    # classify_swap checks u and v, and the difference word is taken from
+    # one more word_xor; the swap of u and v and P_d's words are not checked
+    S.synthesize_nct("0001000", "0000000")
+    checked = []
+
+    def check_word(w):
+        checked.append(w)
+        return real(w)
+
+    real = bitcore.check_word
+    for module in (bitcore, G, analysis, S):
+        monkeypatch.setattr(module, "check_word", check_word)
+    S.synthesize_nct("0001000", "0000000")
+    assert checked == ["0001000", "0000000"] * 2
 
 
 def test_synthesize_deterministic():
